@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx as _erfcx
 
 from .core import (
     ConstantImpacts,
@@ -98,13 +97,51 @@ def solve_constant(impacts: ConstantImpacts, f_init: float, f0: float,
     return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
 
 
-def _schedule_grid_check(schedule, g: np.ndarray) -> None:
+def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
+                     grid) -> FunctionalityTrace:
+    """Chain ``window_values`` across the windows of ``schedule``.
+
+    ``window_values(segment, f_start, f0, tau)`` solves one window on its
+    local clock tau >= 0.  The value reached at each breakpoint seeds the
+    next window, so the curve is continuous across breakpoints by
+    construction.  The grid must lie inside the schedule's span.
+    """
+    g = _validate_grid(grid)
+    _validate_initial(f_init, f0)
     span = max(1.0, abs(schedule.start_time), abs(schedule.end_time))
     tol = 1e-9 * span
     if g[0] < schedule.start_time - tol or g[-1] > schedule.end_time + tol:
         raise DomainError(
             f"grid [{g[0]}, {g[-1]}] extends outside the schedule window "
             f"[{schedule.start_time}, {schedule.end_time}]"
+        )
+
+    pts = schedule.breakpoints
+    n_seg = len(schedule.segments)
+    starts = np.empty(n_seg)
+    starts[0] = f_init
+    for j in range(n_seg - 1):
+        width = pts[j + 1] - pts[j]
+        starts[j + 1] = float(
+            window_values(schedule.segments[j], starts[j], f0,
+                          np.array([width]))[0]
+        )
+
+    idx = np.clip(np.searchsorted(pts, g, side="right") - 1, 0, n_seg - 1)
+    values = np.empty(g.size)
+    for j in range(n_seg):
+        mask = idx == j
+        if not mask.any():
+            continue
+        tau = np.maximum(g[mask] - pts[j], 0.0)
+        values[mask] = window_values(schedule.segments[j], starts[j], f0, tau)
+    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+
+
+def _require_schedule(schedule, kind: type) -> None:
+    if not isinstance(schedule, kind):
+        raise DomainError(
+            f"schedule must be a {kind.__name__}, got {type(schedule).__name__}"
         )
 
 
@@ -116,31 +153,8 @@ def solve_piecewise_constant(schedule: PiecewiseConstantSchedule, f_init: float,
     continuous across breakpoints by construction.  The grid must lie
     inside the schedule's span.
     """
-    g = _validate_grid(grid)
-    _validate_initial(f_init, f0)
-    _schedule_grid_check(schedule, g)
-
-    pts = schedule.breakpoints
-    n_seg = len(schedule.segments)
-    # Chain the window-start values.
-    starts = np.empty(n_seg)
-    starts[0] = f_init
-    for j in range(n_seg - 1):
-        width = pts[j + 1] - pts[j]
-        starts[j + 1] = float(
-            _constant_values(schedule.segments[j], starts[j], f0,
-                             np.array([width]))[0]
-        )
-
-    idx = np.clip(np.searchsorted(pts, g, side="right") - 1, 0, n_seg - 1)
-    values = np.empty(g.size)
-    for j in range(n_seg):
-        mask = idx == j
-        if not mask.any():
-            continue
-        tau = np.maximum(g[mask] - pts[j], 0.0)
-        values[mask] = _constant_values(schedule.segments[j], starts[j], f0, tau)
-    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+    _require_schedule(schedule, PiecewiseConstantSchedule)
+    return _solve_piecewise(schedule, _constant_values, f_init, f0, grid)
 
 
 def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
@@ -174,13 +188,17 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
         )
         return _constant_values(fallback, f_start, f0, tau)
 
+    # scipy is imported only on this path, so commands that never solve a
+    # linear window do not pay for loading it.
+    from scipy.special import erfcx
+
     big_lam = lam / math.sqrt(2.0 * om)
     x = math.sqrt(om / 2.0) * tau
     # 1/Omega(tau) = exp(-(integral of the combined rate)) <= 1 on a valid
     # window, so nothing here overflows.
     inv_omega = np.exp(-(lam * tau - 0.5 * om * tau * tau))
     coef = (alpha * om - beta * lam) * math.sqrt(math.pi / 2.0) / om ** 1.5
-    bracket = _erfcx(big_lam - x) - _erfcx(big_lam) * inv_omega
+    bracket = erfcx(big_lam - x) - erfcx(big_lam) * inv_omega
     ratio = (
         (f_start / f0) * inv_omega
         + (beta / om) * (1.0 - inv_omega)
@@ -219,12 +237,8 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
     breakpoint seeds the next window exactly as in
     :func:`solve_piecewise_constant`.
     """
-    g = _validate_grid(grid)
-    _validate_initial(f_init, f0)
-    _schedule_grid_check(schedule, g)
-
+    _require_schedule(schedule, PiecewiseLinearSchedule)
     pts = schedule.breakpoints
-    n_seg = len(schedule.segments)
     for j, seg in enumerate(schedule.segments):
         width = float(pts[j + 1] - pts[j])
         seg.validate_window(width)
@@ -233,22 +247,4 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
                 f"segment {j}: combined impact slope is negative; "
                 "the error-function form does not apply"
             )
-
-    starts = np.empty(n_seg)
-    starts[0] = f_init
-    for j in range(n_seg - 1):
-        width = pts[j + 1] - pts[j]
-        starts[j + 1] = float(
-            _linear_values(schedule.segments[j], starts[j], f0,
-                           np.array([width]))[0]
-        )
-
-    idx = np.clip(np.searchsorted(pts, g, side="right") - 1, 0, n_seg - 1)
-    values = np.empty(g.size)
-    for j in range(n_seg):
-        mask = idx == j
-        if not mask.any():
-            continue
-        tau = np.maximum(g[mask] - pts[j], 0.0)
-        values[mask] = _linear_values(schedule.segments[j], starts[j], f0, tau)
-    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+    return _solve_piecewise(schedule, _linear_values, f_init, f0, grid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -104,36 +105,38 @@ class ConstantImpacts:
         return self.malware_impact + self.bonware_impact
 
 
-def _validate_breakpoints(breakpoints, n_segments: int) -> np.ndarray:
-    pts = _readonly(breakpoints)
-    if pts.ndim != 1 or pts.size < 2:
-        raise DomainError("a schedule needs at least two breakpoints")
-    if not np.isfinite(pts).all():
-        raise DomainError("breakpoints must be finite")
-    if not (np.diff(pts) > 0.0).all():
-        raise DomainError("breakpoints must be strictly increasing")
-    if pts.size != n_segments + 1:
-        raise DomainError(
-            f"expected {pts.size - 1} segments for {pts.size} breakpoints, "
-            f"got {n_segments}"
-        )
-    return pts
-
-
 @dataclass(frozen=True)
-class PiecewiseConstantSchedule:
-    """Constant impacts on consecutive windows [t_j, t_{j+1})."""
+class _PiecewiseSchedule:
+    """Impacts on consecutive windows [t_j, t_{j+1}), one segment each.
+
+    Subclasses set ``_segment_type``, the impacts type every segment must
+    be an instance of.
+    """
 
     breakpoints: np.ndarray
-    segments: tuple[ConstantImpacts, ...]
+    segments: tuple
+
+    _segment_type: ClassVar[type]
 
     def __post_init__(self):
         segments = tuple(self.segments)
         object.__setattr__(self, "segments", segments)
+        kind = self._segment_type
         for seg in segments:
-            if not isinstance(seg, ConstantImpacts):
-                raise DomainError("segments must be ConstantImpacts instances")
-        pts = _validate_breakpoints(self.breakpoints, len(segments))
+            if not isinstance(seg, kind):
+                raise DomainError(f"segments must be {kind.__name__} instances")
+        pts = _readonly(self.breakpoints)
+        if pts.ndim != 1 or pts.size < 2:
+            raise DomainError("a schedule needs at least two breakpoints")
+        if not np.isfinite(pts).all():
+            raise DomainError("breakpoints must be finite")
+        if not (np.diff(pts) > 0.0).all():
+            raise DomainError("breakpoints must be strictly increasing")
+        if pts.size != len(segments) + 1:
+            raise DomainError(
+                f"expected {pts.size - 1} segments for {pts.size} breakpoints, "
+                f"got {len(segments)}"
+            )
         object.__setattr__(self, "breakpoints", pts)
 
     @property
@@ -149,6 +152,12 @@ class PiecewiseConstantSchedule:
         belongs to the last window."""
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return min(max(idx, 0), len(self.segments) - 1)
+
+
+class PiecewiseConstantSchedule(_PiecewiseSchedule):
+    """Constant impacts on consecutive windows [t_j, t_{j+1})."""
+
+    _segment_type = ConstantImpacts
 
 
 @dataclass(frozen=True)
@@ -217,33 +226,10 @@ class LinearImpacts:
             )
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearSchedule:
+class PiecewiseLinearSchedule(_PiecewiseSchedule):
     """Linearly varying impacts on consecutive windows, local time per window."""
 
-    breakpoints: np.ndarray
-    segments: tuple[LinearImpacts, ...]
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        for seg in segments:
-            if not isinstance(seg, LinearImpacts):
-                raise DomainError("segments must be LinearImpacts instances")
-        pts = _validate_breakpoints(self.breakpoints, len(segments))
-        object.__setattr__(self, "breakpoints", pts)
-
-    @property
-    def start_time(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def end_time(self) -> float:
-        return float(self.breakpoints[-1])
-
-    def segment_index(self, t: float) -> int:
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(idx, 0), len(self.segments) - 1)
+    _segment_type = LinearImpacts
 
 
 def accomplishment(trace: FunctionalityTrace) -> float:

@@ -5,10 +5,11 @@ Two estimators live here.
 The fast two-phase recipe reads a single incident trace: locate the
 switching time where decay turns into recovery (midpoint of the minimum
 plateau), count up/down events in each phase to get activity rates, then
-solve one small nonlinear system per phase for the impact rates.  Each
-impact decomposes as impact = activity * effectiveness / 2, the
-effectiveness being the upper bound of the uniform per-event effect (an
-event averages half its bound).
+solve each phase's two equations for the impact rates in closed form:
+pinning the asymptote leaves one exponential equation in the combined
+rate, whose root is a logarithm.  Each impact decomposes as
+impact = activity * effectiveness / 2, the effectiveness being the upper
+bound of the uniform per-event effect (an event averages half its bound).
 
 The likelihood route scores step transitions under the stochastic model:
 integrating out the per-step activity and effect draws leaves a mixture
@@ -26,7 +27,6 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ConstantImpacts, FunctionalityTrace, PiecewiseConstantSchedule
 from .errors import DomainError, FitFailureError, NoSwitchError
@@ -42,6 +42,8 @@ EVENT_TOL = 1e-9
 # the transition mixture.
 ATOM_TOL = 1e-12
 
+# Largest residual norm of a phase fit, relative to f0 (the residuals are
+# levels, so they scale with f0).
 RESIDUAL_TOL = 1e-10
 
 
@@ -178,44 +180,37 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
     )
 
 
-def _newton_2x2(residual, jacobian, x0, feasible, max_iter=60):
-    """Damped Newton for a 2-equation system; returns (x, residual_norm)."""
-    x = np.asarray(x0, dtype=float)
-    r = residual(x)
-    norm = math.hypot(r[0], r[1])
-    for _ in range(max_iter):
-        if norm <= 1e-13:
-            break
-        j = jacobian(x)
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        if det == 0.0 or not math.isfinite(det):
-            break
-        step = np.array(
-            [
-                (-r[0] * j[1, 1] + r[1] * j[0, 1]) / det,
-                (-r[1] * j[0, 0] + r[0] * j[1, 0]) / det,
-            ]
+def _solve_phase(phase: str, start: float, end: float, level: float,
+                 horizon: float, f0: float) -> tuple[ConstantImpacts, float]:
+    """Closed-form constant impacts of one phase, checked by its residual.
+
+    The asymptote f0*b/(m+b) is pinned at ``level``; the constant-rate
+    trajectory from ``start`` must then reach ``end`` after ``horizon``
+    seconds, which fixes q = m + b = -log((end - L)/(start - L))/horizon,
+    hence b = L*q/f0 and m = q - b.  Both equations are evaluated again
+    at the result; a residual norm above RESIDUAL_TOL * f0 (or NaN), or a
+    negative rate, raises :class:`FitFailureError`.
+    """
+    ratio = (end - level) / (start - level)
+    q0 = -math.log(ratio) / horizon
+    b = level * q0 / f0
+    m = q0 - b
+    # The check evaluates the rates as returned, so q is rebuilt from them.
+    q = m + b
+    fitted_level = f0 * b / q
+    decay = math.exp(-q * horizon)
+    residuals = (
+        fitted_level - level,
+        (start - fitted_level) * decay + fitted_level - end,
+    )
+    norm = math.hypot(*residuals)
+    if not norm <= RESIDUAL_TOL * f0 or m < 0.0 or b < 0.0:
+        raise FitFailureError(
+            f"{phase}-phase system unsolved (residual {norm:.3g}, "
+            f"rates m={m}, b={b})",
+            residuals=np.array(residuals),
         )
-        scale = 1.0
-        improved = False
-        while scale >= 1.0 / 1024.0:
-            candidate = x + scale * step
-            if feasible(candidate):
-                r_new = residual(candidate)
-                norm_new = math.hypot(r_new[0], r_new[1])
-                if norm_new < norm:
-                    x, r, norm = candidate, r_new, norm_new
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            break
-    return x, norm
-
-
-def _decay_feasible(x) -> bool:
-    m, b = x
-    return m >= 0.0 and b >= 0.0 and m + b > 0.0 and math.isfinite(m + b)
+    return ConstantImpacts(malware_impact=m, bonware_impact=b), norm
 
 
 def fit_phase1(min_value: float, switch_elapsed: float, f_init: float,
@@ -226,10 +221,9 @@ def fit_phase1(min_value: float, switch_elapsed: float, f_init: float,
     Solves the two-equation system: (i) the decay asymptote f0*b/(m+b)
     equals ``decay_asymptote_fraction * min_value``, and (ii) the
     constant-rate trajectory from ``f_init`` passes through ``min_value``
-    after ``switch_elapsed`` seconds.  A damped Newton step with analytic
-    Jacobian polishes a closed-form start; if it stalls, the monotone
-    scalar reduction in q = m + b is bracketed instead.  Returns the
-    fitted impacts and the final residual norm.
+    after ``switch_elapsed`` seconds.  Pinning the asymptote by (i) makes
+    (ii) a scalar equation in q = m + b with a closed-form root.  Returns
+    the fitted impacts and the residual norm of both equations.
     """
     cfg = config or FitConfig()
     if not 0.0 < min_value < f_init <= f0:
@@ -237,61 +231,13 @@ def fit_phase1(min_value: float, switch_elapsed: float, f_init: float,
             f"need 0 < min_value < f_init <= f0, got "
             f"min_value={min_value}, f_init={f_init}, f0={f0}"
         )
-    if switch_elapsed <= 0.0:
-        raise DomainError(f"switch_elapsed must be > 0, got {switch_elapsed}")
-    target_level = cfg.decay_asymptote_fraction * min_value
-    horizon = switch_elapsed
-
-    def residual(x):
-        m, b = x
-        q = m + b
-        level = f0 * b / q
-        decay = math.exp(-q * horizon)
-        return np.array(
-            [
-                level - target_level,
-                (f_init - level) * decay + level - min_value,
-            ]
+    if not (math.isfinite(switch_elapsed) and switch_elapsed > 0.0):
+        raise DomainError(
+            f"switch_elapsed must be finite and > 0, got {switch_elapsed}"
         )
-
-    def jacobian(x):
-        m, b = x
-        q = m + b
-        level = f0 * b / q
-        decay = math.exp(-q * horizon)
-        dl_dm = -f0 * b / q**2
-        dl_db = f0 * m / q**2
-        common = (level - f_init) * horizon * decay
-        return np.array(
-            [
-                [dl_dm, dl_db],
-                [common + dl_dm * (1.0 - decay), common + dl_db * (1.0 - decay)],
-            ]
-        )
-
-    # Closed-form start: pin the asymptote, then the trajectory equation
-    # is scalar and monotone in q.
-    ratio = (min_value - target_level) / (f_init - target_level)
-    q0 = -math.log(ratio) / horizon
-    b0 = target_level * q0 / f0
-    x0 = np.array([q0 - b0, b0])
-
-    x, norm = _newton_2x2(residual, jacobian, x0, _decay_feasible)
-    if norm > RESIDUAL_TOL:
-        scalar = lambda q: (f_init - target_level) * math.exp(-q * horizon) \
-            + target_level - min_value
-        q = brentq(scalar, 1e-15, max(10.0, 4.0 * q0), xtol=1e-15)
-        b = target_level * q / f0
-        x = np.array([q - b, b])
-        r = residual(x)
-        norm = math.hypot(r[0], r[1])
-    if norm > RESIDUAL_TOL or x[0] < 0.0 or x[1] < 0.0:
-        raise FitFailureError(
-            f"decay-phase system unsolved (residual {norm:.3g}, rates {x})",
-            residuals=residual(x),
-        )
-    return ConstantImpacts(malware_impact=float(x[0]),
-                           bonware_impact=float(x[1])), norm
+    return _solve_phase("decay", f_init, min_value,
+                        cfg.decay_asymptote_fraction * min_value,
+                        switch_elapsed, f0)
 
 
 def fit_phase2(min_value: float, switch_time: float, f0: float,
@@ -302,8 +248,8 @@ def fit_phase2(min_value: float, switch_time: float, f0: float,
     Solves: (i) the recovery asymptote f0*b/(m+b) equals
     ``recovery_asymptote * f0``, and (ii) the trajectory climbing from
     ``min_value`` reaches ``recovery_level_fraction`` of that asymptote at
-    ``recovery_fit_end`` (an absolute mission time).  Same solver strategy
-    as :func:`fit_phase1`.
+    ``recovery_fit_end`` (an absolute mission time).  Solved in closed
+    form as in :func:`fit_phase1`.
     """
     cfg = config or FitConfig()
     if not math.isfinite(f0) or f0 <= 0.0:
@@ -311,6 +257,11 @@ def fit_phase2(min_value: float, switch_time: float, f0: float,
     if not 0.0 < min_value < f0:
         raise DomainError(f"min_value must lie in (0, f0), got {min_value}")
     horizon = cfg.recovery_fit_end - switch_time
+    if not math.isfinite(horizon):
+        raise DomainError(
+            f"recovery_fit_end - switch_time must be finite, got {horizon} "
+            f"(switch_time={switch_time})"
+        )
     if horizon <= 0.0:
         raise DomainError(
             f"recovery_fit_end {cfg.recovery_fit_end} must exceed the "
@@ -328,55 +279,8 @@ def fit_phase2(min_value: float, switch_time: float, f0: float,
             f"recovery target at recovery_fit_end ({reach_target}) does not "
             f"exceed the data minimum {min_value}"
         )
-
-    def residual(x):
-        m, b = x
-        q = m + b
-        level = f0 * b / q
-        decay = math.exp(-q * horizon)
-        return np.array(
-            [
-                level - level_target,
-                (min_value - level) * decay + level - reach_target,
-            ]
-        )
-
-    def jacobian(x):
-        m, b = x
-        q = m + b
-        level = f0 * b / q
-        decay = math.exp(-q * horizon)
-        dl_dm = -f0 * b / q**2
-        dl_db = f0 * m / q**2
-        common = (level - min_value) * horizon * decay
-        return np.array(
-            [
-                [dl_dm, dl_db],
-                [common + dl_dm * (1.0 - decay), common + dl_db * (1.0 - decay)],
-            ]
-        )
-
-    ratio = (level_target - reach_target) / (level_target - min_value)
-    q0 = -math.log(ratio) / horizon
-    b0 = level_target * q0 / f0
-    x0 = np.array([q0 - b0, b0])
-
-    x, norm = _newton_2x2(residual, jacobian, x0, _decay_feasible)
-    if norm > RESIDUAL_TOL:
-        scalar = lambda q: (min_value - level_target) * math.exp(-q * horizon) \
-            + level_target - reach_target
-        q = brentq(scalar, 1e-15, max(10.0, 4.0 * q0), xtol=1e-15)
-        b = level_target * q / f0
-        x = np.array([q - b, b])
-        r = residual(x)
-        norm = math.hypot(r[0], r[1])
-    if norm > RESIDUAL_TOL or x[0] < 0.0 or x[1] < 0.0:
-        raise FitFailureError(
-            f"recovery-phase system unsolved (residual {norm:.3g}, rates {x})",
-            residuals=residual(x),
-        )
-    return ConstantImpacts(malware_impact=float(x[0]),
-                           bonware_impact=float(x[1])), norm
+    return _solve_phase("recovery", min_value, reach_target, level_target,
+                        horizon, f0)
 
 
 def _max_effectiveness(impact: float, activity: float) -> float:

@@ -5,7 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resdyn import integrate_reference, read_trace_csv
+from resdyn import (
+    ConstantImpacts,
+    LinearImpacts,
+    integrate_reference,
+    read_trace_csv,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NOTIONAL_CSV = REPO_ROOT / "data" / "notional.csv"
@@ -16,39 +21,21 @@ def notional_trace():
     return read_trace_csv(NOTIONAL_CSV)
 
 
-def reference_piecewise_constant(schedule, f_init, f0, grid):
-    """RK4 oracle for piecewise-constant schedules.
+def reference_piecewise(schedule, f_init, f0, grid):
+    """RK4 oracle for piecewise schedules, on window-local clocks.
 
     Integrates window by window so the fixed-step method never straddles
-    a rate discontinuity; the grid must contain every breakpoint.
+    a rate discontinuity; the grid must contain every breakpoint.  A
+    constant segment runs as a linear one with zero slopes, which samples
+    the same rates exactly.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.empty(grid.size)
     f = float(f_init)
     pts = schedule.breakpoints
     for j, seg in enumerate(schedule.segments):
-        i_lo = int(np.searchsorted(grid, pts[j]))
-        i_hi = int(np.searchsorted(grid, pts[j + 1]))
-        assert grid[i_lo] == pts[j] and grid[i_hi] == pts[j + 1], \
-            "oracle grid must contain the breakpoints"
-        sub = grid[i_lo:i_hi + 1]
-        piece = integrate_reference(
-            lambda t, s=seg: s.bonware_impact,
-            lambda t, s=seg: s.malware_impact,
-            f, f0, sub,
-        )
-        values[i_lo:i_hi + 1] = piece.values
-        f = float(piece.values[-1])
-    return values
-
-
-def reference_piecewise_linear(schedule, f_init, f0, grid):
-    """RK4 oracle for piecewise-linear schedules (window-local clocks)."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.empty(grid.size)
-    f = float(f_init)
-    pts = schedule.breakpoints
-    for j, seg in enumerate(schedule.segments):
+        if isinstance(seg, ConstantImpacts):
+            seg = LinearImpacts(seg.bonware_impact, 0.0, seg.malware_impact, 0.0)
         i_lo = int(np.searchsorted(grid, pts[j]))
         i_hi = int(np.searchsorted(grid, pts[j + 1]))
         assert grid[i_lo] == pts[j] and grid[i_hi] == pts[j + 1], \

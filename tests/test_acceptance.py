@@ -45,11 +45,7 @@ from resdyn import (
     steady_state,
     step_log_density,
 )
-from conftest import (
-    NOTIONAL_CSV,
-    reference_piecewise_constant,
-    reference_piecewise_linear,
-)
+from conftest import NOTIONAL_CSV, reference_piecewise
 
 GRID = np.linspace(0.0, 200.0, 2001)  # t in [0, 200], step 0.1
 
@@ -104,7 +100,7 @@ class TestCriterion1OracleEquivalence:
                 segments=(first, second),
             )
             closed = solve_piecewise_constant(sched, 1.0, 1.0, GRID)
-            oracle = reference_piecewise_constant(sched, 1.0, 1.0, GRID)
+            oracle = reference_piecewise(sched, 1.0, 1.0, GRID)
             worst = max(worst, float(np.abs(closed.values - oracle).max()))
         print(f"criterion 1 piecewise-constant: sup error {worst:.3e}")
         assert worst <= 1e-8
@@ -131,7 +127,7 @@ class TestCriterion1OracleEquivalence:
                 segments=(first, second),
             )
             closed = solve_piecewise_linear(sched, 1.0, 1.0, GRID)
-            oracle = reference_piecewise_linear(sched, 1.0, 1.0, GRID)
+            oracle = reference_piecewise(sched, 1.0, 1.0, GRID)
             worst = max(worst, float(np.abs(closed.values - oracle).max()))
         print(f"criterion 1 piecewise-linear: sup error {worst:.3e}")
         assert worst <= 1e-6

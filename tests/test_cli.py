@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resdyn
 from resdyn import (
     accomplishment,
     auc_resilience,
@@ -261,3 +266,20 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(path),
                      "--out", str(tmp_path / "t.csv")]) != 0
         assert "JSON" in capsys.readouterr().err
+
+
+def test_importing_cli_loads_no_scipy():
+    # scipy is needed only by the linear solver, which imports it lazily.
+    src = str(Path(resdyn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, resdyn.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from resdyn import (
     solve_piecewise_linear,
     steady_state,
 )
-from conftest import reference_piecewise_linear
+from conftest import reference_piecewise
 
 
 class TestSolveConstant:
@@ -230,5 +230,16 @@ class TestSolvePiecewiseLinear:
         )
         grid = np.arange(0.0, 120.0001, 0.1)
         closed = solve_piecewise_linear(sched, 1.0, 1.0, grid)
-        oracle = reference_piecewise_linear(sched, 1.0, 1.0, grid)
+        oracle = reference_piecewise(sched, 1.0, 1.0, grid)
         assert np.abs(closed.values - oracle).max() <= 1e-6
+
+
+@pytest.mark.parametrize("solver, schedule, expected", [
+    (solve_piecewise_constant, PiecewiseLinearSchedule(
+        breakpoints=np.array([0.0, 80.0]), segments=(LINEAR_EXAMPLE,)),
+     "PiecewiseConstantSchedule"),
+    (solve_piecewise_linear, INCIDENT_SCHEDULE, "PiecewiseLinearSchedule"),
+])
+def test_wrong_schedule_type_rejected(solver, schedule, expected):
+    with pytest.raises(DomainError, match=expected):
+        solver(schedule, 1.0, 1.0, np.linspace(0.0, 60.0, 7))

@@ -139,6 +139,9 @@ class TestFitPhase1:
             fit_phase1(0.8, 69.5, 0.7, 1.0)  # minimum above start
         with pytest.raises(DomainError):
             fit_phase1(0.0, 69.5, 1.0, 1.0)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="switch_elapsed"):
+                fit_phase1(0.27, horizon, 1.0, 1.0)
 
 
 class TestFitPhase2:
@@ -171,6 +174,12 @@ class TestFitPhase2:
         with pytest.raises(FitFailureError):
             fit_phase2(0.4, 69.5, 1.0, cfg)
 
+    def test_non_finite_horizon_rejected(self):
+        for switch_time in (-math.inf, math.nan):
+            with pytest.raises(DomainError,
+                               match="recovery_fit_end - switch_time"):
+                fit_phase2(0.27, switch_time, 1.0)
+
 
 class TestFitPiecewise:
     def test_notional_fixture_full_chain(self, notional_trace):
@@ -190,6 +199,20 @@ class TestFitPiecewise:
         assert p2.bonware_effectiveness == pytest.approx(0.957, abs=0.05)
         assert result.phase1_residual <= 1e-10
         assert result.phase2_residual <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e7])
+    def test_fit_is_invariant_to_f0_scale(self, notional_trace, scale):
+        base = fit_piecewise(notional_trace)
+        scaled = fit_piecewise(FunctionalityTrace(
+            notional_trace.times, notional_trace.values * scale,
+            notional_trace.f0 * scale,
+        ))
+        for got, want in ((scaled.phase1, base.phase1),
+                          (scaled.phase2, base.phase2)):
+            assert got.impacts.malware_impact == pytest.approx(
+                want.impacts.malware_impact, rel=1e-12)
+            assert got.impacts.bonware_impact == pytest.approx(
+                want.impacts.bonware_impact, rel=1e-12)
 
     def test_decomposition_identity(self, notional_trace):
         # impact = activity * effectiveness / 2, exactly, in every phase

@@ -17,6 +17,7 @@ status 0 means the outputs were fully written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -33,6 +34,7 @@ from .core import (
     LinearImpacts,
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
+    _write_text,
     accomplishment,
     auc_resilience,
     read_trace_csv,
@@ -68,11 +70,13 @@ class ConfigError(ValueError):
 
 
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in obj:
+    """The value of ``key``; an absent key and a JSON null are alike."""
+    raw = obj.get(key)
+    if raw is None:
         if required:
             raise ConfigError(f"{path}{key}: missing required field")
         return default
-    return obj[key]
+    return raw
 
 
 def _number(obj: dict, key: str, path: str, required: bool = True,
@@ -100,6 +104,30 @@ def _section(obj: dict, key: str, path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}{key}: expected an object")
     return raw
+
+
+def _from_json(cls, obj: dict, path: str):
+    """Build dataclass ``cls`` from the JSON object ``obj`` at ``path``.
+
+    A field without a default is a required number; a field with a string
+    default passes through for ``cls`` to check; any other field is an
+    optional number, and an absent one keeps its default.  A ResdynError
+    from ``cls`` becomes ``ConfigError("<path>: <message>")``.
+    """
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        if isinstance(field.default, str):
+            value = _get(obj, field.name, path, required=False)
+        else:
+            value = _number(obj, field.name, path,
+                            required=field.default is dataclasses.MISSING)
+        if value is not None:
+            kwargs[field.name] = value
+    try:
+        return cls(**kwargs)
+    except ResdynError as exc:
+        where = path.rstrip(".")
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _load_json(path: str) -> dict:
@@ -132,45 +160,25 @@ def _build_grid(config: dict) -> np.ndarray:
     return start + step * np.arange(count + 1)
 
 
-def _constant_impacts(obj: dict, path: str) -> ConstantImpacts:
-    m = _number(obj, "malware_impact", path)
-    b = _number(obj, "bonware_impact", path)
-    try:
-        return ConstantImpacts(malware_impact=m, bonware_impact=b)
-    except ResdynError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _linear_impacts(obj: dict, path: str) -> LinearImpacts:
-    kwargs = {
-        name: _number(obj, name, path)
-        for name in (
-            "bonware_intercept",
-            "bonware_slope",
-            "malware_intercept",
-            "malware_slope",
-        )
-    }
-    try:
-        return LinearImpacts(**kwargs)
-    except ResdynError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _breakpoints(obj: dict, path: str) -> np.ndarray:
-    raw = _get(obj, "breakpoints", path)
-    if not isinstance(raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+def _schedule(cls, params: dict):
+    """A piecewise schedule whose segments are ``cls._segment_type``."""
+    segments = _get(params, "segments", "params.")
+    if not isinstance(segments, list) or not all(
+        isinstance(x, dict) for x in segments
     ):
-        raise ConfigError(f"{path}breakpoints: expected a list of numbers")
-    return np.asarray(raw, dtype=float)
-
-
-def _segments(obj: dict, path: str) -> list[dict]:
-    raw = _get(obj, "segments", path)
-    if not isinstance(raw, list) or not all(isinstance(x, dict) for x in raw):
-        raise ConfigError(f"{path}segments: expected a list of objects")
-    return raw
+        raise ConfigError("params.segments: expected a list of objects")
+    segments = tuple(
+        _from_json(cls._segment_type, seg, f"params.segments[{i}].")
+        for i, seg in enumerate(segments)
+    )
+    breakpoints = _get(params, "breakpoints", "params.")
+    if not isinstance(breakpoints, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        for x in breakpoints
+    ):
+        raise ConfigError("params.breakpoints: expected a list of numbers")
+    return cls(breakpoints=np.asarray(breakpoints, dtype=float),
+               segments=segments)
 
 
 def _scenario_common(config: dict) -> tuple[str, float, float]:
@@ -188,54 +196,24 @@ def _run_solve(config: dict):
     kind, f0, f_init = _scenario_common(config)
     params = _section(config, "params", "")
     grid = _build_grid(config)
+    # The solvers are looked up by their module-level names at call time,
+    # so rebinding those names (as tracing tools do) takes effect.
     try:
         if kind == "constant":
-            return solve_constant(_constant_impacts(params, "params."),
-                                  f_init, f0, grid)
+            return solve_constant(
+                _from_json(ConstantImpacts, params, "params."), f_init, f0, grid)
         if kind == "piecewise-constant":
-            segments = tuple(
-                _constant_impacts(seg, f"params.segments[{i}].")
-                for i, seg in enumerate(_segments(params, "params."))
-            )
-            schedule = PiecewiseConstantSchedule(
-                breakpoints=_breakpoints(params, "params."), segments=segments
-            )
-            return solve_piecewise_constant(schedule, f_init, f0, grid)
+            return solve_piecewise_constant(
+                _schedule(PiecewiseConstantSchedule, params), f_init, f0, grid)
         if kind == "linear":
-            return solve_linear(_linear_impacts(params, "params."),
-                                f_init, f0, grid)
+            return solve_linear(
+                _from_json(LinearImpacts, params, "params."), f_init, f0, grid)
         if kind == "piecewise-linear":
-            segments = tuple(
-                _linear_impacts(seg, f"params.segments[{i}].")
-                for i, seg in enumerate(_segments(params, "params."))
-            )
-            schedule = PiecewiseLinearSchedule(
-                breakpoints=_breakpoints(params, "params."), segments=segments
-            )
-            return solve_piecewise_linear(schedule, f_init, f0, grid)
+            return solve_piecewise_linear(
+                _schedule(PiecewiseLinearSchedule, params), f_init, f0, grid)
     except ResdynError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError("kind: 'sde' scenarios run under the simulate command")
-
-
-def _sde_params(obj: dict, path: str) -> SdeParams:
-    kwargs = {
-        "malware_activity": _number(obj, "malware_activity", path),
-        "bonware_activity": _number(obj, "bonware_activity", path),
-        "malware_effectiveness": _number(obj, "malware_effectiveness", path),
-        "bonware_effectiveness": _number(obj, "bonware_effectiveness", path),
-        "malware_onset": _number(obj, "malware_onset", path, required=False,
-                                 default=0.0),
-        "bonware_onset": _number(obj, "bonware_onset", path, required=False,
-                                 default=0.0),
-    }
-    cutoff = _number(obj, "interaction_cutoff", path, required=False)
-    if cutoff is not None:
-        kwargs["interaction_cutoff"] = cutoff
-    try:
-        return SdeParams(**kwargs)
-    except ResdynError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _run_simulate(config: dict, seed_override: int | None):
@@ -245,7 +223,7 @@ def _run_simulate(config: dict, seed_override: int | None):
             f"kind: simulate requires an 'sde' scenario, got {kind!r}"
         )
     params_obj = _section(config, "params", "")
-    params = _sde_params(params_obj, "params.")
+    params = _from_json(SdeParams, params_obj, "params.")
     steps = _integer(params_obj, "steps", "params.")
     dt = _number(params_obj, "dt", "params.", required=False, default=1.0)
     seed = _integer(params_obj, "seed", "params.", required=False, default=0)
@@ -263,47 +241,14 @@ def _run_simulate(config: dict, seed_override: int | None):
         raise ConfigError(str(exc)) from exc
 
 
-def _fit_config(doc: dict) -> FitConfig:
-    kwargs = {}
-    for name in (
-        "decay_asymptote_fraction",
-        "recovery_level_fraction",
-        "recovery_asymptote",
-        "activity_count_end",
-        "recovery_fit_end",
-    ):
-        value = _number(doc, name, "", required=False)
-        if value is not None:
-            kwargs[name] = value
-    policy = _get(doc, "min_window_policy", "", required=False)
-    if policy is not None:
-        kwargs["min_window_policy"] = policy
-    try:
-        return FitConfig(**kwargs)
-    except ResdynError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _mle_grid(doc: dict) -> MleGrid:
     section = _section(doc, "mle_grid", "")
-    axes = {}
-    for name in (
-        "malware_activity",
-        "bonware_activity",
-        "malware_effectiveness",
-        "bonware_effectiveness",
-    ):
-        axis_obj = _section(section, name, "mle_grid.")
-        path = f"mle_grid.{name}."
-        try:
-            axes[name] = GridAxis(
-                start=_number(axis_obj, "start", path),
-                stop=_number(axis_obj, "stop", path),
-                step=_number(axis_obj, "step", path),
-            )
-        except ResdynError as exc:
-            raise ConfigError(f"mle_grid.{name}: {exc}") from exc
-    return MleGrid(**axes)
+    return MleGrid(**{
+        field.name: _from_json(GridAxis,
+                               _section(section, field.name, "mle_grid."),
+                               f"mle_grid.{field.name}.")
+        for field in dataclasses.fields(MleGrid)
+    })
 
 
 def cmd_solve(args) -> int:
@@ -324,8 +269,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     trace = read_trace_csv(args.trace)
     doc = _load_json(args.config) if args.config else {}
-    cfg = _fit_config(doc)
-    result = fit_piecewise(trace, cfg)
+    result = fit_piecewise(trace, _from_json(FitConfig, doc, ""))
     payload = fit_result_to_dict(result)
     if args.mle:
         mle = grid_mle(trace, _mle_grid(doc))
@@ -337,9 +281,7 @@ def cmd_fit(args) -> int:
             "log_likelihood": mle.log_likelihood,
             "n_cells": mle.n_cells,
         }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_text(args.out, (json.dumps(payload, indent=2), "\n"))
     return 0
 
 

@@ -14,8 +14,12 @@ construction.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -34,6 +38,20 @@ def _readonly(x) -> np.ndarray:
     arr = np.array(x, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _check_fields(obj, names, ok, requirement: str) -> None:
+    """Store each named field of a frozen dataclass as a float.
+
+    A value failing ``ok`` raises DomainError
+    ``"<name> must <requirement>, got <value>"``; fields are checked in
+    the order given.
+    """
+    for name in names:
+        v = float(getattr(obj, name))
+        object.__setattr__(obj, name, v)
+        if not ok(v):
+            raise DomainError(f"{name} must {requirement}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +111,9 @@ class ConstantImpacts:
     bonware_impact: float
 
     def __post_init__(self):
-        for name in ("malware_impact", "bonware_impact"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
+        _check_fields(self, ("malware_impact", "bonware_impact"),
+                      lambda v: math.isfinite(v) and v >= 0.0,
+                      "be finite and >= 0")
 
     @property
     def total_impact(self) -> float:
@@ -177,16 +193,9 @@ class LinearImpacts:
     malware_slope: float
 
     def __post_init__(self):
-        for name in (
-            "bonware_intercept",
-            "bonware_slope",
-            "malware_intercept",
-            "malware_slope",
-        ):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
+        _check_fields(self, ("bonware_intercept", "bonware_slope",
+                             "malware_intercept", "malware_slope"),
+                      math.isfinite, "be finite")
         if self.bonware_intercept < 0.0:
             raise DomainError("bonware_intercept must be >= 0")
         if self.malware_intercept < 0.0:
@@ -324,6 +333,39 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
     return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
 
 
+def _write_text(path, chunks) -> None:
+    """Write the strings in ``chunks`` to ``path`` as UTF-8 with LF endings.
+
+    When ``path`` is absent or a regular file, the chunks go to a new file
+    beside it, which then replaces ``path`` in one step: a failed write
+    leaves an existing file untouched and no partial output behind.  The
+    new file is created with ``open(..., "x")`` and so gets the usual
+    umask-derived mode.  Anything else that already exists at ``path`` --
+    a symlink, a device such as ``/dev/stdout``, a pipe -- is written in
+    place, through the link, so it is never replaced by a regular file.
+    """
+    path = os.fspath(path)
+    try:
+        atomic = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        atomic = True
+    if atomic:
+        tmp, mode = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp", "x"
+    else:
+        tmp, mode = path, "w"
+    fh = open(tmp, mode, encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        if atomic:
+            os.replace(tmp, path)
+    except BaseException:
+        if atomic:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+
+
 TRACE_CSV_HEADER = "time,functionality"
 
 
@@ -333,11 +375,9 @@ def write_trace_csv(trace: FunctionalityTrace, path) -> None:
     Numbers carry 17 significant digits so a read-back reproduces the
     exact float values.  UTF-8, LF line endings.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# f0={trace.f0:.17g}\n")
-        fh.write(TRACE_CSV_HEADER + "\n")
-        for t, v in zip(trace.times, trace.values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.times, trace.values))
+    _write_text(path, chain((f"# f0={trace.f0:.17g}\n{TRACE_CSV_HEADER}\n",),
+                            rows))
 
 
 def read_trace_csv(path) -> FunctionalityTrace:

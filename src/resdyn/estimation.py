@@ -28,7 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConstantImpacts, FunctionalityTrace, PiecewiseConstantSchedule
+from .core import (
+    ConstantImpacts,
+    FunctionalityTrace,
+    PiecewiseConstantSchedule,
+    _check_fields,
+    _write_text,
+)
 from .errors import DomainError, FitFailureError, NoSwitchError
 from .stochastic import SdeParams
 
@@ -69,20 +75,11 @@ class FitConfig:
     min_window_policy: str = "midpoint"
 
     def __post_init__(self):
-        for name in (
-            "decay_asymptote_fraction",
-            "recovery_level_fraction",
-            "recovery_asymptote",
-        ):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not 0.0 < v < 1.0:
-                raise DomainError(f"{name} must lie in (0, 1), got {v}")
-        for name in ("activity_count_end", "recovery_fit_end"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
+        _check_fields(self, ("decay_asymptote_fraction",
+                             "recovery_level_fraction", "recovery_asymptote"),
+                      lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        _check_fields(self, ("activity_count_end", "recovery_fit_end"),
+                      math.isfinite, "be finite")
         if self.min_window_policy != "midpoint":
             raise DomainError(
                 f"unsupported min_window_policy {self.min_window_policy!r}"
@@ -301,10 +298,18 @@ def fit_piecewise(trace: FunctionalityTrace,
 
     The returned schedule has two windows split at the switching time and
     spans the trace; residual norms of both solved systems are reported in
-    the result.
+    the result.  ``activity_count_end`` and ``recovery_fit_end`` must not
+    lie past the trace end (equality is allowed); otherwise DomainError
+    names the field.
     """
     cfg = config or FitConfig()
     switch_time = detect_switch_time(trace)
+    for name in ("activity_count_end", "recovery_fit_end"):
+        end = getattr(cfg, name)
+        if end > trace.end_time:
+            raise DomainError(
+                f"{name} {end} lies past the trace end {trace.end_time}"
+            )
     min_value = float(trace.values.min())
     rates = count_activities(trace, switch_time, cfg.activity_count_end)
     f_init = float(trace.values[0])
@@ -599,6 +604,4 @@ def fit_result_to_dict(result: FitResult) -> dict:
 
 
 def write_fit_result_json(result: FitResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(fit_result_to_dict(result), fh, indent=2)
-        fh.write("\n")
+    _write_text(path, (json.dumps(fit_result_to_dict(result), indent=2), "\n"))

@@ -21,10 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .core import FunctionalityTrace, _validate_initial
+from .core import (
+    FunctionalityTrace,
+    _check_fields,
+    _validate_initial,
+    _write_text,
+)
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -65,26 +71,14 @@ class SdeParams:
     interaction_cutoff: float | None = None
 
     def __post_init__(self):
-        for name in ("malware_activity", "bonware_activity"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("malware_effectiveness", "bonware_effectiveness"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v) or not 0.0 < v <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {v}")
-        for name in ("malware_onset", "bonware_onset"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
+        _check_fields(self, ("malware_activity", "bonware_activity"),
+                      lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+        _check_fields(self, ("malware_effectiveness", "bonware_effectiveness"),
+                      lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        timed = ("malware_onset", "bonware_onset")
         if self.interaction_cutoff is not None:
-            v = float(self.interaction_cutoff)
-            object.__setattr__(self, "interaction_cutoff", v)
-            if not math.isfinite(v):
-                raise DomainError(f"interaction_cutoff must be finite, got {v}")
+            timed += ("interaction_cutoff",)
+        _check_fields(self, timed, math.isfinite, "be finite")
 
 
 @dataclass(frozen=True)
@@ -154,8 +148,9 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     """Mean and standard error of ``n`` seeded realizations.
 
     Realization i runs with seed ``split_seed(master_seed, i)``, and the
-    aggregation (numpy pairwise summation over the realization axis in
-    index order) is a pure function of the inputs, so the result does not
+    aggregation is a pure function of the inputs: reducing the C-order
+    ``(n, steps + 1)`` stack over axis 0 adds the realization rows one
+    after another in index order (not pairwise), so the result does not
     depend on how the realizations are scheduled.  With n = 1 the standard
     error is reported as zero.
     """
@@ -235,11 +230,11 @@ def effective_impact(activity: float, effectiveness: float) -> float:
 
 def write_ensemble_csv(result: EnsembleResult, path) -> None:
     """Write ensemble output: ``# n=..., master_seed=...`` then step rows."""
-    trace = result.mean_trace
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={result.n}, master_seed={result.master_seed}\n")
-        fh.write("step,mean,stderr\n")
+    rows = (
+        f"{k},{mean:.17g},{stderr:.17g}\n"
         for k, (mean, stderr) in enumerate(
-            zip(trace.values, result.per_step_stderr)
-        ):
-            fh.write(f"{k},{mean:.17g},{stderr:.17g}\n")
+            zip(result.mean_trace.values, result.per_step_stderr)
+        )
+    )
+    _write_text(path, chain((f"# n={result.n}, master_seed={result.master_seed}\n"
+                             "step,mean,stderr\n",), rows))

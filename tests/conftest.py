@@ -1,5 +1,6 @@
 """Shared fixtures and reference oracles for the test suite."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,12 @@ from resdyn import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NOTIONAL_CSV = REPO_ROOT / "data" / "notional.csv"
+
+# Tests that run ``python -m resdyn`` in a subprocess import the checkout's
+# package, as the test process does through pytest's ``pythonpath``.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,19 @@
 """End-to-end command-line behavior."""
 
+import copy
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import resdyn
 from resdyn import (
@@ -266,6 +271,208 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(path),
                      "--out", str(tmp_path / "t.csv")]) != 0
         assert "JSON" in capsys.readouterr().err
+
+
+ABSENT = object()
+
+
+def replaced(doc, path, value):
+    """Deep copy of ``doc`` with the field at ``path`` set to ``value``
+    (or deleted, for ``ABSENT``)."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is ABSENT:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def field_paths(doc, prefix=()):
+    """Paths of every dict key and list element nested in ``doc``."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def command_argv(tmp_path, command, doc):
+    """Argument list running ``command`` on config ``doc``, out to ``out``."""
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = str(tmp_path / "out")
+    if command == "fit":
+        return ["fit", str(NOTIONAL_CSV), "--config", cfg, "--mle",
+                "--out", out]
+    return [command, "--config", cfg, "--out", out]
+
+
+@pytest.mark.parametrize("command, config, path, error", [
+    ("solve", constant_config(0.1, 0.02), ("params", "malware_impact"),
+     "params.malware_impact: missing required field"),
+    ("solve", constant_config(0.1, 0.02), ("grid", "end"),
+     "grid.end: missing required field"),
+    ("solve", constant_config(0.1, 0.02), ("f0",), None),
+    ("simulate", sde_config(), ("params", "steps"),
+     "params.steps: missing required field"),
+], ids=["malware_impact", "grid.end", "f0", "steps"])
+def test_null_field_counts_as_absent(tmp_path, capsys, command, config, path,
+                                     error):
+    def run(doc):
+        code = main(command_argv(tmp_path, command, doc))
+        out, written = tmp_path / "out", None
+        if out.exists():
+            written = out.read_bytes()
+            out.unlink()
+        return code, capsys.readouterr().err, written
+
+    with_null = run(replaced(config, path, None))
+    assert with_null == run(replaced(config, path, ABSENT))
+    if error is None:
+        assert with_null[0] == 0
+    else:
+        assert with_null[0] == 2
+        assert error in with_null[1]
+
+
+FIT_MLE_CONFIG = {
+    "decay_asymptote_fraction": 0.6,
+    "recovery_level_fraction": 0.9,
+    "recovery_asymptote": 0.95,
+    "activity_count_end": 100.0,
+    "recovery_fit_end": 125.0,
+    "min_window_policy": "midpoint",
+    "mle_grid": {
+        name: {"start": 0.1, "stop": 0.2, "step": 0.1}
+        for name in ("malware_activity", "bonware_activity",
+                     "malware_effectiveness", "bonware_effectiveness")
+    },
+}
+
+BOUNDARY_CONFIGS = [
+    ("solve", {
+        "kind": "piecewise-constant", "f0": 1.0, "f_init": 1.0,
+        "grid": {"start": 0.0, "end": 10.0, "step": 1.0},
+        "params": {
+            "breakpoints": [0.0, 4.0, 10.0],
+            "segments": [{"malware_impact": 0.1, "bonware_impact": 0.01},
+                         {"malware_impact": 0.01, "bonware_impact": 0.1}],
+        },
+    }),
+    ("simulate", sde_config(n=2, steps=5, extra={
+        "malware_onset": 1.0, "bonware_onset": 0.0,
+        "interaction_cutoff": 4.0})),
+    ("fit", FIT_MLE_CONFIG),
+]
+
+BOUNDARY_FIELDS = [
+    (command, doc, path)
+    for command, doc in BOUNDARY_CONFIGS
+    for path in field_paths(doc)
+]
+
+# Non-numbers only, so no generated config can ask for a huge grid or
+# ensemble.
+NON_NUMBERS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(BOUNDARY_FIELDS), value=NON_NUMBERS)
+def test_config_boundary_never_raises(tmp_path, target, value):
+    command, doc, path = target
+    argv = command_argv(tmp_path, command, replaced(doc, path, value))
+    assert main(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", constant_config(0.1, 0.02)),
+    ("simulate", sde_config(n=1, steps=10)),
+    ("simulate", sde_config(n=3, steps=10)),
+    ("fit", FIT_MLE_CONFIG),
+], ids=["solve", "simulate", "ensemble", "fit"])
+def test_failed_write_leaves_existing_output(tmp_path, monkeypatch, command,
+                                             config):
+    argv = command_argv(tmp_path, command, config)
+    out = tmp_path / "out"
+    out.write_bytes(b"previous output\n")
+    before = sorted(tmp_path.iterdir())
+
+    def fail(src, dst):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(argv) == 1
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_output_mode_follows_umask(tmp_path):
+    argv = command_argv(tmp_path, "solve", constant_config(0.1, 0.02))
+    old = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o640
+
+
+def test_output_through_symlink_keeps_link(tmp_path):
+    # Like /dev/stdout, a symlinked output is written through the link,
+    # which stays a link.
+    argv = command_argv(tmp_path, "solve", constant_config(0.1, 0.02))
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"previous output\n")
+    (tmp_path / "out").symlink_to(target)
+    assert main(argv) == 0
+    assert (tmp_path / "out").is_symlink()
+    assert target.read_bytes().startswith(b"# f0=1\ntime,functionality\n0,1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "out", "target.csv"]
+
+
+def test_stale_temporary_file_does_not_block_output(tmp_path):
+    # A run killed before its clean-up leaves its temporary file behind; a
+    # later run with the same process id must still write its output.
+    argv = command_argv(tmp_path, "solve", constant_config(0.1, 0.02))
+    stale = tmp_path / f"out.{os.getpid()}.tmp"
+    stale.write_bytes(b"partial")
+    assert main(argv) == 0
+    assert (tmp_path / "out").read_bytes().startswith(b"# f0=1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "out", stale.name]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_pipe_is_streamed(tmp_path):
+    # A pipe (like /dev/stdout) cannot be replaced by a new file; the
+    # output must go through it and leave it in place.
+    argv = command_argv(tmp_path, "solve", constant_config(0.1, 0.02))
+    pipe = tmp_path / "out"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(pipe.read_bytes()), daemon=True
+    )
+    reader.start()
+    assert main(argv) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received[0].startswith(b"# f0=1\ntime,functionality\n0,1\n")
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
 
 
 def test_importing_cli_loads_no_scipy():

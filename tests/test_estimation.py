@@ -234,6 +234,22 @@ class TestFitPiecewise:
         assert result.schedule.breakpoints[1] == 69.5
         assert result.schedule.breakpoints[-1] == notional_trace.end_time
 
+    def test_endpoints_past_trace_end_rejected(self, notional_trace):
+        # Cut at 89 s, the default endpoints (100 s, 125 s) would count
+        # events over 30.5 s of which only 19.5 s exist.
+        keep = notional_trace.times <= 89.0
+        cut = FunctionalityTrace(notional_trace.times[keep],
+                                 notional_trace.values[keep],
+                                 notional_trace.f0)
+        with pytest.raises(DomainError, match="activity_count_end"):
+            fit_piecewise(cut)
+        with pytest.raises(DomainError, match="recovery_fit_end"):
+            fit_piecewise(cut, FitConfig(activity_count_end=89.0))
+        result = fit_piecewise(
+            cut, FitConfig(activity_count_end=89.0, recovery_fit_end=89.0)
+        )
+        assert result.switch_time == 69.5
+
     def test_recovery_only_trace_has_no_switch(self):
         times = np.arange(0.0, 50.0)
         trace = FunctionalityTrace(times, 0.3 + times * 0.01, 1.0)

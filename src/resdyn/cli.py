@@ -30,6 +30,7 @@ from .closed_form import (
     solve_piecewise_linear,
 )
 from .core import (
+    MAX_GRID_POINTS,
     ConstantImpacts,
     LinearImpacts,
     PiecewiseConstantSchedule,
@@ -146,11 +147,17 @@ def _build_grid(config: dict) -> np.ndarray:
     start = _number(grid, "start", "grid.")
     end = _number(grid, "end", "grid.")
     step = _number(grid, "step", "grid.")
-    if step <= 0.0:
+    if not step > 0.0:
         raise ConfigError(f"grid.step: must be > 0, got {step}")
-    if end <= start:
+    if not end > start:
         raise ConfigError(f"grid.end: must exceed grid.start, got {end}")
-    count = int(round((end - start) / step))
+    span = (end - start) / step
+    if not span < MAX_GRID_POINTS - 0.5:
+        raise ConfigError(
+            f"grid.end/grid.step: grid of more than {MAX_GRID_POINTS} points: "
+            f"(end - start) / step = {span:.6g}"
+        )
+    count = int(round(span))
     if not np.isclose(start + count * step, end, rtol=0.0, atol=1e-9 * max(1.0, abs(end))):
         raise ConfigError(
             "grid.step: span (end - start) must be a whole number of steps"

@@ -33,6 +33,10 @@ RK4_MAX_STEP = 0.01
 # Numerical excursion outside [0, f0] tolerated before clamping.
 BOUND_SLACK = 1e-12
 
+# Most points a grid built from configured start, stop and step may have;
+# the count is checked before anything is allocated.
+MAX_GRID_POINTS = 10**7
+
 
 def _readonly(x) -> np.ndarray:
     arr = np.array(x, dtype=float)

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     ConstantImpacts,
     FunctionalityTrace,
     PiecewiseConstantSchedule,
@@ -471,10 +472,22 @@ class GridAxis:
             raise DomainError(
                 f"grid stop {self.stop} is below start {self.start}"
             )
+        span = (self.stop - self.start) / self.step
+        if not span + 1e-9 < MAX_GRID_POINTS:
+            raise DomainError(
+                f"grid of more than {MAX_GRID_POINTS} points: "
+                f"(stop - start) / step = {span:.6g}"
+            )
+
+    def _last_index(self) -> int:
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9))
+
+    def _last(self) -> float:
+        """The largest grid value, as :meth:`values` computes it."""
+        return self.start + self.step * self._last_index()
 
     def values(self) -> np.ndarray:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9))
-        return self.start + self.step * np.arange(count + 1)
+        return self.start + self.step * np.arange(self._last_index() + 1)
 
 
 @dataclass(frozen=True)
@@ -487,19 +500,19 @@ class MleGrid:
     bonware_effectiveness: GridAxis
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        act_m = self.malware_activity.values()
-        act_b = self.bonware_activity.values()
-        eff_m = self.malware_effectiveness.values()
-        eff_b = self.bonware_effectiveness.values()
-        for name, axis in (("malware_activity", act_m),
-                           ("bonware_activity", act_b)):
-            if axis.min() < 0.0 or axis.max() > 1.0:
+        # Each range is checked from its first and last value before any
+        # axis is built.
+        for name in ("malware_activity", "bonware_activity"):
+            axis = getattr(self, name)
+            if axis.start < 0.0 or axis._last() > 1.0:
                 raise DomainError(f"{name} grid leaves [0, 1]")
-        for name, axis in (("malware_effectiveness", eff_m),
-                           ("bonware_effectiveness", eff_b)):
-            if axis.min() <= 0.0 or axis.max() > 1.0:
+        for name in ("malware_effectiveness", "bonware_effectiveness"):
+            axis = getattr(self, name)
+            if axis.start <= 0.0 or axis._last() > 1.0:
                 raise DomainError(f"{name} grid leaves (0, 1]")
-        return act_m, act_b, eff_m, eff_b
+        return (self.malware_activity.values(), self.bonware_activity.values(),
+                self.malware_effectiveness.values(),
+                self.bonware_effectiveness.values())
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,13 @@ from .core import (
     _validate_initial,
     _write_text,
 )
-from .errors import DomainError
+from .errors import DomainError, InvalidTraceError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Byte budget of the draw buffer of one ensemble block: a realization's
+# row holds steps * 4 float64 draws.
+_BLOCK_BYTES = 4 << 20
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -147,34 +150,85 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
                      master_seed: int = 0) -> EnsembleResult:
     """Mean and standard error of ``n`` seeded realizations.
 
-    Realization i runs with seed ``split_seed(master_seed, i)``, and the
-    aggregation is a pure function of the inputs: reducing the C-order
-    ``(n, steps + 1)`` stack over axis 0 adds the realization rows one
-    after another in index order (not pairwise), so the result does not
-    depend on how the realizations are scheduled.  With n = 1 the standard
-    error is reported as zero.
+    Realization i is the trace :func:`simulate` gives with seed
+    ``split_seed(master_seed, i)``, bit for bit.  Realizations run in
+    blocks of rows stepped together; because a Philox stream is a pure
+    function of its key and counter, each row's draws are the ones its own
+    generator would make.  Peak memory is the ``(n, steps + 1)`` result
+    stack plus a fixed block of about 4 MiB (one realization's draws, if
+    those are larger).
+
+    The aggregation is a pure function of the inputs: reducing the C-order
+    stack over axis 0 adds the realization rows one after another in index
+    order (not pairwise), and the squared deviations of the standard error
+    are added in the same order, so the result does not depend on the block
+    size.  With n = 1 the standard error is reported as zero.
     """
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1, got {n}")
+    _validate_initial(f_init, f0)
+    _check_step_args(steps, dt)
+    f_init, f0 = float(f_init), float(f0)
+    rows = max(1, _BLOCK_BYTES // (steps * 32))
+
+    t = dt * np.arange(steps)
+    malware_on = t >= params.malware_onset
+    if params.interaction_cutoff is not None:
+        malware_on &= t < params.interaction_cutoff
+    bonware_on = t >= params.bonware_onset
+
     stack = np.empty((n, steps + 1))
-    times = None
-    for i in range(n):
-        trace = simulate(params, f_init, f0, steps, dt,
-                         seed=split_seed(master_seed, i))
-        stack[i] = trace.values
-        times = trace.times
+    stack[:, 0] = f_init
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    draws = np.empty((min(rows, n), steps, 4))
+    for lo in range(0, n, rows):
+        block = draws[:min(rows, n - lo)]
+        for j, row in enumerate(block):
+            # Key split_seed(...) at counter 0 is Philox(key=split_seed(...)).
+            key[0] = split_seed(master_seed, lo + j)
+            bitgen.state = state
+            rng.random(out=row)
+        hit_m = (block[:, :, 0] < params.malware_activity) & malware_on
+        hit_b = (block[:, :, 2] < params.bonware_activity) & bonware_on
+        kick_m = block[:, :, 1]
+        kick_m *= params.malware_effectiveness
+        kick_b = block[:, :, 3]
+        kick_b *= params.bonware_effectiveness
+        out = stack[lo:lo + len(block)]
+        f = out[:, 0].copy()
+        # simulate's per-element operations, in its order.
+        for k in range(steps):
+            delta = np.where(hit_m[:, k], 0.0 - kick_m[:, k] * f, 0.0)
+            delta = np.where(hit_b[:, k], delta + kick_b[:, k] * (f0 - f), delta)
+            f = f + delta
+            out[:, k + 1] = f
+
+    # The bounds check simulate's trace makes, once for every row.
+    low, high = stack.min(axis=0), stack.max(axis=0)
+    if low.min() < 0.0 or high.max() > f0:
+        raise InvalidTraceError("values must lie within [0, f0]")
     mean = stack.mean(axis=0)
     if n > 1:
-        stderr = stack.std(axis=0, ddof=1) / math.sqrt(n)
+        # stack.std(axis=0, ddof=1) without its (n, steps + 1) temporary.
+        squares = np.zeros(steps + 1)
+        for lo in range(0, n, rows):
+            dev = stack[lo:lo + rows] - mean
+            dev *= dev
+            for row in dev:
+                squares += row
+        stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
         # Steps where every realization agrees have that shared value as
         # their exact mean and zero spread; keep them free of summation
         # roundoff.
-        agree = np.ptp(stack, axis=0) == 0.0
+        agree = high == low
         mean[agree] = stack[0, agree]
         stderr[agree] = 0.0
     else:
         stderr = np.zeros(steps + 1)
-    mean_trace = FunctionalityTrace(times, mean, f0)
+    mean_trace = FunctionalityTrace(dt * np.arange(steps + 1), mean, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
                           n=n, master_seed=int(master_seed) & _MASK64)
 

@@ -1,16 +1,20 @@
-"""Shared fixtures and reference oracles for the test suite."""
+"""Shared fixtures, reference oracles and Hypothesis settings for the tests."""
 
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from resdyn import (
     ConstantImpacts,
     LinearImpacts,
     integrate_reference,
     read_trace_csv,
+    simulate,
+    split_seed,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +25,13 @@ NOTIONAL_CSV = REPO_ROOT / "data" / "notional.csv"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
 )
+
+
+# Property tests run the same examples on every run, with no time limit
+# per example and no example database kept between runs.
+settings.register_profile("resdyn", deadline=None, database=None,
+                          derandomize=True)
+settings.load_profile("resdyn")
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +68,24 @@ def reference_piecewise(schedule, f_init, f0, grid):
         values[i_lo:i_hi + 1] = piece.values
         f = float(piece.values[-1])
     return values
+
+
+def reference_ensemble(params, f_init, f0, steps, dt=1.0, n=1, master_seed=0):
+    """Ensemble mean and standard error from one ``simulate`` per realization.
+
+    Stacks the ``n`` traces and reduces the stack with numpy, as
+    ``ensemble_average`` did before it stepped realizations in blocks.
+    """
+    stack = np.empty((n, steps + 1))
+    for i in range(n):
+        stack[i] = simulate(params, f_init, f0, steps, dt,
+                            seed=split_seed(master_seed, i)).values
+    mean = stack.mean(axis=0)
+    if n > 1:
+        stderr = stack.std(axis=0, ddof=1) / math.sqrt(n)
+        agree = np.ptp(stack, axis=0) == 0.0
+        mean[agree] = stack[0, agree]
+        stderr[agree] = 0.0
+    else:
+        stderr = np.zeros(steps + 1)
+    return mean, stderr

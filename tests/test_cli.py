@@ -25,7 +25,7 @@ from resdyn import (
     write_trace_csv,
 )
 from resdyn.cli import main
-from resdyn.core import FunctionalityTrace
+from resdyn.core import MAX_GRID_POINTS, FunctionalityTrace
 from conftest import NOTIONAL_CSV
 
 
@@ -161,6 +161,15 @@ class TestSimulate:
         assert np.abs(means - expected.values).max() <= 0.02
 
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_negative_steps_rejected(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=-3))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "steps must be >= 1, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFit:
     def test_notional_fixture(self, tmp_path):
         out = tmp_path / "fit.json"
@@ -248,6 +257,39 @@ class TestConfigValidation:
         assert main(["solve", "--config", path,
                      "--out", str(tmp_path / "t.csv")]) != 0
         assert "grid.step" in capsys.readouterr().err
+
+    # Grids of 1e300 points, of one point over the limit, and of an
+    # infinite or undefined span are refused before anything is allocated.
+    @pytest.mark.parametrize("field, value, message", [
+        ("end", 1e300, "grid.end/grid.step: grid of more than"),
+        ("end", float(MAX_GRID_POINTS), "grid.end/grid.step: grid of more than"),
+        ("end", math.inf, "grid.end/grid.step: grid of more than"),
+        ("start", -math.inf, "grid.end/grid.step: grid of more than"),
+        ("start", math.nan, "grid.end: must exceed grid.start"),
+        ("step", math.nan, "grid.step: must be > 0"),
+    ])
+    def test_unbounded_grid_rejected(self, tmp_path, capsys, field, value,
+                                     message):
+        cfg = constant_config(0.1, 0.0, step=1.0)
+        cfg["grid"][field] = value
+        path = write_config(tmp_path, "g.json", cfg)
+        out = tmp_path / "t.csv"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stop", [1e300, float(MAX_GRID_POINTS)])
+    def test_unbounded_mle_grid_rejected(self, tmp_path, capsys, stop):
+        doc = copy.deepcopy(FIT_MLE_CONFIG)
+        doc["mle_grid"]["malware_activity"] = {"start": 0.0, "stop": stop,
+                                               "step": 1.0}
+        path = write_config(tmp_path, "fit.json", doc)
+        out = tmp_path / "fit_out.json"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", path,
+                     "--out", str(out), "--mle"]) == 2
+        assert ("mle_grid.malware_activity: grid of more than "
+                f"{MAX_GRID_POINTS} points") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_field(self, tmp_path, capsys):
         cfg = constant_config(0.1, 0.0)
@@ -388,7 +430,7 @@ NON_NUMBERS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, database=None,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(target=st.sampled_from(BOUNDARY_FIELDS), value=NON_NUMBERS)
 def test_config_boundary_never_raises(tmp_path, target, value):

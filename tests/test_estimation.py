@@ -30,6 +30,7 @@ from resdyn import (
     step_log_density,
     write_fit_result_json,
 )
+from resdyn.core import MAX_GRID_POINTS
 
 ALPHA1 = 1.0 - 1.0 / math.e
 ALPHA2 = 1.0 - math.exp(-4.0)
@@ -406,6 +407,26 @@ class TestGridMle:
         trace = FunctionalityTrace(np.arange(3.0), np.full(3, 0.5), 1.0)
         with pytest.raises(DomainError):
             grid_mle(trace, grid)
+
+    def test_axis_size_limited(self):
+        GridAxis(0.0, float(MAX_GRID_POINTS - 1), 1.0)  # builds no array
+        for start, stop in ((0.0, float(MAX_GRID_POINTS)), (0.0, 1e300),
+                            (-1e308, 1e308)):
+            with pytest.raises(DomainError, match="grid of more than"):
+                GridAxis(start, stop, 1.0)
+
+    def test_axis_range_checked_before_building(self, monkeypatch):
+        wide = GridAxis(0.0, float(MAX_GRID_POINTS - 1), 1.0)
+        unit = GridAxis(0.1, 0.2, 0.1)
+        grid = MleGrid(malware_activity=unit, bonware_activity=wide,
+                       malware_effectiveness=unit, bonware_effectiveness=unit)
+
+        def refuse(axis):
+            raise AssertionError("axis built before its range was checked")
+
+        monkeypatch.setattr(GridAxis, "values", refuse)
+        with pytest.raises(DomainError, match="bonware_activity grid leaves"):
+            grid.axes()
 
 
 class TestFitResultSerialization:

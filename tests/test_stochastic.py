@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import reference_ensemble
 from resdyn import (
     DomainError,
     SdeParams,
@@ -16,6 +19,7 @@ from resdyn import (
     split_seed,
     write_ensemble_csv,
 )
+from resdyn import stochastic
 from resdyn.core import ConstantImpacts
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
@@ -150,6 +154,11 @@ class TestEnsembleAverage:
         with pytest.raises(DomainError):
             ensemble_average(BASE, 1.0, 1.0, steps=10, n=0, master_seed=1)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_bad_steps_rejected(self, steps):
+        with pytest.raises(DomainError, match="steps must be >= 1"):
+            ensemble_average(BASE, 1.0, 1.0, steps=steps, n=4, master_seed=1)
+
     def test_mean_approaches_expectation(self):
         m = effective_impact(BASE.malware_activity, BASE.malware_effectiveness)
         b = effective_impact(BASE.bonware_activity, BASE.bonware_effectiveness)
@@ -175,6 +184,39 @@ class TestEnsembleAverage:
         assert step == "0"
         assert float(mean) == 1.0
         assert float(stderr) == 0.0
+
+
+PROBABILITY = st.floats(0.0, 1.0)
+EFFECTIVENESS = st.floats(0.0, 1.0, exclude_min=True)
+# Whole-second times and binary dt put onsets and cutoffs exactly on steps.
+CLOCK = st.integers(-2, 70).map(float) | st.floats(-5.0, 250.0)
+DT = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 4.0)
+
+
+@given(
+    params=st.builds(SdeParams, PROBABILITY, PROBABILITY, EFFECTIVENESS,
+                     EFFECTIVENESS, CLOCK, CLOCK, st.none() | CLOCK),
+    f0=st.floats(1e-3, 1e3),
+    fraction=st.floats(0.0, 1.0),
+    dt=DT,
+    n=st.integers(1, 40),
+    steps=st.integers(1, 60),
+    master_seed=st.integers(0, 2**64 - 1),
+    block_rows=st.integers(0, 8),
+)
+def test_block_engine_matches_per_realization_loop(params, f0, fraction, dt,
+                                                   n, steps, master_seed,
+                                                   block_rows):
+    f_init = fraction * f0
+    # A budget of block_rows rows (at least one) splits n into many blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochastic, "_BLOCK_BYTES", block_rows * steps * 32)
+        result = ensemble_average(params, f_init, f0, steps, dt, n=n,
+                                  master_seed=master_seed)
+    mean, stderr = reference_ensemble(params, f_init, f0, steps, dt, n=n,
+                                      master_seed=master_seed)
+    assert np.array_equal(result.mean_trace.values, mean)
+    assert np.array_equal(result.per_step_stderr, stderr)
 
 
 class TestExpectationRecursion:

@@ -160,7 +160,6 @@ class TestSimulate:
         expected = expectation_recursion(m, b, 1.0, 1.0, steps=125)
         assert np.abs(means - expected.values).max() <= 0.02
 
-
     @pytest.mark.parametrize("n", [1, 4])
     def test_negative_steps_rejected(self, tmp_path, capsys, n):
         cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=-3))

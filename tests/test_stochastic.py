@@ -17,9 +17,9 @@ from resdyn import (
     simulate,
     solve_constant,
     split_seed,
+    stochastic,
     write_ensemble_csv,
 )
-from resdyn import stochastic
 from resdyn.core import ConstantImpacts
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,

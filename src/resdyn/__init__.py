@@ -42,9 +42,6 @@ from .estimation import (
     ActivityRates,
     FitConfig,
     FitResult,
-    GridAxis,
-    MleGrid,
-    MleResult,
     PhaseEstimate,
     count_activities,
     detect_switch_time,
@@ -52,9 +49,14 @@ from .estimation import (
     fit_phase2,
     fit_piecewise,
     fit_result_to_dict,
+    write_fit_result_json,
+)
+from .likelihood import (
+    GridAxis,
+    MleGrid,
+    MleResult,
     grid_mle,
     step_log_density,
-    write_fit_result_json,
 )
 from .stochastic import (
     EnsembleResult,

@@ -35,21 +35,14 @@ from .core import (
     LinearImpacts,
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
-    _write_text,
     accomplishment,
     auc_resilience,
     read_trace_csv,
     write_trace_csv,
 )
 from .errors import ResdynError
-from .estimation import (
-    FitConfig,
-    GridAxis,
-    MleGrid,
-    fit_piecewise,
-    fit_result_to_dict,
-    grid_mle,
-)
+from .estimation import FitConfig, fit_piecewise, write_fit_result_json
+from .likelihood import GridAxis, MleGrid, grid_mle
 from .stochastic import (
     SdeParams,
     ensemble_average,
@@ -277,18 +270,8 @@ def cmd_fit(args) -> int:
     trace = read_trace_csv(args.trace)
     doc = _load_json(args.config) if args.config else {}
     result = fit_piecewise(trace, _from_json(FitConfig, doc, ""))
-    payload = fit_result_to_dict(result)
-    if args.mle:
-        mle = grid_mle(trace, _mle_grid(doc))
-        payload["mle"] = {
-            "malware_activity": mle.params.malware_activity,
-            "bonware_activity": mle.params.bonware_activity,
-            "malware_effectiveness": mle.params.malware_effectiveness,
-            "bonware_effectiveness": mle.params.bonware_effectiveness,
-            "log_likelihood": mle.log_likelihood,
-            "n_cells": mle.n_cells,
-        }
-    _write_text(args.out, (json.dumps(payload, indent=2), "\n"))
+    mle = grid_mle(trace, _mle_grid(doc)) if args.mle else None
+    write_fit_result_json(result, args.out, mle)
     return 0
 
 

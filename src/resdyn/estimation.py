@@ -1,6 +1,4 @@
-"""Parameter estimation from functionality traces.
-
-Two estimators live here.
+"""Parameter estimation from functionality traces: the two-phase recipe.
 
 The fast two-phase recipe reads a single incident trace: locate the
 switching time where decay turns into recovery (midpoint of the minimum
@@ -11,11 +9,10 @@ rate, whose root is a logarithm.  Each impact decomposes as
 impact = activity * effectiveness / 2, the effectiveness being the upper
 bound of the uniform per-event effect (an event averages half its bound).
 
-The likelihood route scores step transitions under the stochastic model:
-integrating out the per-step activity and effect draws leaves a mixture
-of an atom at zero, two uniform components, and a trapezoid for the
-both-agents-fired case.  ``grid_mle`` maximizes the summed log density
-over an explicit parameter grid.
+The likelihood route lives in :mod:`resdyn.likelihood`: a grid maximum
+of the step-transition likelihood, ranked with a separable surface and
+reported with exact values and a lexicographic tie-break.  The fit JSON
+written here carries its result when one is given.
 """
 
 from __future__ import annotations
@@ -23,13 +20,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    MAX_GRID_POINTS,
     ConstantImpacts,
     FunctionalityTrace,
     PiecewiseConstantSchedule,
@@ -37,17 +32,13 @@ from .core import (
     _write_text,
 )
 from .errors import DomainError, FitFailureError, NoSwitchError
-from .stochastic import SdeParams
+from .likelihood import MleResult
 
 # Samples within this absolute tolerance of the minimum belong to the
 # minimum plateau; consecutive samples closer than this do not count as
 # up/down events.
 MIN_WINDOW_TOL = 1e-9
 EVENT_TOL = 1e-9
-
-# Increments at most this close to zero are scored against the atom of
-# the transition mixture.
-ATOM_TOL = 1e-12
 
 # Largest residual norm of a phase fit, relative to f0 (the residuals are
 # levels, so they scale with f0).
@@ -354,235 +345,18 @@ def fit_piecewise(trace: FunctionalityTrace,
     )
 
 
-def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
-                            malware_effectiveness, bonware_effectiveness,
-                            f0) -> np.ndarray:
-    """Vectorized log density/mass of step transitions.
-
-    Marginalizing the four per-step draws leaves, for the increment
-    d = f_next - f_now with a = malware_effectiveness * f_now and
-    b = bonware_effectiveness * (f0 - f_now):
-
-    * an atom at 0 with mass (1-tm)(1-tb),
-    * Uniform(-a, 0) with mass tm(1-tb),
-    * Uniform(0, b) with mass (1-tm)tb,
-    * the difference of two uniforms (a trapezoid on (-a, b)) with mass
-      tm*tb.
-
-    Components collapse into the atom where their width is zero (f_now at
-    either bound).  Increments within ATOM_TOL of zero score log-mass;
-    others score log-density, with -inf outside the support.
-    """
-    f_now = np.asarray(f_now, dtype=float)
-    f_next = np.asarray(f_next, dtype=float)
-    delta = f_next - f_now
-    a = malware_effectiveness * f_now
-    b = bonware_effectiveness * (f0 - f_now)
-    tm = malware_activity
-    tb = bonware_activity
-    mal_only = tm * (1.0 - tb)
-    bon_only = (1.0 - tm) * tb
-    both = tm * tb
-
-    a_gone = a <= 0.0
-    b_gone = b <= 0.0
-    atom = (
-        (1.0 - tm) * (1.0 - tb)
-        + np.where(a_gone, mal_only, 0.0)
-        + np.where(b_gone, bon_only, 0.0)
-        + np.where(a_gone & b_gone, both, 0.0)
-    )
-
-    a_safe = np.where(a_gone, 1.0, a)
-    b_safe = np.where(b_gone, 1.0, b)
-    dens = np.zeros_like(delta)
-    dens += np.where(
-        (delta < 0.0) & (delta > -a) & ~a_gone, mal_only / a_safe, 0.0
-    )
-    dens += np.where(
-        (delta > 0.0) & (delta < b) & ~b_gone, bon_only / b_safe, 0.0
-    )
-    if both > 0.0:
-        overlap = np.minimum(b, delta + a) - np.maximum(0.0, delta)
-        trapezoid = np.where(overlap > 0.0, overlap, 0.0) / (a_safe * b_safe)
-        dens += np.where(
-            ~a_gone & ~b_gone & (delta > -a) & (delta < b),
-            both * trapezoid,
-            0.0,
-        )
-        dens += np.where(
-            a_gone & ~b_gone & (delta > 0.0) & (delta < b),
-            both / b_safe,
-            0.0,
-        )
-        dens += np.where(
-            b_gone & ~a_gone & (delta < 0.0) & (delta > -a),
-            both / a_safe,
-            0.0,
-        )
-
-    is_atom = np.abs(delta) <= ATOM_TOL
-    with np.errstate(divide="ignore"):
-        log_atom = np.log(atom)
-        log_dens = np.log(dens)
-    return np.where(is_atom, log_atom, log_dens)
-
-
-def step_log_density(f_now: float, f_next: float, params: SdeParams,
-                     f0: float) -> float:
-    """Log density (or log mass at the zero atom) of one step transition.
-
-    Onset times and the interaction cutoff in ``params`` are ignored: the
-    density describes a step on which both agents are live.  Increments
-    outside the reachable range score -inf rather than raising.
-    """
-    if not math.isfinite(f0) or f0 <= 0.0:
-        raise DomainError(f"f0 must be positive and finite, got {f0}")
-    for name, v in (("f_now", f_now), ("f_next", f_next)):
-        if not math.isfinite(v) or not 0.0 <= v <= f0:
-            raise DomainError(f"{name} must lie in [0, f0], got {v}")
-    return float(
-        _transition_log_density(
-            f_now,
-            f_next,
-            params.malware_activity,
-            params.bonware_activity,
-            params.malware_effectiveness,
-            params.bonware_effectiveness,
-            f0,
-        )
-    )
-
-
-@dataclass(frozen=True)
-class GridAxis:
-    """Inclusive arithmetic range start, start+step, ..., stop."""
-
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)
-                and math.isfinite(self.step)):
-            raise DomainError("grid axis bounds and step must be finite")
-        if self.step <= 0.0:
-            raise DomainError(f"grid step must be > 0, got {self.step}")
-        if self.stop < self.start:
-            raise DomainError(
-                f"grid stop {self.stop} is below start {self.start}"
-            )
-        span = (self.stop - self.start) / self.step
-        if not span + 1e-9 < MAX_GRID_POINTS:
-            raise DomainError(
-                f"grid of more than {MAX_GRID_POINTS} points: "
-                f"(stop - start) / step = {span:.6g}"
-            )
-
-    def _last_index(self) -> int:
-        return int(math.floor((self.stop - self.start) / self.step + 1e-9))
-
-    def _last(self) -> float:
-        """The largest grid value, as :meth:`values` computes it."""
-        return self.start + self.step * self._last_index()
-
-    def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self._last_index() + 1)
-
-
-@dataclass(frozen=True)
-class MleGrid:
-    """Search ranges for the four stochastic parameters."""
-
-    malware_activity: GridAxis
-    bonware_activity: GridAxis
-    malware_effectiveness: GridAxis
-    bonware_effectiveness: GridAxis
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # Each range is checked from its first and last value before any
-        # axis is built.
-        for name in ("malware_activity", "bonware_activity"):
-            axis = getattr(self, name)
-            if axis.start < 0.0 or axis._last() > 1.0:
-                raise DomainError(f"{name} grid leaves [0, 1]")
-        for name in ("malware_effectiveness", "bonware_effectiveness"):
-            axis = getattr(self, name)
-            if axis.start <= 0.0 or axis._last() > 1.0:
-                raise DomainError(f"{name} grid leaves (0, 1]")
-        return (self.malware_activity.values(), self.bonware_activity.values(),
-                self.malware_effectiveness.values(),
-                self.bonware_effectiveness.values())
-
-
-@dataclass(frozen=True)
-class MleResult:
-    """Grid maximum-likelihood estimate with the best-scoring cells."""
-
-    params: SdeParams
-    log_likelihood: float
-    top_cells: tuple[tuple[float, SdeParams], ...]
-    n_cells: int
-
-
-def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
-             top_k: int = 5) -> MleResult:
-    """Exhaustive grid search of the step-transition log likelihood.
-
-    Cells are scored by the summed log density of consecutive-sample
-    transitions (the trace must be sampled at the simulator's step).
-    Ties, including all-(-inf) surfaces, resolve to the lexicographically
-    smallest cell in (malware_activity, bonware_activity,
-    malware_effectiveness, bonware_effectiveness) order, so the result is
-    independent of enumeration or scheduling order.
-    """
-    act_m, act_b, eff_m, eff_b = grid.axes()
-    n_cells = act_m.size * act_b.size * eff_m.size * eff_b.size
-    if n_cells == 0:
-        raise DomainError("parameter grid is empty")
-    f_now = trace.values[:-1]
-    f_next = trace.values[1:]
-    scored: list[tuple[float, int, tuple[float, float, float, float]]] = []
-    order = 0
-    for tm, tb, gm, gb in product(act_m, act_b, eff_m, eff_b):
-        ll = float(
-            _transition_log_density(f_now, f_next, tm, tb, gm, gb,
-                                    trace.f0).sum()
-        )
-        scored.append((ll, order, (float(tm), float(tb), float(gm), float(gb))))
-        order += 1
-    scored.sort(key=lambda item: (-item[0], item[1]))
-
-    def cell_params(cell) -> SdeParams:
-        tm, tb, gm, gb = cell
-        return SdeParams(
-            malware_activity=tm,
-            bonware_activity=tb,
-            malware_effectiveness=gm,
-            bonware_effectiveness=gb,
-        )
-
-    top = tuple(
-        (ll, cell_params(cell)) for ll, _, cell in scored[:max(1, top_k)]
-    )
-    best_ll, _, best_cell = scored[0]
-    return MleResult(
-        params=cell_params(best_cell),
-        log_likelihood=best_ll,
-        top_cells=top,
-        n_cells=n_cells,
-    )
-
-
 def _clean_float(x: float):
     return None if math.isnan(x) else x
 
 
-def fit_result_to_dict(result: FitResult) -> dict:
-    """JSON-ready view of a :class:`FitResult`.
+def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
+                       ) -> dict:
+    """JSON-ready view of a :class:`FitResult`, and of a grid MLE if given.
 
     Field names are part of the output contract; undefined effectiveness
-    values (phases with no counted events) serialize as null.
+    values (phases with no counted events) serialize as null.  The MLE,
+    when given, goes last under ``mle``: its parameters, log likelihood
+    and cell count.
     """
 
     def phase(p: PhaseEstimate) -> dict:
@@ -595,7 +369,7 @@ def fit_result_to_dict(result: FitResult) -> dict:
             "bonware_effectiveness": _clean_float(p.bonware_effectiveness),
         }
 
-    return {
+    doc = {
         "switch_time": result.switch_time,
         "phase1": phase(result.phase1),
         "phase2": phase(result.phase2),
@@ -614,7 +388,19 @@ def fit_result_to_dict(result: FitResult) -> dict:
             "phase2_residual": result.phase2_residual,
         },
     }
+    if mle is not None:
+        doc["mle"] = {
+            "malware_activity": mle.params.malware_activity,
+            "bonware_activity": mle.params.bonware_activity,
+            "malware_effectiveness": mle.params.malware_effectiveness,
+            "bonware_effectiveness": mle.params.bonware_effectiveness,
+            "log_likelihood": mle.log_likelihood,
+            "n_cells": mle.n_cells,
+        }
+    return doc
 
 
-def write_fit_result_json(result: FitResult, path) -> None:
-    _write_text(path, (json.dumps(fit_result_to_dict(result), indent=2), "\n"))
+def write_fit_result_json(result: FitResult, path,
+                          mle: MleResult | None = None) -> None:
+    _write_text(path, (json.dumps(fit_result_to_dict(result, mle), indent=2),
+                       "\n"))

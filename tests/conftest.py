@@ -2,6 +2,7 @@
 
 import math
 import os
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,13 @@ from hypothesis import settings
 from resdyn import (
     ConstantImpacts,
     LinearImpacts,
+    SdeParams,
     integrate_reference,
     read_trace_csv,
     simulate,
     split_seed,
 )
+from resdyn.likelihood import _transition_log_density
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NOTIONAL_CSV = REPO_ROOT / "data" / "notional.csv"
@@ -89,3 +92,26 @@ def reference_ensemble(params, f_init, f0, steps, dt=1.0, n=1, master_seed=0):
     else:
         stderr = np.zeros(steps + 1)
     return mean, stderr
+
+
+def reference_grid_mle(trace, grid, top_k=5):
+    """Exhaustive grid search, as ``grid_mle`` ran before its surface.
+
+    Scores every cell with the exact transition evaluator, in
+    ``itertools.product`` order, and sorts all of them by
+    (-log likelihood, enumeration index).  Returns
+    ``(params, log_likelihood, top_cells, n_cells)``.
+    """
+    act_m, act_b, eff_m, eff_b = grid.axes()
+    f_now = trace.values[:-1]
+    f_next = trace.values[1:]
+    scored = []
+    for order, (tm, tb, gm, gb) in enumerate(product(act_m, act_b,
+                                                     eff_m, eff_b)):
+        ll = float(_transition_log_density(f_now, f_next, tm, tb, gm, gb,
+                                           trace.f0).sum())
+        params = SdeParams(float(tm), float(tb), float(gm), float(gb))
+        scored.append((ll, order, params))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    top = tuple((ll, params) for ll, _, params in scored[:max(1, top_k)])
+    return scored[0][2], scored[0][0], top, len(scored)

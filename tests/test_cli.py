@@ -290,6 +290,26 @@ class TestConfigValidation:
                 f"{MAX_GRID_POINTS} points") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mle_cell_count_rejected(self, tmp_path, capsys, monkeypatch):
+        doc = copy.deepcopy(FIT_MLE_CONFIG)
+        for name in ("malware_activity", "bonware_activity"):
+            doc["mle_grid"][name] = {"start": 0.0, "stop": 0.99, "step": 0.01}
+        for name in ("malware_effectiveness", "bonware_effectiveness"):
+            doc["mle_grid"][name] = {"start": 0.005, "stop": 0.995,
+                                     "step": 0.01}
+        path = write_config(tmp_path, "fit.json", doc)
+        out = tmp_path / "fit_out.json"
+
+        def refuse(axis):
+            raise AssertionError("axis built before the cell count was checked")
+
+        monkeypatch.setattr(resdyn.GridAxis, "values", refuse)
+        assert main(["fit", str(NOTIONAL_CSV), "--config", path,
+                     "--out", str(out), "--mle"]) == 2
+        assert (f"error: mle_grid: grid of more than {MAX_GRID_POINTS} cells: "
+                "100 x 100 x 100 x 100") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_field(self, tmp_path, capsys):
         cfg = constant_config(0.1, 0.0)
         del cfg["params"]["bonware_impact"]

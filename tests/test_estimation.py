@@ -1,13 +1,17 @@
 """Switch detection, activity counting, phase fits, and the likelihood."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from conftest import reference_grid_mle
 from resdyn import (
     ConstantImpacts,
     DomainError,
@@ -30,7 +34,9 @@ from resdyn import (
     step_log_density,
     write_fit_result_json,
 )
+from resdyn import likelihood
 from resdyn.core import MAX_GRID_POINTS
+from resdyn.likelihood import _separable_surface, _transition_log_density
 
 ALPHA1 = 1.0 - 1.0 / math.e
 ALPHA2 = 1.0 - math.exp(-4.0)
@@ -370,6 +376,10 @@ class TestGridMle:
         # the lexicographically smallest cell.
         assert result.params.malware_effectiveness == pytest.approx(0.2)
         assert result.params.bonware_effectiveness == pytest.approx(0.2)
+        # Only atoms: every cell is feasible, and the estimate sits on the
+        # first value of each axis.
+        assert result.n_infeasible_cells == 0
+        assert result.on_grid_edge == (True, True, True, True)
 
     def test_truth_beats_halved_effectiveness(self):
         trace = simulate(SdeParams(*TRUTH), 1.0, 1.0, steps=3000, seed=8088)
@@ -392,6 +402,10 @@ class TestGridMle:
         assert result.top_cells[0][0] == result.log_likelihood
         lls = [ll for ll, _ in result.top_cells]
         assert lls == sorted(lls, reverse=True)
+        # The generator sits inside the grid; low effectivenesses cannot
+        # reach the trace's largest steps.
+        assert result.on_grid_edge == (False, False, False, False)
+        assert result.n_infeasible_cells == infeasible_cells(trace, grid) == 45
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(DomainError):
@@ -428,6 +442,139 @@ class TestGridMle:
         with pytest.raises(DomainError, match="bonware_activity grid leaves"):
             grid.axes()
 
+    def test_cell_count_checked_before_building(self, monkeypatch):
+        activity = GridAxis(0.0, 0.99, 0.01)
+        effectiveness = GridAxis(0.005, 0.995, 0.01)
+        grid = MleGrid(activity, activity, effectiveness, effectiveness)
+
+        def refuse(axis):
+            raise AssertionError("axis built before the cell count was checked")
+
+        monkeypatch.setattr(GridAxis, "values", refuse)
+        with pytest.raises(DomainError, match=(
+                f"mle_grid: grid of more than {MAX_GRID_POINTS} cells: "
+                "100 x 100 x 100 x 100")):
+            grid.axes()
+
+
+# Activity axes may hold 0 and 1 exactly; binary steps land on them.
+ACTIVITY_STARTS = [0.0, 0.25, 0.5, 0.75, 1.0]
+EFFECTIVENESS_STARTS = [0.05, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def grid_axes(draw, starts):
+    start = draw(st.sampled_from(starts) | st.floats(starts[1] / 8, 1.0))
+    step = draw(st.sampled_from([0.125, 0.25, 0.1]) | st.floats(0.01, 0.5))
+    n = draw(st.integers(1, 1 + min(4, int((1.0 - start) / step))))
+    axis = GridAxis(start, start + step * (n - 1), step)
+    assume(axis._last() <= 1.0)
+    return axis
+
+
+@st.composite
+def mle_traces(draw):
+    """Simulated traces, or walks over f0/32 levels that may sit at 0 or f0."""
+    f0 = draw(st.sampled_from([1.0, 0.75, 3.0]))
+    if draw(st.booleans()):
+        params = SdeParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)),
+                           draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)))
+        f_init = draw(st.sampled_from([0.0, f0]) | st.floats(0.0, f0))
+        return simulate(params, f_init, f0, draw(st.integers(1, 60)),
+                        seed=draw(st.integers(0, 2**32)))
+    level = draw(st.sampled_from([0, 32]) | st.integers(0, 32))
+    levels = [level]
+    for move in draw(st.lists(st.sampled_from([-2, -1, 0, 0, 1, 2]),
+                              min_size=1, max_size=60)):
+        levels.append(min(32, max(0, levels[-1] + move)))
+    return FunctionalityTrace(np.arange(float(len(levels))),
+                              f0 * np.array(levels) / 32, f0)
+
+
+MLE_GRIDS = st.builds(MleGrid, grid_axes(ACTIVITY_STARTS),
+                      grid_axes(ACTIVITY_STARTS),
+                      grid_axes(EFFECTIVENESS_STARTS),
+                      grid_axes(EFFECTIVENESS_STARTS))
+
+
+def infeasible_cells(trace, grid):
+    """Cells the exhaustive search scores -inf."""
+    _, _, cells, _ = reference_grid_mle(trace, grid, top_k=MAX_GRID_POINTS)
+    return sum(ll == -math.inf for ll, _ in cells)
+
+
+def assert_matches_reference(trace, grid, top_k, exact_block=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if exact_block is not None:
+            mp.setattr(likelihood, "_EXACT_BLOCK", exact_block)
+        result = grid_mle(trace, grid, top_k)
+    expected = reference_grid_mle(trace, grid, top_k)
+    assert (result.params, result.log_likelihood, result.top_cells,
+            result.n_cells) == expected
+    return result
+
+
+@given(trace=mle_traces(), grid=MLE_GRIDS, data=st.data())
+def test_grid_mle_matches_exhaustive_search(trace, grid, data):
+    n_cells = math.prod(axis.size for axis in grid.axes())
+    top_k = data.draw(st.integers(1, n_cells + 2))
+    # Small blocks split the exact re-score of a trace into many calls.
+    exact_block = data.draw(st.integers(1, 8))
+    assert_matches_reference(trace, grid, top_k, exact_block)
+
+
+@given(trace=mle_traces(), grid=MLE_GRIDS)
+def test_separable_surface_within_its_margin(trace, grid):
+    axes = grid.axes()
+    f_now, f_next = trace.values[:-1], trace.values[1:]
+    ranked = _separable_surface(f_now, f_next, trace.f0, axes)
+    assume(ranked is not None)
+    surface, margin = ranked
+    exact = np.array([
+        _transition_log_density(f_now, f_next, *cell, trace.f0).sum()
+        for cell in itertools.product(*axes)
+    ]).reshape(surface.shape)
+    assert np.array_equal(surface == -np.inf, exact == -np.inf)
+    feasible = exact > -np.inf
+    assert np.all(np.abs(surface[feasible] - exact[feasible]) <= margin)
+
+
+PINNED_GRID = MleGrid(
+    malware_activity=GridAxis(0.0, 1.0, 0.25),
+    bonware_activity=GridAxis(0.0, 1.0, 0.5),
+    malware_effectiveness=GridAxis(0.1, 0.5, 0.2),
+    bonware_effectiveness=GridAxis(0.25, 1.0, 0.25),
+)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 0.2, 0.2],                    # a drop no effectiveness reaches
+    [0.0, 0.0, 0.05, 0.1, 0.1, 0.12],   # no decreases, from F = 0
+    [1.0, 1.0, 0.9, 0.85, 0.85, 0.8],   # no increases, from F = f0
+    [0.5, 0.45, 0.5, 0.46, 0.49],       # no atoms
+    [0.5, 0.45],                        # a single transition
+    [0.5, 0.5],                         # a single atom
+], ids=["all-infeasible", "no-decrease", "no-increase", "no-atom",
+        "one-step", "one-atom"])
+@pytest.mark.parametrize("top_k", [1, 5, 200])
+def test_grid_mle_pinned_cases(values, top_k):
+    trace = FunctionalityTrace(np.arange(float(len(values))),
+                               np.array(values), 1.0)
+    result = assert_matches_reference(trace, PINNED_GRID, top_k)
+    assert result.n_infeasible_cells == infeasible_cells(trace, PINNED_GRID)
+
+
+def test_outside_separable_range_scored_exhaustively():
+    # A level below 2**-100 leaves the range the rounding margin assumes.
+    values = np.array([1e-40, 0.1, 0.1, 0.08])
+    trace = FunctionalityTrace(np.arange(4.0), values, 1.0)
+    axes = PINNED_GRID.axes()
+    assert _separable_surface(values[:-1], values[1:], 1.0, axes) is None
+    result = assert_matches_reference(trace, PINNED_GRID, 5)
+    assert result.log_likelihood > -math.inf
+    assert 0 < result.n_infeasible_cells == infeasible_cells(
+        trace, PINNED_GRID) < result.n_cells
+
 
 class TestFitResultSerialization:
     def test_schema_and_round_trip(self, notional_trace, tmp_path):
@@ -445,6 +592,21 @@ class TestFitResultSerialization:
         write_fit_result_json(result, path)
         loaded = json.loads(path.read_text())
         assert loaded["switch_time"] == 69.5
+
+    def test_mle_block_goes_last(self, notional_trace):
+        result = fit_piecewise(notional_trace)
+        mle = grid_mle(notional_trace, PINNED_GRID)
+        doc = fit_result_to_dict(result, mle)
+        assert list(doc) == ["switch_time", "phase1", "phase2", "schedule",
+                             "diagnostics", "mle"]
+        assert doc["mle"] == {
+            "malware_activity": mle.params.malware_activity,
+            "bonware_activity": mle.params.bonware_activity,
+            "malware_effectiveness": mle.params.malware_effectiveness,
+            "bonware_effectiveness": mle.params.bonware_effectiveness,
+            "log_likelihood": mle.log_likelihood,
+            "n_cells": mle.n_cells,
+        }
 
     def test_undefined_effectiveness_serializes_as_null(self):
         # A smooth synthetic curve has no rises before the switch, so the

@@ -238,7 +238,11 @@ def _run_simulate(config: dict, seed_override: int | None):
         return ensemble_average(params, f_init, f0, steps, dt, n=n,
                                 master_seed=seed)
     except ResdynError as exc:
-        raise ConfigError(str(exc)) from exc
+        # ensemble_average names its argument n, which sits under params.
+        message = str(exc)
+        if message.startswith("n: "):
+            message = "params." + message
+        raise ConfigError(message) from exc
 
 
 def _mle_grid(doc: dict) -> MleGrid:

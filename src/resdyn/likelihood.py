@@ -27,6 +27,8 @@ from .stochastic import SdeParams
 ATOM_TOL = 1e-12
 
 
+# A subnormal width overflows its density to +inf, which is its value.
+@np.errstate(over="ignore")
 def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
                             malware_effectiveness, bonware_effectiveness,
                             f0) -> np.ndarray:

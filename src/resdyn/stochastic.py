@@ -26,6 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     FunctionalityTrace,
     _check_fields,
     _validate_initial,
@@ -35,8 +36,8 @@ from .errors import DomainError, InvalidTraceError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Byte budget of the draw buffer of one ensemble block: a realization's
-# row holds steps * 4 float64 draws.
+# Scratch budget of one ensemble block: a realization's row holds steps * 4
+# float64 draws (drawn half a block at a time) and steps * 2 effect factors.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -52,6 +53,17 @@ def split_seed(master_seed: int, index: int) -> int:
     z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _split_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``split_seed(master_seed, i)`` for i in [lo, hi), in uint64 arithmetic."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z += np.uint64(master_seed & _MASK64)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
     return z ^ (z >> 31)
 
 
@@ -145,80 +157,110 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     return FunctionalityTrace(times, values, f0)
 
 
+def _step_blocks(params: SdeParams, f0: float, dt: float, master_seed: int,
+                 stack: np.ndarray, rows: int):
+    """Step ``stack``'s rows on from column 0; return per-step min and max."""
+    n, steps = stack.shape[0], stack.shape[1] - 1
+    t = dt * np.arange(steps)
+    malware_on = t >= params.malware_onset
+    if params.interaction_cutoff is not None:
+        malware_on &= t < params.interaction_cutoff
+    low, high = stack[0].copy(), stack[0].copy()
+    low[1:], high[1:] = np.inf, -np.inf
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    half = (rows + 1) // 2
+    draws = np.empty((half, steps, 4))
+    hit = np.empty((half, steps), dtype=bool)
+    # Time-major effect factors, zero where the agent misses or is off.
+    kicks = np.empty((2, steps, rows))
+    agents = tuple(zip(kicks, (0, 2), (malware_on, t >= params.bonware_onset),
+                       (params.malware_activity, params.bonware_activity),
+                       (params.malware_effectiveness,
+                        params.bonware_effectiveness)))
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        seeds = _split_seeds(master_seed, lo, lo + m)
+        for h in range(0, m, half):
+            block = draws[:min(half, m - h)]
+            for row, seed in zip(block, seeds[h:h + half]):
+                # Key split_seed(...) at counter 0 is Philox(key=split_seed(...)).
+                key[0] = seed
+                rng.bit_generator.state = state
+                rng.random(out=row)
+            for kick, col, live, activity, effectiveness in agents:
+                mask = np.less(block[:, :, col], activity, out=hit[:len(block)])
+                mask &= live
+                effect = block[:, :, col + 1]
+                effect *= effectiveness
+                effect *= mask  # x * 1.0 == x, x * 0.0 == +0.0 for x >= 0
+                kick[:, h:h + len(block)] = effect.T
+        # simulate's (0.0 - km*f) + kb*(f0 - f) as kb*(f0 - f) - km*f, the
+        # same bits.  Each step's level overwrites its spent malware factor,
+        # so kicks[0] ends as the block's time-major trajectory.
+        levels = kicks[0, :, :m]
+        f, x, y = stack[lo:lo + m, 0].copy(), np.empty(m), np.empty(m)
+        for km, kb in zip(levels, kicks[1, :, :m]):
+            np.subtract(f0, f, out=y)
+            y *= kb
+            np.multiply(km, f, out=x)
+            y -= x
+            f = np.add(f, y, out=km)
+        stack[lo:lo + m, 1:] = levels.T
+        np.minimum(low[1:], levels.min(axis=1), out=low[1:])
+        np.maximum(high[1:], levels.max(axis=1), out=high[1:])
+    return low, high
+
+
 def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
                      dt: float = 1.0, n: int = 1,
                      master_seed: int = 0) -> EnsembleResult:
     """Mean and standard error of ``n`` seeded realizations.
 
     Realization i is the trace :func:`simulate` gives with seed
-    ``split_seed(master_seed, i)``, bit for bit.  Realizations run in
-    blocks of rows stepped together; because a Philox stream is a pure
-    function of its key and counter, each row's draws are the ones its own
-    generator would make.  Peak memory is the ``(n, steps + 1)`` result
-    stack plus a fixed block of about 4 MiB (one realization's draws, if
-    those are larger).
+    ``split_seed(master_seed, i)``, bit for bit, though blocks of rows are
+    stepped together as time-major vectors: a Philox stream is a pure
+    function of its key and counter.  Peak memory is the ``(n, steps + 1)``
+    stack plus about 4 MiB (half a block of draws and the block's effect
+    factors, or one realization's if larger); ``n * (steps + 1)`` may not
+    exceed ``MAX_GRID_POINTS``.
 
     The aggregation is a pure function of the inputs: reducing the C-order
     stack over axis 0 adds the realization rows one after another in index
-    order (not pairwise), and the squared deviations of the standard error
-    are added in the same order, so the result does not depend on the block
-    size.  With n = 1 the standard error is reported as zero.
+    order (not pairwise), and the squared deviations are added in the same
+    order, so the result does not depend on the block size.  With n = 1
+    the standard error is reported as zero.
     """
     if n < 1:
         raise DomainError(f"ensemble size must be >= 1, got {n}")
     _validate_initial(f_init, f0)
     _check_step_args(steps, dt)
+    if n * (steps + 1) > MAX_GRID_POINTS:
+        raise DomainError(f"n: ensemble of more than {MAX_GRID_POINTS} points: "
+                          f"n * (steps + 1) = {n * (steps + 1)}")
     f_init, f0 = float(f_init), float(f0)
-    rows = max(1, _BLOCK_BYTES // (steps * 32))
-
-    t = dt * np.arange(steps)
-    malware_on = t >= params.malware_onset
-    if params.interaction_cutoff is not None:
-        malware_on &= t < params.interaction_cutoff
-    bonware_on = t >= params.bonware_onset
-
+    rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
     stack = np.empty((n, steps + 1))
     stack[:, 0] = f_init
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
-    draws = np.empty((min(rows, n), steps, 4))
-    for lo in range(0, n, rows):
-        block = draws[:min(rows, n - lo)]
-        for j, row in enumerate(block):
-            # Key split_seed(...) at counter 0 is Philox(key=split_seed(...)).
-            key[0] = split_seed(master_seed, lo + j)
-            bitgen.state = state
-            rng.random(out=row)
-        hit_m = (block[:, :, 0] < params.malware_activity) & malware_on
-        hit_b = (block[:, :, 2] < params.bonware_activity) & bonware_on
-        kick_m = block[:, :, 1]
-        kick_m *= params.malware_effectiveness
-        kick_b = block[:, :, 3]
-        kick_b *= params.bonware_effectiveness
-        out = stack[lo:lo + len(block)]
-        f = out[:, 0].copy()
-        # simulate's per-element operations, in its order.
-        for k in range(steps):
-            delta = np.where(hit_m[:, k], 0.0 - kick_m[:, k] * f, 0.0)
-            delta = np.where(hit_b[:, k], delta + kick_b[:, k] * (f0 - f), delta)
-            f = f + delta
-            out[:, k + 1] = f
+    low, high = _step_blocks(params, f0, dt, master_seed, stack, rows)
 
     # The bounds check simulate's trace makes, once for every row.
-    low, high = stack.min(axis=0), stack.max(axis=0)
     if low.min() < 0.0 or high.max() > f0:
         raise InvalidTraceError("values must lie within [0, f0]")
     mean = stack.mean(axis=0)
     if n > 1:
-        # stack.std(axis=0, ddof=1) without its (n, steps + 1) temporary.
+        # stack.std(axis=0, ddof=1) without its (n, steps + 1) temporary:
+        # row 0 of the buffer carries the running sum into each block's
+        # axis-0 reduce, so the rows are added in stack order.
         squares = np.zeros(steps + 1)
+        dev = np.empty((rows + 1, steps + 1))
         for lo in range(0, n, rows):
-            dev = stack[lo:lo + rows] - mean
-            dev *= dev
-            for row in dev:
-                squares += row
+            block = dev[:min(rows, n - lo) + 1]
+            block[0] = squares
+            np.subtract(stack[lo:lo + rows], mean, out=block[1:])
+            block[1:] *= block[1:]
+            np.add.reduce(block, axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
         # Steps where every realization agrees have that shared value as
         # their exact mean and zero spread; keep them free of summation

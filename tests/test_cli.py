@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,21 @@ class TestSimulate:
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert "steps must be >= 1, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ensemble_size_capped(self, tmp_path, capsys):
+        # 10**6 realizations of 10**4 steps would need an 80 GB stack.
+        cfg = write_config(tmp_path, "s.json", sde_config(n=10**6, steps=10**4))
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (f"error: params.n: ensemble of more than {MAX_GRID_POINTS} "
+                "points: n * (steps + 1) = 10001000000") in capsys.readouterr().err
+        assert peak < 1 << 20
         assert not out.exists()
 
 

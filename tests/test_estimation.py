@@ -576,6 +576,39 @@ def test_outside_separable_range_scored_exhaustively():
         trace, PINNED_GRID) < result.n_cells
 
 
+@pytest.mark.filterwarnings("error")
+def test_subnormal_level_scored_without_warnings():
+    # From F = 5e-324 malware's width is the smallest subnormal, and the
+    # evaluator's 1/width, formed for every transition, overflows.  With
+    # both effectivenesses above 1/2 the product of the two widths stays
+    # nonzero; test_tiny_level_increase_density covers smaller ones.
+    params = SdeParams(0.3, 0.4, 0.75, 0.75)
+    trace = simulate(params, 5e-324, 1.0, 40, seed=3)
+    f_now, f_next = trace.values[:-1], trace.values[1:]
+    assert f_now[0] == 5e-324
+    assert step_log_density(5e-324, 5e-324, params, 1.0) == math.log(
+        (1.0 - 0.3) * (1.0 - 0.4))
+    exact = _transition_log_density(f_now, f_next, 0.3, 0.4, 0.75, 0.75, 1.0)
+    assert [step_log_density(a, b, params, 1.0)
+            for a, b in zip(f_now, f_next)] == exact.tolist()
+    grid = MleGrid(GridAxis(0.0, 1.0, 0.25), GridAxis(0.0, 1.0, 0.5),
+                   GridAxis(0.75, 1.0, 0.25), GridAxis(0.75, 1.0, 0.25))
+    assert_matches_reference(trace, grid, 5)
+
+
+@pytest.mark.xfail(strict=True, reason="malware's width is absorbed in "
+                   "delta + a, so the both-fired density is lost; when the "
+                   "width product underflows the trapezoid is 0/0 = nan")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f_now", [5e-324, 1e-310])
+def test_tiny_level_increase_density(f_now):
+    # As F -> 0 the both-fired trapezoid tends to Uniform(0, b), so an
+    # increase scores (bon_only + both) / b = tb / b; here log(0.4 / 0.4).
+    params = SdeParams(0.3, 0.4, 1.0, 0.4)
+    assert step_log_density(f_now, 0.3, params, 1.0) == pytest.approx(
+        0.0, abs=1e-2)
+
+
 class TestFitResultSerialization:
     def test_schema_and_round_trip(self, notional_trace, tmp_path):
         result = fit_piecewise(notional_trace)

@@ -1,6 +1,7 @@
 """Stochastic step model: reproducibility, bounds, onsets, and the mean law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from resdyn import (
     stochastic,
     write_ensemble_csv,
 )
-from resdyn.core import ConstantImpacts
+from resdyn.core import MAX_GRID_POINTS, ConstantImpacts
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
                  malware_effectiveness=0.34, bonware_effectiveness=0.71)
@@ -51,6 +52,14 @@ class TestSplitSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(DomainError):
             split_seed(42, -1)
+
+    @pytest.mark.parametrize("master_seed", [-7, 0, 12345, 2**64 - 1, 2**70 + 3])
+    def test_block_seeds_match_split_seed(self, master_seed):
+        for lo, hi in ((0, 1100), (2**40 - 3, 2**40 + 3), (2**63 - 2, 2**63 + 2)):
+            seeds = stochastic._split_seeds(master_seed, lo, hi)
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [split_seed(master_seed, i)
+                                      for i in range(lo, hi)]
 
 
 class TestSimulate:
@@ -150,6 +159,19 @@ class TestEnsembleAverage:
         assert np.array_equal(ens.per_step_stderr, np.zeros(41))
         assert np.array_equal(ens.mean_trace.values, np.full(41, 0.6))
 
+    def test_size_capped_before_allocation(self):
+        # 10**6 realizations of 10**4 steps would need an 80 GB stack.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=(
+                    rf"^n: ensemble of more than {MAX_GRID_POINTS} points: "
+                    r"n \* \(steps \+ 1\) = 10001000000$")):
+                ensemble_average(BASE, 1.0, 1.0, steps=10**4, n=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_empty_ensemble_rejected(self):
         with pytest.raises(DomainError):
             ensemble_average(BASE, 1.0, 1.0, steps=10, n=0, master_seed=1)
@@ -184,6 +206,33 @@ class TestEnsembleAverage:
         assert step == "0"
         assert float(mean) == 1.0
         assert float(stderr) == 0.0
+
+
+# Default block size: 600 rows of 250 steps are one full block and one
+# partial one.
+@pytest.mark.parametrize("params, f_init, master_seed", [
+    (SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
+               interaction_cutoff=200.0), 1.0, 2024),
+    (SdeParams(1.0, 1.0, 1.0, 1.0), 0.5, -7),
+    (SdeParams(0.0, 0.0, 1.0, 1.0), 0.5, 2**64 - 1),
+    (SdeParams(1.0, 0.0, 1.0, 1.0), 1.0, -7),
+    (SdeParams(0.3, 0.4, 1.0, 0.5), 0.0, 2**64 - 1),
+    (SdeParams(0.3, 0.4, 1.0, 1.0), 5e-324, -7),
+    (SdeParams(0.3, 0.4, 0.5, 0.5, malware_onset=1e3,
+               interaction_cutoff=1e4), 0.6, 2**64 - 1),
+    (SdeParams(0.3, 0.4, 0.5, 0.5, bonware_onset=250.0,
+               interaction_cutoff=250.0), 0.6, -7),
+], ids=["onset-cutoff", "certain-hits", "no-activity", "malware-only",
+        "from-zero", "subnormal", "late-malware", "late-bonware-and-cutoff"])
+def test_block_engine_pinned_cases(params, f_init, master_seed):
+    n, steps = 600, 250
+    assert 0 < n - stochastic._BLOCK_BYTES // (steps * 32) < n
+    result = ensemble_average(params, f_init, 1.0, steps, n=n,
+                              master_seed=master_seed)
+    mean, stderr = reference_ensemble(params, f_init, 1.0, steps, n=n,
+                                      master_seed=master_seed)
+    assert np.array_equal(result.mean_trace.values, mean)
+    assert np.array_equal(result.per_step_stderr, stderr)
 
 
 PROBABILITY = st.floats(0.0, 1.0)

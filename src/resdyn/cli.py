@@ -20,15 +20,10 @@ import argparse
 import dataclasses
 import json
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from .closed_form import (
-    solve_constant,
-    solve_linear,
-    solve_piecewise_constant,
-    solve_piecewise_linear,
-)
 from .core import (
     MAX_GRID_POINTS,
     ConstantImpacts,
@@ -41,14 +36,34 @@ from .core import (
     write_trace_csv,
 )
 from .errors import ResdynError
-from .estimation import FitConfig, fit_piecewise, write_fit_result_json
-from .likelihood import GridAxis, MleGrid, grid_mle
-from .stochastic import (
-    SdeParams,
-    ensemble_average,
-    simulate,
-    write_ensemble_csv,
-)
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``module.name`` that imports ``module`` when called.
+
+    Each command then loads only the layers it runs.  The stand-in is
+    bound under the same name in this module, and the handlers look the
+    name up at call time, so rebinding it (as tracing tools do) still
+    takes effect.
+    """
+
+    def stand_in(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(
+            *args, **kwargs)
+
+    return stand_in
+
+
+solve_constant = _deferred("closed_form", "solve_constant")
+solve_linear = _deferred("closed_form", "solve_linear")
+solve_piecewise_constant = _deferred("closed_form", "solve_piecewise_constant")
+solve_piecewise_linear = _deferred("closed_form", "solve_piecewise_linear")
+simulate = _deferred("stochastic", "simulate")
+ensemble_average = _deferred("stochastic", "ensemble_average")
+write_ensemble_csv = _deferred("stochastic", "write_ensemble_csv")
+fit_piecewise = _deferred("estimation", "fit_piecewise")
+write_fit_result_json = _deferred("estimation", "write_fit_result_json")
+grid_mle = _deferred("likelihood", "grid_mle")
 
 MODEL_KINDS = (
     "constant",
@@ -196,8 +211,6 @@ def _run_solve(config: dict):
     kind, f0, f_init = _scenario_common(config)
     params = _section(config, "params", "")
     grid = _build_grid(config)
-    # The solvers are looked up by their module-level names at call time,
-    # so rebinding those names (as tracing tools do) takes effect.
     try:
         if kind == "constant":
             return solve_constant(
@@ -217,6 +230,8 @@ def _run_solve(config: dict):
 
 
 def _run_simulate(config: dict, seed_override: int | None):
+    from .stochastic import SdeParams
+
     kind, f0, f_init = _scenario_common(config)
     if kind != "sde":
         raise ConfigError(
@@ -238,14 +253,17 @@ def _run_simulate(config: dict, seed_override: int | None):
         return ensemble_average(params, f_init, f0, steps, dt, n=n,
                                 master_seed=seed)
     except ResdynError as exc:
-        # ensemble_average names its argument n, which sits under params.
+        # The engine names its arguments n, steps and dt, which sit under
+        # params.
         message = str(exc)
-        if message.startswith("n: "):
+        if message.startswith(("n: ", "steps: ", "dt: ")):
             message = "params." + message
         raise ConfigError(message) from exc
 
 
 def _mle_grid(doc: dict) -> MleGrid:
+    from .likelihood import GridAxis, MleGrid
+
     section = _section(doc, "mle_grid", "")
     return MleGrid(**{
         field.name: _from_json(GridAxis,
@@ -271,6 +289,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .estimation import FitConfig
+
     trace = read_trace_csv(args.trace)
     doc = _load_json(args.config) if args.config else {}
     result = fit_piecewise(trace, _from_json(FitConfig, doc, ""))

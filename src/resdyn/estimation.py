@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .core import (
     _write_text,
 )
 from .errors import DomainError, FitFailureError, NoSwitchError
-from .likelihood import MleResult
+
+if TYPE_CHECKING:
+    from .likelihood import MleResult
 
 # Samples within this absolute tolerance of the minimum belong to the
 # minimum plateau; consecutive samples closer than this do not count as

@@ -112,10 +112,17 @@ class EnsembleResult:
 
 
 def _check_step_args(steps: int, dt: float) -> None:
+    """Refuse a run whose trace could not be allocated or timed."""
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    if steps + 1 > MAX_GRID_POINTS:
+        raise DomainError(f"steps: trace of more than {MAX_GRID_POINTS} points: "
+                          f"steps + 1 = {steps + 1}")
     if not math.isfinite(dt) or dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
+    if not math.isfinite(dt * steps):
+        raise DomainError(f"dt: horizon dt * steps = {dt!r} * {steps} "
+                          "is not finite")
 
 
 def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
@@ -130,7 +137,8 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     which keeps the stream aligned across parameter choices.  Uniform
     effect draws are half-open: Uniform[0, effectiveness).
 
-    Identical (params, seed) give bit-identical traces.
+    Identical (params, seed) give bit-identical traces.  ``steps + 1`` may
+    not exceed ``MAX_GRID_POINTS``, and ``dt * steps`` must be finite.
     """
     _validate_initial(f_init, f0)
     _check_step_args(steps, dt)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import ast
 import copy
 import json
 import math
@@ -9,14 +10,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import resdyn
+import resdyn.cli
 from resdyn import (
     accomplishment,
     auc_resilience,
@@ -27,7 +27,7 @@ from resdyn import (
 )
 from resdyn.cli import main
 from resdyn.core import MAX_GRID_POINTS, FunctionalityTrace
-from conftest import NOTIONAL_CSV
+from conftest import NOTIONAL_CSV, REPO_ROOT
 
 
 def write_config(tmp_path, name, payload):
@@ -45,6 +45,15 @@ def constant_config(m, b, end=50.0, step=0.5):
         "params": {"malware_impact": m, "bonware_impact": b},
     }
 
+
+LINEAR_CONFIG = {
+    "kind": "linear",
+    "grid": {"start": 0.0, "end": 40.0, "step": 0.5},
+    "params": {
+        "bonware_intercept": 0.02, "bonware_slope": 1e-4,
+        "malware_intercept": 0.05, "malware_slope": 5e-4,
+    },
+}
 
 SDE_PARAMS = {
     "malware_activity": 0.08,
@@ -102,14 +111,7 @@ class TestSolve:
         assert "simulate" in capsys.readouterr().err
 
     def test_linear_kind(self, tmp_path):
-        cfg = write_config(tmp_path, "l.json", {
-            "kind": "linear",
-            "grid": {"start": 0.0, "end": 40.0, "step": 0.5},
-            "params": {
-                "bonware_intercept": 0.02, "bonware_slope": 1e-4,
-                "malware_intercept": 0.05, "malware_slope": 5e-4,
-            },
-        })
+        cfg = write_config(tmp_path, "l.json", LINEAR_CONFIG)
         out = tmp_path / "trace.csv"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert read_trace_csv(out).times.size == 81
@@ -170,18 +172,35 @@ class TestSimulate:
         assert not out.exists()
 
     def test_ensemble_size_capped(self, tmp_path, capsys):
-        # 10**6 realizations of 10**4 steps would need an 80 GB stack.
-        cfg = write_config(tmp_path, "s.json", sde_config(n=10**6, steps=10**4))
+        # 10**6 realizations of 10**4 steps would need an 80 GB stack, and
+        # one realization of 10**22 steps could not be allocated at all.
+        for n, steps, error in [
+            (10**6, 10**4, f"error: params.n: ensemble of more than "
+                           f"{MAX_GRID_POINTS} points: n * (steps + 1) = "
+                           "10001000000"),
+            (1, 10**22, f"error: params.steps: trace of more than "
+                        f"{MAX_GRID_POINTS} points: steps + 1 = "
+                        "10000000000000000000001"),
+        ]:
+            cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=steps))
+            out = tmp_path / "out.csv"
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert error in capsys.readouterr().err
+            assert peak < 1 << 20
+            assert not out.exists()
+
+    def test_overflowing_horizon_names_dt(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json",
+                           sde_config(steps=10, extra={"dt": 1e308}))
         out = tmp_path / "out.csv"
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (f"error: params.n: ensemble of more than {MAX_GRID_POINTS} "
-                "points: n * (steps + 1) = 10001000000") in capsys.readouterr().err
-        assert peak < 1 << 20
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert ("error: params.dt: horizon dt * steps = 1e+308 * 10 is not "
+                "finite") in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -552,18 +571,95 @@ def test_output_to_pipe_is_streamed(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
 
 
-def test_importing_cli_loads_no_scipy():
-    # scipy is needed only by the linear solver, which imports it lazily.
-    src = str(Path(resdyn.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+# Runs ``python -m resdyn ARGS`` in-process, or with ``--import MODULE`` only
+# imports MODULE, then writes the resdyn and scipy modules loaded to stderr.
+FOOTPRINT = """
+import json, runpy, sys
+if sys.argv[1] == "--import":
+    __import__(sys.argv[2])
+else:
+    try:
+        runpy.run_module("resdyn", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print(json.dumps([m for m in sys.modules
+                  if m.partition(".")[0] in ("resdyn", "scipy")]),
+      file=sys.stderr)
+"""
+
+# What every command loads; each adds the layers it runs.
+CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
+
+
+@pytest.mark.parametrize("argv, config, layers", [
+    (["--import", "resdyn"], None, None),
+    (["--import", "resdyn.cli"], None, ()),
+    (["--help"], None, ()),
+    (["metrics", str(NOTIONAL_CSV)], None, ()),
+    (["fit", str(NOTIONAL_CSV), "--out", "{out}"], None, ("estimation",)),
+    (["solve", "--config", "{cfg}", "--out", "{out}"],
+     constant_config(0.1, 0.02), ("closed_form",)),
+    (["solve", "--config", "{cfg}", "--out", "{out}"],
+     LINEAR_CONFIG, ("closed_form",)),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"],
+     sde_config(), ("stochastic",)),
+    (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
+     FIT_MLE_CONFIG, ("estimation", "likelihood", "stochastic")),
+], ids=["import", "import-cli", "help", "metrics", "fit", "solve",
+        "solve-linear", "simulate", "fit-mle"])
+def test_import_footprint(tmp_path, argv, config, layers):
+    # Each command loads only the layers it runs; scipy is needed only by
+    # the linear solver, which imports it lazily.
+    cfg = write_config(tmp_path, "cfg.json", config) if config else None
+    argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    want = {"resdyn"} if layers is None else (
+        CLI_MODULES | {f"resdyn.{layer}" for layer in layers})
+    assert {m for m in loaded if m.startswith("resdyn")} == want
+    scipy = any(m.startswith("scipy") for m in loaded)
+    assert scipy == (config is LINEAR_CONFIG)
+
+
+def test_cli_binds_traced_entry_points_without_loading_layers():
+    # perfbench/traced.py rebinds these names in resdyn.cli to time them.
+    traced = ast.parse((REPO_ROOT / "perfbench" / "traced.py").read_text())
+    entry_points = next(
+        node.value for node in traced.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "ENTRY_POINTS")
+    names = [key.value for key in entry_points.keys]
+    assert len(names) == 13
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, resdyn.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        env=env, capture_output=True, text=True,
+         "import json, sys, resdyn.cli; "
+         "missing = [n for n in sys.argv[1:] if not hasattr(resdyn.cli, n)]; "
+         "print(json.dumps([missing, "
+         "[m for m in sys.modules if m.startswith('resdyn')]]))", *names],
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    missing, loaded = json.loads(proc.stdout)
+    assert missing == []
+    assert set(loaded) == CLI_MODULES
+
+
+@pytest.mark.parametrize("name, command, config", [
+    ("grid_mle", "fit", FIT_MLE_CONFIG),
+    ("ensemble_average", "simulate", sde_config(n=3, steps=5)),
+])
+def test_rebound_entry_point_is_called(tmp_path, monkeypatch, name, command,
+                                       config):
+    calls = []
+    original = getattr(resdyn.cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resdyn.cli, name, counting)
+    assert main(command_argv(tmp_path, command, config)) == 0
+    assert len(calls) == 1

@@ -145,6 +145,14 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(BASE, 1.0, 1.0, steps=10, dt=0.0, seed=1)
 
+    def test_overflowing_horizon_names_dt(self):
+        # Ten steps of 1e308 s end past the largest float.
+        match = r"^dt: horizon dt \* steps = 1e\+308 \* 10 is not finite$"
+        with pytest.raises(DomainError, match=match):
+            simulate(BASE, 1.0, 1.0, steps=10, dt=1e308)
+        with pytest.raises(DomainError, match=match):
+            ensemble_average(BASE, 1.0, 1.0, steps=10, dt=1e308, n=4)
+
 
 class TestEnsembleAverage:
     def test_single_realization_equals_simulate(self):
@@ -160,17 +168,27 @@ class TestEnsembleAverage:
         assert np.array_equal(ens.mean_trace.values, np.full(41, 0.6))
 
     def test_size_capped_before_allocation(self):
-        # 10**6 realizations of 10**4 steps would need an 80 GB stack.
-        tracemalloc.start()
-        try:
-            with pytest.raises(DomainError, match=(
-                    rf"^n: ensemble of more than {MAX_GRID_POINTS} points: "
-                    r"n \* \(steps \+ 1\) = 10001000000$")):
-                ensemble_average(BASE, 1.0, 1.0, steps=10**4, n=10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # 10**6 realizations of 10**4 steps would need an 80 GB stack, and
+        # one realization of 10**22 steps could not be allocated at all.
+        too_many = (rf"^n: ensemble of more than {MAX_GRID_POINTS} points: "
+                    r"n \* \(steps \+ 1\) = 10001000000$")
+        too_long = (rf"^steps: trace of more than {MAX_GRID_POINTS} points: "
+                    r"steps \+ 1 = 10000000000000000000001$")
+        for run, match in [
+            (lambda: ensemble_average(BASE, 1.0, 1.0, steps=10**4, n=10**6),
+             too_many),
+            (lambda: ensemble_average(BASE, 1.0, 1.0, steps=10**22, n=1),
+             too_long),
+            (lambda: simulate(BASE, 1.0, 1.0, steps=10**22), too_long),
+        ]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError, match=match):
+                    run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(DomainError):

@@ -74,7 +74,7 @@ MODEL_KINDS = (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(ResdynError, ValueError):
     """Configuration problem; the message names the offending field."""
 
 
@@ -118,18 +118,14 @@ def _section(obj: dict, key: str, path: str) -> dict:
 def _from_json(cls, obj: dict, path: str):
     """Build dataclass ``cls`` from the JSON object ``obj`` at ``path``.
 
-    A field without a default is a required number; a field with a string
-    default passes through for ``cls`` to check; any other field is an
+    A field without a default is a required number; any other field is an
     optional number, and an absent one keeps its default.  A ResdynError
     from ``cls`` becomes ``ConfigError("<path>: <message>")``.
     """
     kwargs = {}
     for field in dataclasses.fields(cls):
-        if isinstance(field.default, str):
-            value = _get(obj, field.name, path, required=False)
-        else:
-            value = _number(obj, field.name, path,
-                            required=field.default is dataclasses.MISSING)
+        value = _number(obj, field.name, path,
+                        required=field.default is dataclasses.MISSING)
         if value is not None:
             kwargs[field.name] = value
     try:
@@ -211,21 +207,18 @@ def _run_solve(config: dict):
     kind, f0, f_init = _scenario_common(config)
     params = _section(config, "params", "")
     grid = _build_grid(config)
-    try:
-        if kind == "constant":
-            return solve_constant(
-                _from_json(ConstantImpacts, params, "params."), f_init, f0, grid)
-        if kind == "piecewise-constant":
-            return solve_piecewise_constant(
-                _schedule(PiecewiseConstantSchedule, params), f_init, f0, grid)
-        if kind == "linear":
-            return solve_linear(
-                _from_json(LinearImpacts, params, "params."), f_init, f0, grid)
-        if kind == "piecewise-linear":
-            return solve_piecewise_linear(
-                _schedule(PiecewiseLinearSchedule, params), f_init, f0, grid)
-    except ResdynError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "constant":
+        return solve_constant(
+            _from_json(ConstantImpacts, params, "params."), f_init, f0, grid)
+    if kind == "piecewise-constant":
+        return solve_piecewise_constant(
+            _schedule(PiecewiseConstantSchedule, params), f_init, f0, grid)
+    if kind == "linear":
+        return solve_linear(
+            _from_json(LinearImpacts, params, "params."), f_init, f0, grid)
+    if kind == "piecewise-linear":
+        return solve_piecewise_linear(
+            _schedule(PiecewiseLinearSchedule, params), f_init, f0, grid)
     raise ConfigError("kind: 'sde' scenarios run under the simulate command")
 
 
@@ -245,8 +238,6 @@ def _run_simulate(config: dict, seed_override: int | None):
     n = _integer(params_obj, "n", "params.", required=False, default=1)
     if seed_override is not None:
         seed = seed_override
-    if n < 1:
-        raise ConfigError(f"params.n: must be >= 1, got {n}")
     try:
         if n == 1:
             return simulate(params, f_init, f0, steps, dt, seed=seed)
@@ -350,7 +341,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ResdynError) as exc:
+    except ResdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -25,6 +25,7 @@ from .core import (
     LinearImpacts,
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
+    _check_f0,
     _clamp_to_bounds,
     _validate_grid,
     _validate_initial,
@@ -61,8 +62,7 @@ def steady_state(impacts: ConstantImpacts, f0: float) -> SteadyState:
     (f0 - F_inf)/f0 = m/(m+b).  Raises if both rates are zero, in which
     case the dynamics preserve the initial value instead of forgetting it.
     """
-    if not math.isfinite(f0) or f0 <= 0.0:
-        raise DomainError(f"f0 must be positive and finite, got {f0}")
+    _check_f0(f0)
     q = impacts.total_impact
     if q == 0.0:
         raise UndefinedSteadyStateError(

@@ -58,6 +58,12 @@ def _check_fields(obj, names, ok, requirement: str) -> None:
             raise DomainError(f"{name} must {requirement}, got {v}")
 
 
+def _check_f0(f0: float, error: type = DomainError) -> None:
+    """Refuse a normal level that is not positive and finite."""
+    if not math.isfinite(f0) or f0 <= 0.0:
+        raise error(f"f0 must be positive and finite, got {f0}")
+
+
 @dataclass(frozen=True)
 class FunctionalityTrace:
     """A time-ordered sampling of functionality, with its normal level.
@@ -87,8 +93,7 @@ class FunctionalityTrace:
             raise InvalidTraceError("a trace needs at least two samples")
         if not np.isfinite(times).all() or not np.isfinite(values).all():
             raise InvalidTraceError("times and values must be finite")
-        if not math.isfinite(self.f0) or self.f0 <= 0.0:
-            raise InvalidTraceError(f"f0 must be positive and finite, got {self.f0}")
+        _check_f0(self.f0, InvalidTraceError)
         if not (np.diff(times) > 0.0).all():
             raise InvalidTraceError("times must be strictly increasing")
         if values.min() < 0.0 or values.max() > self.f0:
@@ -200,10 +205,8 @@ class LinearImpacts:
         _check_fields(self, ("bonware_intercept", "bonware_slope",
                              "malware_intercept", "malware_slope"),
                       math.isfinite, "be finite")
-        if self.bonware_intercept < 0.0:
-            raise DomainError("bonware_intercept must be >= 0")
-        if self.malware_intercept < 0.0:
-            raise DomainError("malware_intercept must be >= 0")
+        _check_fields(self, ("bonware_intercept", "malware_intercept"),
+                      lambda v: v >= 0.0, "be >= 0")
 
     @property
     def total_intercept(self) -> float:
@@ -227,16 +230,13 @@ class LinearImpacts:
         The rates are linear, so endpoint nonnegativity implies the whole
         interval.
         """
-        if self.bonware_at(duration) < 0.0:
-            raise DomainError(
-                f"bonware impact goes negative within {duration} s "
-                f"(reaches {self.bonware_at(duration):.6g})"
-            )
-        if self.malware_at(duration) < 0.0:
-            raise DomainError(
-                f"malware impact goes negative within {duration} s "
-                f"(reaches {self.malware_at(duration):.6g})"
-            )
+        for agent, rate in (("bonware", self.bonware_at(duration)),
+                            ("malware", self.malware_at(duration))):
+            if rate < 0.0:
+                raise DomainError(
+                    f"{agent} impact goes negative within {duration} s "
+                    f"(reaches {rate:.6g})"
+                )
 
 
 class PiecewiseLinearSchedule(_PiecewiseSchedule):
@@ -274,8 +274,7 @@ def _validate_grid(grid) -> np.ndarray:
 
 
 def _validate_initial(f_init: float, f0: float) -> None:
-    if not math.isfinite(f0) or f0 <= 0.0:
-        raise DomainError(f"f0 must be positive and finite, got {f0}")
+    _check_f0(f0)
     if not math.isfinite(f_init) or not 0.0 <= f_init <= f0:
         raise DomainError(f"f_init must lie in [0, f0], got {f_init}")
 
@@ -384,12 +383,21 @@ def write_trace_csv(trace: FunctionalityTrace, path) -> None:
                             rows))
 
 
+def _check_ascii_number(raw: str) -> None:
+    """Raise ValueError where :func:`float` would read more than an ASCII
+    number from ``raw``: a ``_`` digit separator, or a non-ASCII digit or
+    space (even one that stripping the line would drop)."""
+    if "_" in raw or not raw.isascii():
+        raise ValueError(raw)
+
+
 def read_trace_csv(path) -> FunctionalityTrace:
     """Read a trace CSV written by :func:`write_trace_csv` (or compatible).
 
     Comment lines start with ``#``; a ``# f0=<value>`` comment sets the
     normal functionality (default 1.0).  The header line must be
-    ``time,functionality``.
+    ``time,functionality``.  Numbers are ASCII in the syntax of
+    :func:`float`, without its digit-grouping underscores.
     """
     f0 = 1.0
     times: list[float] = []
@@ -404,6 +412,7 @@ def read_trace_csv(path) -> FunctionalityTrace:
                 body = line[1:].strip()
                 if body.startswith("f0="):
                     try:
+                        _check_ascii_number(raw)
                         f0 = float(body[3:])
                     except ValueError as exc:
                         raise InvalidTraceError(
@@ -422,6 +431,7 @@ def read_trace_csv(path) -> FunctionalityTrace:
             if len(parts) != 2:
                 raise InvalidTraceError(f"{path}:{lineno}: expected two fields")
             try:
+                _check_ascii_number(raw)
                 times.append(float(parts[0]))
                 values.append(float(parts[1]))
             except ValueError as exc:

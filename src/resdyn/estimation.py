@@ -28,6 +28,7 @@ from .core import (
     ConstantImpacts,
     FunctionalityTrace,
     PiecewiseConstantSchedule,
+    _check_f0,
     _check_fields,
     _write_text,
 )
@@ -66,7 +67,6 @@ class FitConfig:
     recovery_asymptote: float = 0.95
     activity_count_end: float = 100.0
     recovery_fit_end: float = 125.0
-    min_window_policy: str = "midpoint"
 
     def __post_init__(self):
         _check_fields(self, ("decay_asymptote_fraction",
@@ -74,10 +74,6 @@ class FitConfig:
                       lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
         _check_fields(self, ("activity_count_end", "recovery_fit_end"),
                       math.isfinite, "be finite")
-        if self.min_window_policy != "midpoint":
-            raise DomainError(
-                f"unsupported min_window_policy {self.min_window_policy!r}"
-            )
 
 
 class ActivityRates(NamedTuple):
@@ -243,8 +239,7 @@ def fit_phase2(min_value: float, switch_time: float, f0: float,
     form as in :func:`fit_phase1`.
     """
     cfg = config or FitConfig()
-    if not math.isfinite(f0) or f0 <= 0.0:
-        raise DomainError(f"f0 must be positive and finite, got {f0}")
+    _check_f0(f0)
     if not 0.0 < min_value < f0:
         raise DomainError(f"min_value must lie in (0, f0), got {min_value}")
     horizon = cfg.recovery_fit_end - switch_time
@@ -286,6 +281,15 @@ def _max_effectiveness(impact: float, activity: float) -> float:
     return 2.0 * impact / activity
 
 
+def _phase_estimate(impacts: ConstantImpacts, malware_activity: float,
+                    bonware_activity: float) -> PhaseEstimate:
+    return PhaseEstimate(
+        impacts, malware_activity, bonware_activity,
+        _max_effectiveness(impacts.malware_impact, malware_activity),
+        _max_effectiveness(impacts.bonware_impact, bonware_activity),
+    )
+
+
 def fit_piecewise(trace: FunctionalityTrace,
                   config: FitConfig | None = None) -> FitResult:
     """Full two-phase recipe: switch detection, counting, and both fits.
@@ -311,28 +315,10 @@ def fit_piecewise(trace: FunctionalityTrace,
         min_value, switch_time - trace.start_time, f_init, trace.f0, cfg
     )
     impacts2, res2 = fit_phase2(min_value, switch_time, trace.f0, cfg)
-    phase1 = PhaseEstimate(
-        impacts=impacts1,
-        malware_activity=rates.malware_phase1,
-        bonware_activity=rates.bonware_phase1,
-        malware_effectiveness=_max_effectiveness(
-            impacts1.malware_impact, rates.malware_phase1
-        ),
-        bonware_effectiveness=_max_effectiveness(
-            impacts1.bonware_impact, rates.bonware_phase1
-        ),
-    )
-    phase2 = PhaseEstimate(
-        impacts=impacts2,
-        malware_activity=rates.malware_phase2,
-        bonware_activity=rates.bonware_phase2,
-        malware_effectiveness=_max_effectiveness(
-            impacts2.malware_impact, rates.malware_phase2
-        ),
-        bonware_effectiveness=_max_effectiveness(
-            impacts2.bonware_impact, rates.bonware_phase2
-        ),
-    )
+    phase1 = _phase_estimate(impacts1, rates.malware_phase1,
+                             rates.bonware_phase1)
+    phase2 = _phase_estimate(impacts2, rates.malware_phase2,
+                             rates.bonware_phase2)
     schedule = PiecewiseConstantSchedule(
         breakpoints=np.array([trace.start_time, switch_time, trace.end_time]),
         segments=(impacts1, impacts2),

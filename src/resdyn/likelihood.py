@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_POINTS, FunctionalityTrace
+from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_f0, _check_fields
 from .errors import DomainError
 from .stochastic import SdeParams
 
@@ -78,11 +78,9 @@ def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
         (delta > 0.0) & (delta < b) & ~b_gone, bon_only / b_safe, 0.0
     )
     if both > 0.0:
-        overlap = np.minimum(b, delta + a) - np.maximum(0.0, delta)
-        trapezoid = np.where(overlap > 0.0, overlap, 0.0) / (a_safe * b_safe)
         dens += np.where(
             ~a_gone & ~b_gone & (delta > -a) & (delta < b),
-            both * trapezoid,
+            both * _trapezoid(delta, a_safe, b_safe),
             0.0,
         )
         dens += np.where(
@@ -111,8 +109,7 @@ def step_log_density(f_now: float, f_next: float, params: SdeParams,
     density describes a step on which both agents are live.  Increments
     outside the reachable range score -inf rather than raising.
     """
-    if not math.isfinite(f0) or f0 <= 0.0:
-        raise DomainError(f"f0 must be positive and finite, got {f0}")
+    _check_f0(f0)
     for name, v in (("f_now", f_now), ("f_next", f_next)):
         if not math.isfinite(v) or not 0.0 <= v <= f0:
             raise DomainError(f"{name} must lie in [0, f0], got {v}")
@@ -138,9 +135,8 @@ class GridAxis:
     step: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)
-                and math.isfinite(self.step)):
-            raise DomainError("grid axis bounds and step must be finite")
+        _check_fields(self, ("start", "stop", "step"), math.isfinite,
+                      "be finite")
         if self.step <= 0.0:
             raise DomainError(f"grid step must be > 0, got {self.step}")
         if self.stop < self.start:
@@ -240,7 +236,7 @@ def _count_log(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid(delta, a, b) -> np.ndarray:
-    """Both-fired density of interior steps, as _transition_log_density has it."""
+    """Both-fired (trapezoid) density of steps with a > 0 and b > 0."""
     overlap = np.minimum(b, delta + a) - np.maximum(0.0, delta)
     return np.where(overlap > 0.0, overlap, 0.0) / (a * b)
 

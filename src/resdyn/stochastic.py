@@ -29,6 +29,7 @@ from .core import (
     MAX_GRID_POINTS,
     FunctionalityTrace,
     _check_fields,
+    _readonly,
     _validate_initial,
     _write_text,
 )
@@ -106,9 +107,8 @@ class EnsembleResult:
     master_seed: int
 
     def __post_init__(self):
-        stderr = np.array(self.per_step_stderr, dtype=float)
-        stderr.flags.writeable = False
-        object.__setattr__(self, "per_step_stderr", stderr)
+        object.__setattr__(self, "per_step_stderr",
+                           _readonly(self.per_step_stderr))
 
 
 def _check_step_args(steps: int, dt: float) -> None:
@@ -241,7 +241,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     the standard error is reported as zero.
     """
     if n < 1:
-        raise DomainError(f"ensemble size must be >= 1, got {n}")
+        raise DomainError(f"n: ensemble size must be >= 1, got {n}")
     _validate_initial(f_init, f0)
     _check_step_args(steps, dt)
     if n * (steps + 1) > MAX_GRID_POINTS:

@@ -100,6 +100,22 @@ class TestSolve:
         assert "malware_impact" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solver_error_keeps_library_text(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "p.json", {
+            "kind": "piecewise-constant",
+            "grid": {"start": 0.0, "end": 12.0, "step": 1.0},
+            "params": {
+                "breakpoints": [0.0, 10.0],
+                "segments": [{"malware_impact": 0.1, "bonware_impact": 0.0}],
+            },
+        })
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid [0.0, 12.0] extends outside the schedule window "
+            "[0.0, 10.0]\n")
+        assert not out.exists()
+
     def test_sde_kind_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json", {
             "kind": "sde",
@@ -181,6 +197,7 @@ class TestSimulate:
             (1, 10**22, f"error: params.steps: trace of more than "
                         f"{MAX_GRID_POINTS} points: steps + 1 = "
                         "10000000000000000000001"),
+            (0, 10, "error: params.n: ensemble size must be >= 1, got 0"),
         ]:
             cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=steps))
             out = tmp_path / "out.csv"
@@ -242,6 +259,20 @@ class TestFit:
         assert "mle" in doc
         assert doc["mle"]["n_cells"] == 3 * 3 * 3 * 3
         assert "log_likelihood" in doc["mle"]
+
+    def test_min_window_policy_key_ignored(self, tmp_path):
+        # The key named a choice with one value; configs that still carry
+        # it fit exactly as those without it.
+        outputs = []
+        for doc in (FIT_MLE_CONFIG,
+                    {k: v for k, v in FIT_MLE_CONFIG.items()
+                     if k != "min_window_policy"}):
+            cfg = write_config(tmp_path, "fit.json", doc)
+            out = tmp_path / f"fit{len(outputs)}.json"
+            assert main(["fit", str(NOTIONAL_CSV), "--config", cfg,
+                         "--out", str(out), "--mle"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_mle_without_grid_fails(self, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -323,6 +354,20 @@ class TestConfigValidation:
                      "--out", str(out), "--mle"]) == 2
         assert ("mle_grid.malware_activity: grid of more than "
                 f"{MAX_GRID_POINTS} points") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    def test_non_finite_mle_axis_names_field(self, tmp_path, capsys, field):
+        doc = copy.deepcopy(FIT_MLE_CONFIG)
+        doc["mle_grid"]["bonware_activity"][field] = math.inf
+        path = write_config(tmp_path, "fit.json", doc)
+        with open(path, encoding="utf-8") as fh:
+            assert "Infinity" in fh.read()
+        out = tmp_path / "fit_out.json"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", path,
+                     "--out", str(out), "--mle"]) == 2
+        assert (f"error: mle_grid.bonware_activity: {field} must be finite, "
+                "got inf") in capsys.readouterr().err
         assert not out.exists()
 
     def test_mle_cell_count_rejected(self, tmp_path, capsys, monkeypatch):

@@ -259,10 +259,21 @@ class TestTraceCsv:
             read_trace_csv(path)
 
     def test_malformed_row_rejected(self, tmp_path):
+        # float() alone would read all but the first: 1_0 as 10, a
+        # fullwidth digit as its ASCII value, a no-break space as a space.
         path = tmp_path / "bad.csv"
-        path.write_text("time,functionality\n0,1\noops\n")
-        with pytest.raises(InvalidTraceError):
-            read_trace_csv(path)
+        for text, where in [
+            ("time,functionality\n0,1\noops\n", ":3: "),
+            ("time,functionality\n0,1\n1_0,0.5\n", ":3: non-numeric sample"),
+            ("time,functionality\n0,1\n\uff11,0.5\n", ":3: non-numeric sample"),
+            ("time,functionality\n0,1\n1,\u00a00.5\n", ":3: non-numeric sample"),
+            ("time,functionality\n0,1\n1,0.5\u00a0\n", ":3: non-numeric sample"),
+            ("# f0=1_0\ntime,functionality\n0,1\n1,0.5\n",
+             ":1: bad f0 metadata"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(InvalidTraceError, match=f"bad.csv{where}"):
+                read_trace_csv(path)
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -422,6 +422,14 @@ class TestGridMle:
         with pytest.raises(DomainError):
             grid_mle(trace, grid)
 
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_axis_names_field(self, field, value):
+        bounds = {"start": 0.1, "stop": 0.2, "step": 0.1, field: value}
+        with pytest.raises(DomainError,
+                           match=f"^{field} must be finite, got {value}$"):
+            GridAxis(**bounds)
+
     def test_axis_size_limited(self):
         GridAxis(0.0, float(MAX_GRID_POINTS - 1), 1.0)  # builds no array
         for start, stop in ((0.0, float(MAX_GRID_POINTS)), (0.0, 1e300),

@@ -115,12 +115,25 @@ def _section(obj: dict, key: str, path: str) -> dict:
     return raw
 
 
+def _at(path: str, build, /, *args, **kwargs):
+    """``build(*args, **kwargs)`` for the config section at ``path``.
+
+    A ResdynError from ``build`` becomes ``ConfigError("<path>: <message>")``,
+    or keeps its message at the top level (an empty ``path``).
+    """
+    try:
+        return build(*args, **kwargs)
+    except ResdynError as exc:
+        where = path.rstrip(".")
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
 def _from_json(cls, obj: dict, path: str):
     """Build dataclass ``cls`` from the JSON object ``obj`` at ``path``.
 
     A field without a default is a required number; any other field is an
-    optional number, and an absent one keeps its default.  A ResdynError
-    from ``cls`` becomes ``ConfigError("<path>: <message>")``.
+    optional number, and an absent one keeps its default.  Errors from
+    ``cls`` carry ``path``, as :func:`_at` words them.
     """
     kwargs = {}
     for field in dataclasses.fields(cls):
@@ -128,11 +141,7 @@ def _from_json(cls, obj: dict, path: str):
                         required=field.default is dataclasses.MISSING)
         if value is not None:
             kwargs[field.name] = value
-    try:
-        return cls(**kwargs)
-    except ResdynError as exc:
-        where = path.rstrip(".")
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+    return _at(path, cls, **kwargs)
 
 
 def _load_json(path: str) -> dict:
@@ -188,7 +197,10 @@ def _schedule(cls, params: dict):
         for x in breakpoints
     ):
         raise ConfigError("params.breakpoints: expected a list of numbers")
-    return cls(breakpoints=np.asarray(breakpoints, dtype=float),
+    # The segments were checked one by one above, so what the schedule
+    # still refuses is its breakpoints or their count.
+    return _at("params.breakpoints", cls,
+               breakpoints=np.asarray(breakpoints, dtype=float),
                segments=segments)
 
 
@@ -256,12 +268,15 @@ def _mle_grid(doc: dict) -> MleGrid:
     from .likelihood import GridAxis, MleGrid
 
     section = _section(doc, "mle_grid", "")
-    return MleGrid(**{
-        field.name: _from_json(GridAxis,
-                               _section(section, field.name, "mle_grid."),
-                               f"mle_grid.{field.name}.")
-        for field in dataclasses.fields(MleGrid)
+    names = [field.name for field in dataclasses.fields(MleGrid)]
+    grid = MleGrid(**{
+        name: _from_json(GridAxis, _section(section, name, "mle_grid."),
+                         f"mle_grid.{name}.")
+        for name in names
     })
+    for name in names:
+        _at(f"mle_grid.{name}", grid._check_axis, name)
+    return grid
 
 
 def cmd_solve(args) -> int:

@@ -383,61 +383,24 @@ def write_trace_csv(trace: FunctionalityTrace, path) -> None:
                             rows))
 
 
-def _check_ascii_number(raw: str) -> None:
-    """Raise ValueError where :func:`float` would read more than an ASCII
-    number from ``raw``: a ``_`` digit separator, or a non-ASCII digit or
-    space (even one that stripping the line would drop)."""
-    if "_" in raw or not raw.isascii():
-        raise ValueError(raw)
-
-
 def read_trace_csv(path) -> FunctionalityTrace:
     """Read a trace CSV written by :func:`write_trace_csv` (or compatible).
 
-    Comment lines start with ``#``; a ``# f0=<value>`` comment sets the
-    normal functionality (default 1.0).  The header line must be
-    ``time,functionality``.  Numbers are ASCII in the syntax of
-    :func:`float`, without its digit-grouping underscores.
+    Comment lines start with ``#`` and, like blank lines, may appear
+    anywhere; a ``# f0=<value>`` comment sets the normal functionality
+    (default 1.0), and the last one wins.  The first other line must be
+    the header ``time,functionality``; each later one is a sample of two
+    comma-separated numbers, ASCII in the syntax of :func:`float` without
+    its digit-grouping underscores.  LF, CRLF and CR line endings are
+    accepted.  The file is read as UTF-8 text: a compressed file is not
+    decompressed.
+
+    Sample lines are parsed in blocks by numpy; a block that holds
+    anything but plain numbers is read line by line, so every refused
+    line is reported as ``path:lineno``.
     """
-    f0 = 1.0
-    times: list[float] = []
-    values: list[float] = []
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("f0="):
-                    try:
-                        _check_ascii_number(raw)
-                        f0 = float(body[3:])
-                    except ValueError as exc:
-                        raise InvalidTraceError(
-                            f"{path}:{lineno}: bad f0 metadata: {body!r}"
-                        ) from exc
-                continue
-            if not saw_header:
-                if line != TRACE_CSV_HEADER:
-                    raise InvalidTraceError(
-                        f"{path}:{lineno}: expected header "
-                        f"{TRACE_CSV_HEADER!r}, got {line!r}"
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InvalidTraceError(f"{path}:{lineno}: expected two fields")
-            try:
-                _check_ascii_number(raw)
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise InvalidTraceError(
-                    f"{path}:{lineno}: non-numeric sample {line!r}"
-                ) from exc
-    if not saw_header:
-        raise InvalidTraceError(f"{path}: missing {TRACE_CSV_HEADER!r} header")
-    return FunctionalityTrace(np.array(times), np.array(values), f0)
+    # The parser is its own module, so a command that reads no trace does
+    # not compile it.
+    from ._trace_read import read_trace
+
+    return read_trace(path)

@@ -297,8 +297,9 @@ def fit_piecewise(trace: FunctionalityTrace,
     The returned schedule has two windows split at the switching time and
     spans the trace; residual norms of both solved systems are reported in
     the result.  ``activity_count_end`` and ``recovery_fit_end`` must not
-    lie past the trace end (equality is allowed); otherwise DomainError
-    names the field.
+    lie past the trace end (equality is allowed), and
+    ``activity_count_end`` must exceed the switching time; otherwise
+    DomainError names the field.
     """
     cfg = config or FitConfig()
     switch_time = detect_switch_time(trace)
@@ -308,6 +309,11 @@ def fit_piecewise(trace: FunctionalityTrace,
             raise DomainError(
                 f"{name} {end} lies past the trace end {trace.end_time}"
             )
+    if cfg.activity_count_end <= switch_time:
+        raise DomainError(
+            f"activity_count_end {cfg.activity_count_end} must exceed "
+            f"switch_time {switch_time}"
+        )
     min_value = float(trace.values.min())
     rates = count_activities(trace, switch_time, cfg.activity_count_end)
     f_init = float(trace.values[0])

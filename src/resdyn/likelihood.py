@@ -170,19 +170,25 @@ class MleGrid:
     malware_effectiveness: GridAxis
     bonware_effectiveness: GridAxis
 
+    def _check_axis(self, name: str) -> None:
+        """Refuse axis ``name`` when it leaves its parameter's range: [0, 1]
+        for an activity, (0, 1] for an effectiveness."""
+        axis = getattr(self, name)
+        if name.endswith("_activity"):
+            low_ok, interval = axis.start >= 0.0, "[0, 1]"
+        else:
+            low_ok, interval = axis.start > 0.0, "(0, 1]"
+        if not low_ok or axis._last() > 1.0:
+            raise DomainError(f"{name} grid leaves {interval}")
+
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # Each range, and then the cell count, is checked from the axes'
         # first and last values before any axis is built.
-        for name in ("malware_activity", "bonware_activity"):
-            axis = getattr(self, name)
-            if axis.start < 0.0 or axis._last() > 1.0:
-                raise DomainError(f"{name} grid leaves [0, 1]")
-        for name in ("malware_effectiveness", "bonware_effectiveness"):
-            axis = getattr(self, name)
-            if axis.start <= 0.0 or axis._last() > 1.0:
-                raise DomainError(f"{name} grid leaves (0, 1]")
-        axes = (self.malware_activity, self.bonware_activity,
-                self.malware_effectiveness, self.bonware_effectiveness)
+        names = ("malware_activity", "bonware_activity",
+                 "malware_effectiveness", "bonware_effectiveness")
+        for name in names:
+            self._check_axis(name)
+        axes = tuple(getattr(self, name) for name in names)
         sizes = [axis._last_index() + 1 for axis in axes]
         if math.prod(sizes) > MAX_GRID_POINTS:
             raise DomainError(

@@ -11,6 +11,8 @@ from hypothesis import settings
 
 from resdyn import (
     ConstantImpacts,
+    FunctionalityTrace,
+    InvalidTraceError,
     LinearImpacts,
     SdeParams,
     integrate_reference,
@@ -18,6 +20,7 @@ from resdyn import (
     simulate,
     split_seed,
 )
+from resdyn.core import TRACE_CSV_HEADER
 from resdyn.likelihood import _transition_log_density
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +118,59 @@ def reference_grid_mle(trace, grid, top_k=5):
     scored.sort(key=lambda item: (-item[0], item[1]))
     top = tuple((ll, params) for ll, _, params in scored[:max(1, top_k)])
     return scored[0][2], scored[0][0], top, len(scored)
+
+
+def reference_read_trace_csv(path):
+    """``read_trace_csv`` as one Python loop over the lines of the file.
+
+    This is the reader's grammar stated line by line, as it was before
+    samples were parsed in blocks: same accepted files, same values and
+    same ``path:lineno`` messages.
+    """
+
+    def check_ascii_number(raw):
+        if "_" in raw or not raw.isascii():
+            raise ValueError(raw)
+
+    f0 = 1.0
+    times = []
+    values = []
+    saw_header = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("f0="):
+                    try:
+                        check_ascii_number(raw)
+                        f0 = float(body[3:])
+                    except ValueError as exc:
+                        raise InvalidTraceError(
+                            f"{path}:{lineno}: bad f0 metadata: {body!r}"
+                        ) from exc
+                continue
+            if not saw_header:
+                if line != TRACE_CSV_HEADER:
+                    raise InvalidTraceError(
+                        f"{path}:{lineno}: expected header "
+                        f"{TRACE_CSV_HEADER!r}, got {line!r}"
+                    )
+                saw_header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise InvalidTraceError(f"{path}:{lineno}: expected two fields")
+            try:
+                check_ascii_number(raw)
+                times.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError as exc:
+                raise InvalidTraceError(
+                    f"{path}:{lineno}: non-numeric sample {line!r}"
+                ) from exc
+    if not saw_header:
+        raise InvalidTraceError(f"{path}: missing {TRACE_CSV_HEADER!r} header")
+    return FunctionalityTrace(np.array(times), np.array(values), f0)

@@ -280,6 +280,15 @@ class TestFit:
                      "--mle"]) != 0
         assert "mle_grid" in capsys.readouterr().err
 
+    def test_count_end_before_switch_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "fit.json", {"activity_count_end": 12.0})
+        out = tmp_path / "fit.json.out"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: activity_count_end 12.0 must exceed switch_time 69.5\n")
+        assert not out.exists()
+
 
 class TestMetrics:
     def run_metrics(self, tmp_path, capsys, values, f0=1.0):
@@ -354,6 +363,38 @@ class TestConfigValidation:
                      "--out", str(out), "--mle"]) == 2
         assert ("mle_grid.malware_activity: grid of more than "
                 f"{MAX_GRID_POINTS} points") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mle_axis_range_names_axis(self, tmp_path, capsys):
+        doc = copy.deepcopy(FIT_MLE_CONFIG)
+        doc["mle_grid"]["bonware_activity"]["stop"] = 3.0
+        path = write_config(tmp_path, "fit.json", doc)
+        out = tmp_path / "fit_out.json"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", path,
+                     "--out", str(out), "--mle"]) == 2
+        assert capsys.readouterr().err == (
+            "error: mle_grid.bonware_activity: bonware_activity grid leaves "
+            "[0, 1]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("breakpoints, message", [
+        ([0.0, 4.0, 1.0], "breakpoints must be strictly increasing"),
+        ([0.0, 4.0], "expected 1 segments for 2 breakpoints, got 2"),
+        ([0.0], "a schedule needs at least two breakpoints"),
+    ])
+    def test_schedule_error_names_breakpoints(self, tmp_path, capsys,
+                                              breakpoints, message):
+        segment = {"malware_impact": 0.1, "bonware_impact": 0.0}
+        path = write_config(tmp_path, "p.json", {
+            "kind": "piecewise-constant",
+            "grid": {"start": 0.0, "end": 4.0, "step": 1.0},
+            "params": {"breakpoints": breakpoints,
+                       "segments": [segment, segment]},
+        })
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: params.breakpoints: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["start", "stop", "step"])
@@ -641,8 +682,9 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["--import", "resdyn"], None, None),
     (["--import", "resdyn.cli"], None, ()),
     (["--help"], None, ()),
-    (["metrics", str(NOTIONAL_CSV)], None, ()),
-    (["fit", str(NOTIONAL_CSV), "--out", "{out}"], None, ("estimation",)),
+    (["metrics", str(NOTIONAL_CSV)], None, ("_trace_read",)),
+    (["fit", str(NOTIONAL_CSV), "--out", "{out}"], None,
+     ("_trace_read", "estimation")),
     (["solve", "--config", "{cfg}", "--out", "{out}"],
      constant_config(0.1, 0.02), ("closed_form",)),
     (["solve", "--config", "{cfg}", "--out", "{out}"],
@@ -650,7 +692,8 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
      sde_config(), ("stochastic",)),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
-     FIT_MLE_CONFIG, ("estimation", "likelihood", "stochastic")),
+     FIT_MLE_CONFIG, ("_trace_read", "estimation", "likelihood",
+                      "stochastic")),
 ], ids=["import", "import-cli", "help", "metrics", "fit", "solve",
         "solve-linear", "simulate", "fit-mle"])
 def test_import_footprint(tmp_path, argv, config, layers):

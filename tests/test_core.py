@@ -1,10 +1,15 @@
 """Domain types, metrics, reference integrator, and trace CSV I/O."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import resdyn._trace_read
+from conftest import reference_read_trace_csv
 from resdyn import (
     ConstantImpacts,
     DomainError,
@@ -280,3 +285,171 @@ class TestTraceCsv:
         write_trace_csv(flat_trace(0.5), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    def test_round_trip_at_bench_size(self, tmp_path):
+        rng = np.random.default_rng(11)
+        times = np.cumsum(rng.uniform(1e-3, 2.0, 20001))
+        values = rng.uniform(0.0, 1.0, 20001)
+        values[::97] = 5e-324
+        trace = FunctionalityTrace(times, values, 1.0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert back.times.tobytes() == trace.times.tobytes()
+        assert back.values.tobytes() == trace.values.tobytes()
+        assert read_outcome(read_trace_csv, path) == read_outcome(
+            reference_read_trace_csv, path)
+
+    def test_errors_deep_in_a_long_file_name_their_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = [f"{i},0.5\n" for i in range(20001)]
+        for line, want in [("1,0.5 # late\n", ":15003: non-numeric sample"),
+                           ("1,0.5,0\n", ":15003: expected two fields"),
+                           ("# f0=1_0\n", ":15003: bad f0 metadata")]:
+            body = rows[:15000] + [line] + rows[15000:]
+            path.write_text("# f0=1\ntime,functionality\n" + "".join(body))
+            with pytest.raises(InvalidTraceError, match=f"trace.csv{want}"):
+                read_trace_csv(path)
+
+    def test_last_f0_wins_after_many_blocks(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = "".join(f"{i},{i % 3}\n" for i in range(20001))
+        path.write_text("# f0=1\ntime,functionality\n" + rows
+                        + "\n  # f0=2\n# note\n# f0=2.5\n")
+        trace = read_trace_csv(path)
+        assert trace.f0 == 2.5
+        assert trace.times.size == 20001
+
+    def test_compressed_name_reads_as_text(self, tmp_path):
+        path = tmp_path / "trace.csv.gz"
+        path.write_text("# f0=2\ntime,functionality\n0,1\n1,2\n")
+        trace = read_trace_csv(path)
+        assert trace.f0 == 2.0
+        assert list(trace.values) == [1.0, 2.0]
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("# f0=1\ntime,functionality\n")
+        with pytest.raises(InvalidTraceError, match="at least two samples"):
+            read_trace_csv(path)
+        assert read_outcome(read_trace_csv, path) == read_outcome(
+            reference_read_trace_csv, path)
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: the trace's bits, or the error."""
+    try:
+        trace = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (trace.times.tobytes(), trace.values.tobytes(),
+            np.float64(trace.f0).tobytes())
+
+
+# Pieces of generated trace files.  Sample times increase by construction,
+# and each file draws how irregular it is, so that a good share of files
+# is accepted and the rest are refused for one reason or another.  Each
+# number is written in one of the forms float() reads.
+NUMBER_FORMS = [repr, "{:.17g}".format, "{:+.17g}".format, "{:.6E}".format]
+SPECIAL_NUMBERS = ["1e-300", "+1E-300", "-0", "-0.0", "5e-324", "inf",
+                   "-inf", "nan", "-Infinity", "1e400"]
+FIELD_SPACES = [[""], [""], ["", " ", "\t", " \t "],
+                ["", " ", "\x0c", "\x1f"]]
+GOOD_F0 = st.sampled_from(["1", "2.5", " 1.5 ", "1e300", "+1"])
+BAD_F0 = st.sampled_from(["0.5", "inf", "-1", "1_0", "\uff12", "1\u00a0",
+                          "", "x"])
+COMMENTS = st.sampled_from(["", "   ", "\t", "#", "# a comment",
+                            "  # indented", "#f0", "# f0 = 2"])
+BAD_ROWS = st.sampled_from(["oops", ",", "1,", "1 2,0.5", "0x10,0.5",
+                            "time,functionality"])
+HEADERS = st.sampled_from(["time,functionality"] * 16
+                          + [" time,functionality\t", "time,functionalty",
+                             "Time,functionality", "time, functionality",
+                             None])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def other_lines(draw, bad):
+    """Comment, blank and ``# f0=`` lines, and malformed rows if ``bad``."""
+    kind = draw(st.integers(0, 3 if bad else 2))
+    if kind == 0:
+        return draw(COMMENTS)
+    if kind == 1:
+        value = draw(BAD_F0 if bad and draw(st.booleans()) else GOOD_F0)
+        return draw(st.sampled_from(["# f0=", "#f0=", "  # f0="])) + value
+    if kind == 2:
+        return ""
+    return draw(BAD_ROWS)
+
+
+def spoiled(draw, row):
+    """``row`` with one fault that float() alone would not notice, or that
+    only the field count shows."""
+    kind = draw(st.integers(0, 6))
+    if kind == 0:
+        return row + draw(st.sampled_from([" # note", "#", "\t#x"]))
+    if kind == 1:
+        return row + ",0"
+    if kind == 2:
+        return row.split(",")[0]
+    digits = [i for i, c in enumerate(row) if c.isdigit()]
+    i = draw(st.sampled_from(digits))
+    if kind == 3:
+        return row[:i] + "_" + row[i:] if i and row[i - 1].isdigit() \
+            else row[:i + 1] + "_0" + row[i + 1:]
+    if kind == 4:
+        return row[:i] + chr(0xFF10 + int(row[i])) + row[i + 1:]
+    comma = row.index(",")
+    at = draw(st.sampled_from([0, comma, comma + 1, len(row)]))
+    return row[:at] + "\u00a0" + row[at:]
+
+
+@st.composite
+def trace_files(draw):
+    """Text of a trace CSV mixing valid rows with comment, blank, metadata
+    and malformed lines, and LF, CRLF and CR endings."""
+    bad = draw(st.booleans())
+    spaces = st.sampled_from(draw(st.sampled_from(FIELD_SPACES)))
+    special = draw(st.integers(0, 4)) == 0
+    lines = draw(st.lists(other_lines(bad), max_size=3))
+    header = draw(HEADERS)
+    if header is not None:
+        lines.append(header)
+    first_row = len(lines)
+    t = draw(st.floats(-1e3, 1e3))
+    for _ in range(draw(st.integers(0, 30))):
+        t += draw(st.floats(1e-3, 10.0))
+        fields = [draw(st.sampled_from(NUMBER_FORMS))(t),
+                  draw(st.sampled_from(NUMBER_FORMS))(
+                      draw(st.floats(0.0, 1.0)))]
+        if special and draw(st.integers(0, 9)) == 0:
+            fields[draw(st.integers(0, 1))] = draw(
+                st.sampled_from(SPECIAL_NUMBERS))
+        lines.append(",".join(draw(spaces) + f + draw(spaces)
+                              for f in fields))
+    if bad and len(lines) > first_row:
+        i = draw(st.integers(first_row, len(lines) - 1))
+        lines[i] = spoiled(draw, lines[i])
+    for line in draw(st.lists(other_lines(bad), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    ending = draw(ENDINGS)
+    mixed = draw(st.integers(0, 4)) == 0
+    text = "".join(line + (draw(ENDINGS) if mixed else ending)
+                   for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+# A small block size makes a file span many blocks, some of them parsed by
+# numpy and some line by line.
+@pytest.mark.parametrize("block_chars", [None, 24])
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=trace_files())
+def test_read_matches_line_reference(tmp_path, block_chars, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    chunk = block_chars or resdyn._trace_read._BLOCK_CHARS
+    with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", chunk):
+        got = read_outcome(read_trace_csv, path)
+    assert got == read_outcome(reference_read_trace_csv, path)

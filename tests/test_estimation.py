@@ -257,6 +257,14 @@ class TestFitPiecewise:
         )
         assert result.switch_time == 69.5
 
+    def test_count_end_before_switch_names_field(self, notional_trace):
+        with pytest.raises(DomainError, match=r"^activity_count_end 12\.0 "
+                           r"must exceed switch_time 69\.5$"):
+            fit_piecewise(notional_trace, FitConfig(activity_count_end=12.0))
+        # The library function keeps the name of its own argument.
+        with pytest.raises(DomainError, match=r"^count_end 12\.0 must exceed"):
+            count_activities(notional_trace, 69.5, count_end=12.0)
+
     def test_recovery_only_trace_has_no_switch(self):
         times = np.arange(0.0, 50.0)
         trace = FunctionalityTrace(times, 0.3 + times * 0.01, 1.0)

@@ -100,7 +100,7 @@ def read_trace(path) -> FunctionalityTrace:
     """See :func:`resdyn.core.read_trace_csv`."""
     reader = _TraceLines(path)
     blocks = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lineno = 0
         while not reader.saw_header:
             raw = fh.readline()

@@ -89,12 +89,13 @@ def solve_constant(impacts: ConstantImpacts, f_init: float, f0: float,
     """Exact solution for constant rates, evaluated on ``grid``.
 
     F(t) = (f_init - f0*b/q) * exp(-q*(t - t0)) + f0*b/q with q = m + b;
-    when both rates are zero the value stays at ``f_init``.
+    when both rates are zero the value stays at ``f_init``.  This is the
+    one-window case of :func:`solve_piecewise_constant`, the window being
+    the grid's span.
     """
     g = _validate_grid(grid)
-    _validate_initial(f_init, f0)
-    values = _constant_values(impacts, f_init, f0, g - g[0])
-    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+    schedule = PiecewiseConstantSchedule(g[[0, -1]], (impacts,))
+    return solve_piecewise_constant(schedule, f_init, f0, g)
 
 
 def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
@@ -102,9 +103,10 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
     """Chain ``window_values`` across the windows of ``schedule``.
 
     ``window_values(segment, f_start, f0, tau)`` solves one window on its
-    local clock tau >= 0.  The value reached at each breakpoint seeds the
-    next window, so the curve is continuous across breakpoints by
-    construction.  The grid must lie inside the schedule's span.
+    local clock tau >= 0.  Each window is evaluated at its grid times and,
+    last, at its full width; that value seeds the next window, so the curve
+    is continuous across breakpoints by construction.  The grid must lie
+    inside the schedule's span.
     """
     g = _validate_grid(grid)
     _validate_initial(f_init, f0)
@@ -117,24 +119,17 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
         )
 
     pts = schedule.breakpoints
-    n_seg = len(schedule.segments)
-    starts = np.empty(n_seg)
-    starts[0] = f_init
-    for j in range(n_seg - 1):
-        width = pts[j + 1] - pts[j]
-        starts[j + 1] = float(
-            window_values(schedule.segments[j], starts[j], f0,
-                          np.array([width]))[0]
-        )
-
-    idx = np.clip(np.searchsorted(pts, g, side="right") - 1, 0, n_seg - 1)
+    # Window j owns the grid times in [pts[j], pts[j + 1]); the first and
+    # last windows also own the times within tol outside the span.
+    cuts = np.concatenate(([0], np.searchsorted(g, pts[1:-1]), [g.size]))
     values = np.empty(g.size)
-    for j in range(n_seg):
-        mask = idx == j
-        if not mask.any():
-            continue
-        tau = np.maximum(g[mask] - pts[j], 0.0)
-        values[mask] = window_values(schedule.segments[j], starts[j], f0, tau)
+    f_start = float(f_init)
+    for j, seg in enumerate(schedule.segments):
+        lo, hi = cuts[j], cuts[j + 1]
+        tau = np.append(np.maximum(g[lo:hi] - pts[j], 0.0), pts[j + 1] - pts[j])
+        window = window_values(seg, f_start, f0, tau)
+        values[lo:hi] = window[:-1]
+        f_start = float(window[-1])
     return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
 
 
@@ -166,7 +161,8 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
     multiplies exp(Lam^2) (Lam = lam/sqrt(2*om)) into an erf difference,
     which overflows for modest lam/sqrt(om); this evaluation folds the
     exponential into scaled complementary error functions, where every
-    factor stays O(1) on a window with nonnegative rates.
+    factor stays O(1) on a window with nonnegative rates.  At om <=
+    OMEGA_MIN the intercepts are solved as constant rates.
     """
     lam = impacts.total_intercept
     om = impacts.total_slope
@@ -174,14 +170,6 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
     beta = impacts.bonware_slope
 
     if om <= OMEGA_MIN:
-        if max(abs(impacts.bonware_slope), abs(impacts.malware_slope)) > OMEGA_MIN:
-            # Opposing slopes that cancel leave a constant combined rate but
-            # genuinely time-varying sources; the erf form does not apply and
-            # the constant fallback would be wrong.
-            raise DomainError(
-                "combined impact slope is zero or negative while individual "
-                "slopes are not; split the window or use integrate_reference"
-            )
         fallback = ConstantImpacts(
             malware_impact=impacts.malware_intercept,
             bonware_impact=impacts.bonware_intercept,
@@ -211,22 +199,13 @@ def solve_linear(impacts: LinearImpacts, f_init: float, f0: float,
                  grid) -> FunctionalityTrace:
     """Exact solution for linearly fading rates, evaluated on ``grid``.
 
-    Window-local time starts at ``grid[0]``.  Both rates must stay
-    nonnegative across the grid span (checked at the endpoints; linearity
-    covers the interior).  When the combined slope is below OMEGA_MIN the
-    model degenerates to :func:`solve_constant` on the intercepts.
+    This is the one-window case of :func:`solve_piecewise_linear`, the
+    window being the grid's span, so window-local time starts at
+    ``grid[0]`` and the window's checks apply to segment 0.
     """
     g = _validate_grid(grid)
-    _validate_initial(f_init, f0)
-    duration = float(g[-1] - g[0])
-    impacts.validate_window(duration)
-    if impacts.total_slope < -OMEGA_MIN:
-        raise DomainError(
-            "combined impact slope is negative (rates grow over the window); "
-            "the error-function form does not apply"
-        )
-    values = _linear_values(impacts, f_init, f0, g - g[0])
-    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+    schedule = PiecewiseLinearSchedule(g[[0, -1]], (impacts,))
+    return solve_piecewise_linear(schedule, f_init, f0, g)
 
 
 def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
@@ -235,16 +214,21 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
 
     Each window's rates run on its own local clock; the value reached at a
     breakpoint seeds the next window exactly as in
-    :func:`solve_piecewise_constant`.
+    :func:`solve_piecewise_constant`.  Both rates must stay nonnegative
+    over each window, and its combined slope may be neither negative nor
+    near zero while an individual slope is not (a window with a combined
+    slope below OMEGA_MIN is solved as constant rates on its intercepts).
     """
     _require_schedule(schedule, PiecewiseLinearSchedule)
     pts = schedule.breakpoints
     for j, seg in enumerate(schedule.segments):
-        width = float(pts[j + 1] - pts[j])
-        seg.validate_window(width)
-        if seg.total_slope < -OMEGA_MIN:
+        seg.validate_window(float(pts[j + 1] - pts[j]))
+        om = seg.total_slope
+        if om < -OMEGA_MIN or (om <= OMEGA_MIN and max(
+                abs(seg.bonware_slope), abs(seg.malware_slope)) > OMEGA_MIN):
             raise DomainError(
-                f"segment {j}: combined impact slope is negative; "
-                "the error-function form does not apply"
+                f"segment {j}: combined impact slope {om:.6g} is negative or "
+                "cancels nonzero individual slopes; the error-function form "
+                "does not apply"
             )
     return _solve_piecewise(schedule, _linear_values, f_init, f0, grid)

@@ -392,8 +392,9 @@ def read_trace_csv(path) -> FunctionalityTrace:
     the header ``time,functionality``; each later one is a sample of two
     comma-separated numbers, ASCII in the syntax of :func:`float` without
     its digit-grouping underscores.  LF, CRLF and CR line endings are
-    accepted.  The file is read as UTF-8 text: a compressed file is not
-    decompressed.
+    accepted.  The file is read as UTF-8 text, after a byte-order mark if
+    there is one; a compressed file is not decompressed, and a file that
+    is not UTF-8 raises InvalidTraceError.
 
     Sample lines are parsed in blocks by numpy; a block that holds
     anything but plain numbers is read line by line, so every refused
@@ -403,4 +404,8 @@ def read_trace_csv(path) -> FunctionalityTrace:
     # not compile it.
     from ._trace_read import read_trace
 
-    return read_trace(path)
+    try:
+        return read_trace(path)
+    except UnicodeDecodeError as exc:
+        raise InvalidTraceError(
+            f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -242,9 +242,17 @@ def _count_log(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid(delta, a, b) -> np.ndarray:
-    """Both-fired (trapezoid) density of steps with a > 0 and b > 0."""
-    overlap = np.minimum(b, delta + a) - np.maximum(0.0, delta)
-    return np.where(overlap > 0.0, overlap, 0.0) / (a * b)
+    """Both-fired (trapezoid) density of steps with a > 0 and b > 0.
+
+    Where a is absorbed in ``delta + a`` (below half an ulp of an increase
+    delta), the overlap is a itself and the density its limit 1/b; the
+    quotient would lose it, or be 0/0 once a * b underflows.
+    """
+    reach = delta + a
+    absorbed = reach == delta
+    overlap = np.minimum(b, reach) - np.maximum(0.0, delta)
+    return (np.where(absorbed, 1.0, np.where(overlap > 0.0, overlap, 0.0))
+            / np.where(absorbed, b, a * b))
 
 
 def _mixture_log_sums(p: np.ndarray, inv: np.ndarray, trap: np.ndarray):

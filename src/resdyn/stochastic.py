@@ -114,12 +114,12 @@ class EnsembleResult:
 def _check_step_args(steps: int, dt: float) -> None:
     """Refuse a run whose trace could not be allocated or timed."""
     if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+        raise DomainError(f"steps: must be >= 1, got {steps}")
     if steps + 1 > MAX_GRID_POINTS:
         raise DomainError(f"steps: trace of more than {MAX_GRID_POINTS} points: "
                           f"steps + 1 = {steps + 1}")
     if not math.isfinite(dt) or dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+        raise DomainError(f"dt: must be positive and finite, got {dt}")
     if not math.isfinite(dt * steps):
         raise DomainError(f"dt: horizon dt * steps = {dt!r} * {steps} "
                           "is not finite")

@@ -136,7 +136,7 @@ def reference_read_trace_csv(path):
     times = []
     values = []
     saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -184,22 +184,30 @@ class TestSimulate:
         cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=-3))
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert "steps must be >= 1, got -3" in capsys.readouterr().err
+        assert ("error: params.steps: must be >= 1, got -3"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_ensemble_size_capped(self, tmp_path, capsys):
         # 10**6 realizations of 10**4 steps would need an 80 GB stack, and
         # one realization of 10**22 steps could not be allocated at all.
-        for n, steps, error in [
-            (10**6, 10**4, f"error: params.n: ensemble of more than "
-                           f"{MAX_GRID_POINTS} points: n * (steps + 1) = "
-                           "10001000000"),
-            (1, 10**22, f"error: params.steps: trace of more than "
-                        f"{MAX_GRID_POINTS} points: steps + 1 = "
-                        "10000000000000000000001"),
-            (0, 10, "error: params.n: ensemble size must be >= 1, got 0"),
+        # Every refusal names its field under params.
+        for n, steps, extra, error in [
+            (10**6, 10**4, None, f"error: params.n: ensemble of more than "
+                                 f"{MAX_GRID_POINTS} points: n * (steps + 1) "
+                                 "= 10001000000"),
+            (1, 10**22, None, f"error: params.steps: trace of more than "
+                              f"{MAX_GRID_POINTS} points: steps + 1 = "
+                              "10000000000000000000001"),
+            (0, 10, None, "error: params.n: ensemble size must be >= 1, got 0"),
+            (1, 0, None, "error: params.steps: must be >= 1, got 0"),
+            (1, 10, {"dt": -1}, "error: params.dt: must be positive and "
+                                "finite, got -1.0"),
+            (4, 10, {"dt": 0}, "error: params.dt: must be positive and "
+                               "finite, got 0.0"),
         ]:
-            cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=steps))
+            cfg = write_config(tmp_path, "s.json",
+                               sde_config(n=n, steps=steps, extra=extra))
             out = tmp_path / "out.csv"
             tracemalloc.start()
             try:
@@ -321,6 +329,13 @@ class TestMetrics:
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "nope.csv")]) != 0
         assert capsys.readouterr().err
+
+    def test_non_utf8_trace_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x\x8b")
+        assert main(["metrics", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte)\n")
 
 
 class TestConfigValidation:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from resdyn import (
@@ -243,3 +245,73 @@ class TestSolvePiecewiseLinear:
 def test_wrong_schedule_type_rejected(solver, schedule, expected):
     with pytest.raises(DomainError, match=expected):
         solver(schedule, 1.0, 1.0, np.linspace(0.0, 60.0, 7))
+
+
+# The combined rate is constant while each rate varies, so neither the
+# error-function form nor the constant fallback applies.
+CANCELLING = LinearImpacts(bonware_intercept=0.02, bonware_slope=1e-3,
+                           malware_intercept=0.05, malware_slope=-1e-3)
+
+
+@pytest.mark.parametrize("solve, impacts, segment", [
+    (solve_linear, CANCELLING, 0),
+    (solve_piecewise_linear, PiecewiseLinearSchedule(
+        breakpoints=np.array([0.0, 50.0, 60.0]),
+        segments=(LINEAR_EXAMPLE, CANCELLING)), 1),
+])
+def test_cancelling_slopes_name_their_segment(solve, impacts, segment):
+    grid = np.linspace(0.0, 10.0 if segment == 0 else 60.0, 11)
+    with pytest.raises(DomainError, match=f"^segment {segment}: .*cancels"):
+        solve(impacts, 1.0, 1.0, grid)
+
+
+@st.composite
+def chained_problems(draw):
+    """A schedule of one to four windows of either kind, with f_init, f0
+    and a grid that holds every breakpoint.  Linear slopes are
+    nonnegative and fade each rate to at least zero by its window's end."""
+    n = draw(st.integers(1, 4))
+    widths = [draw(st.floats(0.5, 200.0)) for _ in range(n)]
+    pts = draw(st.floats(-100.0, 100.0)) + np.cumsum([0.0] + widths)
+    rate, fade = st.floats(0.0, 0.5), st.floats(0.0, 0.999)
+    if draw(st.booleans()):
+        segments = []
+        for w in widths:
+            bonware, malware = draw(rate), draw(rate)
+            segments.append(LinearImpacts(bonware, draw(fade) * bonware / w,
+                                          malware, draw(fade) * malware / w))
+        schedule = PiecewiseLinearSchedule(pts, tuple(segments))
+    else:
+        schedule = PiecewiseConstantSchedule(
+            pts, tuple(ConstantImpacts(draw(rate), draw(rate)) for _ in widths))
+    f0 = draw(st.floats(1e-3, 1e3))
+    f_init = f0 * draw(st.floats(0.0, 1.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    grid = np.union1d(pts, pts[0] + (pts[-1] - pts[0]) * np.array(inner))
+    return schedule, f_init, f0, grid
+
+
+SOLVERS = {
+    PiecewiseConstantSchedule: (solve_constant, solve_piecewise_constant),
+    PiecewiseLinearSchedule: (solve_linear, solve_piecewise_linear),
+}
+
+
+@given(problem=chained_problems())
+def test_solvers_bounded_and_continuous_at_breakpoints(problem):
+    # Each breakpoint's value is the end value of the schedule cut off
+    # there; the first window alone goes to the single-window solver.
+    schedule, f_init, f0, grid = problem
+    single, chained = SOLVERS[type(schedule)]
+    values = chained(schedule, f_init, f0, grid).values
+    assert ((values >= 0.0) & (values <= f0)).all()
+    pts, segments = schedule.breakpoints, schedule.segments
+    for k in range(1, pts.size):
+        head = grid[grid <= pts[k]]
+        if k == 1:
+            cut = single(segments[0], f_init, f0, head).values
+        else:
+            cut = chained(type(schedule)(pts[:k + 1], segments[:k]),
+                          f_init, f0, head).values
+        assert ((cut >= 0.0) & (cut <= f0)).all()
+        assert abs(cut[-1] - values[head.size - 1]) <= 1e-12 * f0

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import resdyn._trace_read
-from conftest import reference_read_trace_csv
+from conftest import NOTIONAL_CSV, reference_read_trace_csv
 from resdyn import (
     ConstantImpacts,
     DomainError,
@@ -326,6 +326,15 @@ class TestTraceCsv:
         trace = read_trace_csv(path)
         assert trace.f0 == 2.0
         assert list(trace.values) == [1.0, 2.0]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet CSV exports often start with a UTF-8 byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + NOTIONAL_CSV.read_bytes())
+        assert read_outcome(read_trace_csv, path) == read_outcome(
+            read_trace_csv, NOTIONAL_CSV)
+        assert read_outcome(reference_read_trace_csv, path) == read_outcome(
+            read_trace_csv, NOTIONAL_CSV)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -612,10 +612,7 @@ def test_subnormal_level_scored_without_warnings():
     assert_matches_reference(trace, grid, 5)
 
 
-@pytest.mark.xfail(strict=True, reason="malware's width is absorbed in "
-                   "delta + a, so the both-fired density is lost; when the "
-                   "width product underflows the trapezoid is 0/0 = nan")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("f_now", [5e-324, 1e-310])
 def test_tiny_level_increase_density(f_now):
     # As F -> 0 the both-fired trapezoid tends to Uniform(0, b), so an

@@ -196,7 +196,7 @@ class TestEnsembleAverage:
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_bad_steps_rejected(self, steps):
-        with pytest.raises(DomainError, match="steps must be >= 1"):
+        with pytest.raises(DomainError, match="steps: must be >= 1"):
             ensemble_average(BASE, 1.0, 1.0, steps=steps, n=4, master_seed=1)
 
     def test_mean_approaches_expectation(self):

@@ -26,9 +26,9 @@ from .core import (
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
     _check_f0,
+    _check_level,
     _clamp_to_bounds,
-    _validate_grid,
-    _validate_initial,
+    _sample_axis,
 )
 from .errors import DomainError, UndefinedSteadyStateError
 
@@ -93,7 +93,7 @@ def solve_constant(impacts: ConstantImpacts, f_init: float, f0: float,
     one-window case of :func:`solve_piecewise_constant`, the window being
     the grid's span.
     """
-    g = _validate_grid(grid)
+    g = _sample_axis(grid, "grid")
     schedule = PiecewiseConstantSchedule(g[[0, -1]], (impacts,))
     return solve_piecewise_constant(schedule, f_init, f0, g)
 
@@ -108,8 +108,8 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
     is continuous across breakpoints by construction.  The grid must lie
     inside the schedule's span.
     """
-    g = _validate_grid(grid)
-    _validate_initial(f_init, f0)
+    g = _sample_axis(grid, "grid")
+    _check_level("f_init", f0, f_init)
     span = max(1.0, abs(schedule.start_time), abs(schedule.end_time))
     tol = 1e-9 * span
     if g[0] < schedule.start_time - tol or g[-1] > schedule.end_time + tol:
@@ -203,7 +203,7 @@ def solve_linear(impacts: LinearImpacts, f_init: float, f0: float,
     window being the grid's span, so window-local time starts at
     ``grid[0]`` and the window's checks apply to segment 0.
     """
-    g = _validate_grid(grid)
+    g = _sample_axis(grid, "grid")
     schedule = PiecewiseLinearSchedule(g[[0, -1]], (impacts,))
     return solve_piecewise_linear(schedule, f_init, f0, g)
 

@@ -64,6 +64,28 @@ def _check_f0(f0: float, error: type = DomainError) -> None:
         raise error(f"f0 must be positive and finite, got {f0}")
 
 
+def _check_level(name: str, f0: float, *levels: float,
+                 error: type = DomainError) -> None:
+    """Refuse ``f0`` as :func:`_check_f0` does, then any of ``levels``
+    outside [0, f0]: ``"<name> must lie in [0, f0], got <level>"``."""
+    _check_f0(f0, error)
+    for v in levels:
+        if not 0.0 <= v <= f0:
+            raise error(f"{name} must lie in [0, f0], got {v}")
+
+
+def _sample_axis(x, name: str, error: type = DomainError) -> np.ndarray:
+    """``x`` as a read-only float array, refused unless it is a sample
+    axis: one-dimensional, at least two points, finite and strictly
+    increasing."""
+    axis = _readonly(x)
+    if axis.ndim != 1 or axis.size < 2:
+        raise error(f"{name} must be one-dimensional with at least two points")
+    if not (np.isfinite(axis).all() and (np.diff(axis) > 0.0).all()):
+        raise error(f"{name} must be finite and strictly increasing")
+    return axis
+
+
 @dataclass(frozen=True)
 class FunctionalityTrace:
     """A time-ordered sampling of functionality, with its normal level.
@@ -78,26 +100,17 @@ class FunctionalityTrace:
     f0: float = 1.0
 
     def __post_init__(self):
-        times = _readonly(self.times)
+        times = _sample_axis(self.times, "times", InvalidTraceError)
         values = _readonly(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "f0", float(self.f0))
-        if times.ndim != 1 or values.ndim != 1:
-            raise InvalidTraceError("times and values must be one-dimensional")
-        if times.size != values.size:
+        if values.shape != times.shape:
             raise InvalidTraceError(
-                f"times and values differ in length: {times.size} vs {values.size}"
+                f"times and values differ in shape: {times.shape} vs {values.shape}"
             )
-        if times.size < 2:
-            raise InvalidTraceError("a trace needs at least two samples")
-        if not np.isfinite(times).all() or not np.isfinite(values).all():
-            raise InvalidTraceError("times and values must be finite")
-        _check_f0(self.f0, InvalidTraceError)
-        if not (np.diff(times) > 0.0).all():
-            raise InvalidTraceError("times must be strictly increasing")
-        if values.min() < 0.0 or values.max() > self.f0:
-            raise InvalidTraceError("values must lie within [0, f0]")
+        _check_level("values", self.f0, values.min(), values.max(),
+                     error=InvalidTraceError)
 
     @property
     def start_time(self) -> float:
@@ -150,13 +163,7 @@ class _PiecewiseSchedule:
         for seg in segments:
             if not isinstance(seg, kind):
                 raise DomainError(f"segments must be {kind.__name__} instances")
-        pts = _readonly(self.breakpoints)
-        if pts.ndim != 1 or pts.size < 2:
-            raise DomainError("a schedule needs at least two breakpoints")
-        if not np.isfinite(pts).all():
-            raise DomainError("breakpoints must be finite")
-        if not (np.diff(pts) > 0.0).all():
-            raise DomainError("breakpoints must be strictly increasing")
+        pts = _sample_axis(self.breakpoints, "breakpoints")
         if pts.size != len(segments) + 1:
             raise DomainError(
                 f"expected {pts.size - 1} segments for {pts.size} breakpoints, "
@@ -262,23 +269,6 @@ def auc_resilience(trace: FunctionalityTrace) -> float:
     return accomplishment(trace) / (trace.f0 * trace.duration)
 
 
-def _validate_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise DomainError("grid must be one-dimensional with at least two times")
-    if not np.isfinite(g).all():
-        raise DomainError("grid times must be finite")
-    if not (np.diff(g) > 0.0).all():
-        raise DomainError("grid times must be strictly increasing")
-    return g
-
-
-def _validate_initial(f_init: float, f0: float) -> None:
-    _check_f0(f0)
-    if not math.isfinite(f_init) or not 0.0 <= f_init <= f0:
-        raise DomainError(f"f_init must lie in [0, f0], got {f_init}")
-
-
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:
     """Clip roundoff-level excursions; anything larger is a genuine bug."""
     lo = float(values.min())
@@ -298,8 +288,8 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
     than RK4_MAX_STEP, so results are bit-reproducible.  Sampling a
     negative impact rate raises DomainError.
     """
-    g = _validate_grid(grid)
-    _validate_initial(f_init, f0)
+    g = _sample_axis(grid, "grid")
+    _check_level("f_init", f0, f_init)
 
     def rates(t: float) -> tuple[float, float]:
         b = float(bonware_fn(t))

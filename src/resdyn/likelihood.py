@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_f0, _check_fields
+from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_fields, _check_level
 from .errors import DomainError
-from .stochastic import SdeParams
+from .stochastic import SdeParams, _check_range
 
 # Increments at most this close to zero are scored against the atom of
 # the transition mixture.
@@ -109,10 +109,8 @@ def step_log_density(f_now: float, f_next: float, params: SdeParams,
     density describes a step on which both agents are live.  Increments
     outside the reachable range score -inf rather than raising.
     """
-    _check_f0(f0)
-    for name, v in (("f_now", f_now), ("f_next", f_next)):
-        if not math.isfinite(v) or not 0.0 <= v <= f0:
-            raise DomainError(f"{name} must lie in [0, f0], got {v}")
+    _check_level("f_now", f0, f_now)
+    _check_level("f_next", f0, f_next)
     return float(
         _transition_log_density(
             f_now,
@@ -171,15 +169,10 @@ class MleGrid:
     bonware_effectiveness: GridAxis
 
     def _check_axis(self, name: str) -> None:
-        """Refuse axis ``name`` when it leaves its parameter's range: [0, 1]
-        for an activity, (0, 1] for an effectiveness."""
+        """Refuse axis ``name`` when its first or last value leaves its
+        parameter's range."""
         axis = getattr(self, name)
-        if name.endswith("_activity"):
-            low_ok, interval = axis.start >= 0.0, "[0, 1]"
-        else:
-            low_ok, interval = axis.start > 0.0, "(0, 1]"
-        if not low_ok or axis._last() > 1.0:
-            raise DomainError(f"{name} grid leaves {interval}")
+        _check_range(name, axis.start, axis._last())
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # Each range, and then the cell count, is checked from the axes'
@@ -246,13 +239,19 @@ def _trapezoid(delta, a, b) -> np.ndarray:
 
     Where a is absorbed in ``delta + a`` (below half an ulp of an increase
     delta), the overlap is a itself and the density its limit 1/b; the
-    quotient would lose it, or be 0/0 once a * b underflows.
+    quotient would lose it.  Where a * b underflows to 0 the overlap
+    (at most about a) is divided by a, then by b.
     """
     reach = delta + a
     absorbed = reach == delta
     overlap = np.minimum(b, reach) - np.maximum(0.0, delta)
-    return (np.where(absorbed, 1.0, np.where(overlap > 0.0, overlap, 0.0))
-            / np.where(absorbed, b, a * b))
+    num = np.where(absorbed, 1.0, np.where(overlap > 0.0, overlap, 0.0))
+    den = np.where(absorbed, b, a * b)
+    under = den == 0.0
+    if under.any():
+        np.divide(num, a, out=num, where=under)
+        den = np.where(under, b, den)
+    return num / den
 
 
 def _mixture_log_sums(p: np.ndarray, inv: np.ndarray, trap: np.ndarray):

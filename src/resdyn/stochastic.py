@@ -29,8 +29,8 @@ from .core import (
     MAX_GRID_POINTS,
     FunctionalityTrace,
     _check_fields,
+    _check_level,
     _readonly,
-    _validate_initial,
     _write_text,
 )
 from .errors import DomainError, InvalidTraceError
@@ -68,6 +68,17 @@ def _split_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
+def _check_range(name: str, *values: float) -> None:
+    """Refuse any of ``values`` outside the range of the stochastic
+    parameter ``name``: [0, 1] for an activity (a name ending in
+    ``activity``), (0, 1] for an effectiveness."""
+    activity = name.endswith("activity")
+    for v in values:
+        if not ((0.0 <= v if activity else 0.0 < v) and v <= 1.0):
+            interval = "[0, 1]" if activity else "(0, 1]"
+            raise DomainError(f"{name} must lie in {interval}, got {v}")
+
+
 @dataclass(frozen=True)
 class SdeParams:
     """Parameters of the stochastic step model.
@@ -87,14 +98,23 @@ class SdeParams:
     interaction_cutoff: float | None = None
 
     def __post_init__(self):
-        _check_fields(self, ("malware_activity", "bonware_activity"),
-                      lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-        _check_fields(self, ("malware_effectiveness", "bonware_effectiveness"),
-                      lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        for name in ("malware_activity", "bonware_activity",
+                     "malware_effectiveness", "bonware_effectiveness"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+            _check_range(name, getattr(self, name))
         timed = ("malware_onset", "bonware_onset")
         if self.interaction_cutoff is not None:
             timed += ("interaction_cutoff",)
         _check_fields(self, timed, math.isfinite, "be finite")
+
+
+def _live(params: SdeParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether malware and bonware act at times ``t``: malware from its
+    onset until the interaction cutoff, bonware from its onset."""
+    malware = t >= params.malware_onset
+    if params.interaction_cutoff is not None:
+        malware &= t < params.interaction_cutoff
+    return malware, t >= params.bonware_onset
 
 
 @dataclass(frozen=True)
@@ -140,28 +160,25 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     Identical (params, seed) give bit-identical traces.  ``steps + 1`` may
     not exceed ``MAX_GRID_POINTS``, and ``dt * steps`` must be finite.
     """
-    _validate_initial(f_init, f0)
+    _check_level("f_init", f0, f_init)
     _check_step_args(steps, dt)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     draws = rng.random((steps, 4))
 
-    cutoff = params.interaction_cutoff
+    times = dt * np.arange(steps + 1)
+    malware_on, bonware_on = (live.tolist() for live in _live(params, times[:-1]))
     values = np.empty(steps + 1)
     f = float(f_init)
     values[0] = f
     for k in range(steps):
-        t = k * dt
-        malware_on = t >= params.malware_onset and (cutoff is None or t < cutoff)
-        bonware_on = t >= params.bonware_onset
         delta = 0.0
-        if malware_on and draws[k, 0] < params.malware_activity:
+        if malware_on[k] and draws[k, 0] < params.malware_activity:
             delta -= draws[k, 1] * params.malware_effectiveness * f
-        if bonware_on and draws[k, 2] < params.bonware_activity:
+        if bonware_on[k] and draws[k, 2] < params.bonware_activity:
             delta += draws[k, 3] * params.bonware_effectiveness * (f0 - f)
         f += delta
         values[k + 1] = f
 
-    times = dt * np.arange(steps + 1)
     return FunctionalityTrace(times, values, f0)
 
 
@@ -169,10 +186,7 @@ def _step_blocks(params: SdeParams, f0: float, dt: float, master_seed: int,
                  stack: np.ndarray, rows: int):
     """Step ``stack``'s rows on from column 0; return per-step min and max."""
     n, steps = stack.shape[0], stack.shape[1] - 1
-    t = dt * np.arange(steps)
-    malware_on = t >= params.malware_onset
-    if params.interaction_cutoff is not None:
-        malware_on &= t < params.interaction_cutoff
+    live = _live(params, dt * np.arange(steps))
     low, high = stack[0].copy(), stack[0].copy()
     low[1:], high[1:] = np.inf, -np.inf
     rng = np.random.Generator(np.random.Philox(key=0))
@@ -183,7 +197,7 @@ def _step_blocks(params: SdeParams, f0: float, dt: float, master_seed: int,
     hit = np.empty((half, steps), dtype=bool)
     # Time-major effect factors, zero where the agent misses or is off.
     kicks = np.empty((2, steps, rows))
-    agents = tuple(zip(kicks, (0, 2), (malware_on, t >= params.bonware_onset),
+    agents = tuple(zip(kicks, (0, 2), live,
                        (params.malware_activity, params.bonware_activity),
                        (params.malware_effectiveness,
                         params.bonware_effectiveness)))
@@ -242,7 +256,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     """
     if n < 1:
         raise DomainError(f"n: ensemble size must be >= 1, got {n}")
-    _validate_initial(f_init, f0)
+    _check_level("f_init", f0, f_init)
     _check_step_args(steps, dt)
     if n * (steps + 1) > MAX_GRID_POINTS:
         raise DomainError(f"n: ensemble of more than {MAX_GRID_POINTS} points: "
@@ -254,8 +268,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     low, high = _step_blocks(params, f0, dt, master_seed, stack, rows)
 
     # The bounds check simulate's trace makes, once for every row.
-    if low.min() < 0.0 or high.max() > f0:
-        raise InvalidTraceError("values must lie within [0, f0]")
+    _check_level("values", f0, low.min(), high.max(), error=InvalidTraceError)
     mean = stack.mean(axis=0)
     if n > 1:
         # stack.std(axis=0, ddof=1) without its (n, steps + 1) temporary:
@@ -300,7 +313,7 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
     """
     if malware_impact < 0.0 or bonware_impact < 0.0:
         raise DomainError("per-step impacts must be >= 0")
-    _validate_initial(f_init, f0)
+    _check_level("f_init", f0, f_init)
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
     q = malware_impact + bonware_impact
@@ -323,12 +336,8 @@ def effective_impact(activity: float, effectiveness: float) -> float:
     stochastic parameters to the per-step impacts of
     :func:`expectation_recursion`.
     """
-    if not 0.0 <= activity <= 1.0:
-        raise DomainError(f"activity must lie in [0, 1], got {activity}")
-    if not 0.0 < effectiveness <= 1.0:
-        raise DomainError(
-            f"effectiveness must lie in (0, 1], got {effectiveness}"
-        )
+    _check_range("activity", activity)
+    _check_range("effectiveness", effectiveness)
     return activity * effectiveness / 2.0
 
 

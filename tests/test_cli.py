@@ -388,14 +388,14 @@ class TestConfigValidation:
         assert main(["fit", str(NOTIONAL_CSV), "--config", path,
                      "--out", str(out), "--mle"]) == 2
         assert capsys.readouterr().err == (
-            "error: mle_grid.bonware_activity: bonware_activity grid leaves "
-            "[0, 1]\n")
+            "error: mle_grid.bonware_activity: bonware_activity must lie in "
+            "[0, 1], got 3.0000000000000004\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("breakpoints, message", [
-        ([0.0, 4.0, 1.0], "breakpoints must be strictly increasing"),
+        ([0.0, 4.0, 1.0], "breakpoints must be finite and strictly increasing"),
         ([0.0, 4.0], "expected 1 segments for 2 breakpoints, got 2"),
-        ([0.0], "a schedule needs at least two breakpoints"),
+        ([0.0], "breakpoints must be one-dimensional with at least two points"),
     ])
     def test_schedule_error_names_breakpoints(self, tmp_path, capsys,
                                               breakpoints, message):

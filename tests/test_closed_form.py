@@ -315,3 +315,55 @@ def test_solvers_bounded_and_continuous_at_breakpoints(problem):
                           f_init, f0, head).values
         assert ((cut >= 0.0) & (cut <= f0)).all()
         assert abs(cut[-1] - values[head.size - 1]) <= 1e-12 * f0
+
+
+class FadedToZero(LinearImpacts):
+    """Rates that read 0 past the window end.  RK4 samples a rate a
+    rounding error past the end of its window, where the linear form of a
+    rate that fades to exactly 0 there dips below 0."""
+
+    def bonware_at(self, tau: float) -> float:
+        return max(0.0, super().bonware_at(tau))
+
+    def malware_at(self, tau: float) -> float:
+        return max(0.0, super().malware_at(tau))
+
+
+@st.composite
+def zero_end_schedules(draw):
+    """One or two linear windows whose two rates both fade to exactly 0 at
+    the window's end (intercept = slope * width), with f_init, f0 and a
+    grid that holds every breakpoint.  On such a window the argument of
+    the scaled complementary error function ends at 0 in exact arithmetic,
+    and in floats may end just below it."""
+    pts = np.cumsum([0.0] + [draw(st.floats(0.5, 20.0))
+                             for _ in range(draw(st.integers(1, 2)))])
+    segments = []
+    for width in np.diff(pts):
+        bonware, malware = (draw(st.floats(1e-3, 0.5)) / width
+                            for _ in range(2))
+        segments.append(LinearImpacts(bonware * width, bonware,
+                                      malware * width, malware))
+    f0 = draw(st.floats(1e-3, 1e3))
+    f_init = f0 * draw(st.floats(0.0, 1.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    grid = np.union1d(pts, pts[-1] * np.array(inner))
+    return PiecewiseLinearSchedule(pts, tuple(segments)), f_init, f0, grid
+
+
+@given(problem=zero_end_schedules())
+def test_rates_ending_at_zero_match_oracle(problem):
+    schedule, f_init, f0, grid = problem
+    oracle = reference_piecewise(PiecewiseLinearSchedule(
+        schedule.breakpoints,
+        tuple(FadedToZero(s.bonware_intercept, s.bonware_slope,
+                          s.malware_intercept, s.malware_slope)
+              for s in schedule.segments)), f_init, f0, grid)
+    solved = [solve_piecewise_linear(schedule, f_init, f0, grid)]
+    if len(schedule.segments) == 1:
+        solved.append(solve_linear(schedule.segments[0], f_init, f0, grid))
+    for trace in solved:
+        values = trace.values
+        assert np.isfinite(values).all()
+        assert ((values >= 0.0) & (values <= f0)).all()
+        assert np.abs(values - oracle).max() <= 1e-6 * f0

@@ -455,7 +455,7 @@ class TestGridMle:
             raise AssertionError("axis built before its range was checked")
 
         monkeypatch.setattr(GridAxis, "values", refuse)
-        with pytest.raises(DomainError, match="bonware_activity grid leaves"):
+        with pytest.raises(DomainError, match="bonware_activity must lie in"):
             grid.axes()
 
     def test_cell_count_checked_before_building(self, monkeypatch):
@@ -620,6 +620,12 @@ def test_tiny_level_increase_density(f_now):
     params = SdeParams(0.3, 0.4, 1.0, 0.4)
     assert step_log_density(f_now, 0.3, params, 1.0) == pytest.approx(
         0.0, abs=1e-2)
+    # Steps to F and to 0 are atoms, scored by the atom's mass.  From
+    # F = 5e-324 the widths' product a * b underflows to 0, which the
+    # trapezoid must not divide by.
+    for f_next in (f_now, 0.0):
+        assert step_log_density(f_now, f_next, params, 1.0) == math.log(
+            (1.0 - 0.3) * (1.0 - 0.4))
 
 
 class TestFitResultSerialization:

@@ -1,0 +1,189 @@
+"""Model rules that several entry points share: each has one owner, so a
+bad input is refused alike, with one error class and one message, at
+every site that applies it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from resdyn import (
+    ConstantImpacts,
+    DomainError,
+    FunctionalityTrace,
+    GridAxis,
+    InvalidTraceError,
+    LinearImpacts,
+    MleGrid,
+    PiecewiseConstantSchedule,
+    SdeParams,
+    effective_impact,
+    ensemble_average,
+    expectation_recursion,
+    integrate_reference,
+    simulate,
+    solve_constant,
+    solve_linear,
+    solve_piecewise_constant,
+    step_log_density,
+    stochastic,
+)
+
+IMPACTS = ConstantImpacts(0.1, 0.2)
+SCHEDULE = PiecewiseConstantSchedule(np.array([0.0, 4.0]), (IMPACTS,))
+FADING = LinearImpacts(0.02, 1e-4, 0.05, 5e-4)
+GRID = np.linspace(0.0, 4.0, 5)
+PARAMS = SdeParams(0.3, 0.4, 0.5, 0.5)
+
+AXIS_SITES = {
+    "trace times": (lambda x: FunctionalityTrace(x, np.full(np.size(x), 0.5)),
+                    InvalidTraceError, "times"),
+    "schedule breakpoints": (
+        lambda x: PiecewiseConstantSchedule(x, (IMPACTS,) * (np.size(x) - 1)),
+        DomainError, "breakpoints"),
+    "solve_constant grid": (lambda x: solve_constant(IMPACTS, 0.5, 1.0, x),
+                            DomainError, "grid"),
+    "solve_linear grid": (lambda x: solve_linear(FADING, 0.5, 1.0, x),
+                          DomainError, "grid"),
+    "solve_piecewise_constant grid": (
+        lambda x: solve_piecewise_constant(SCHEDULE, 0.5, 1.0, x),
+        DomainError, "grid"),
+    "integrate_reference grid": (
+        lambda x: integrate_reference(lambda t: 0.1, lambda t: 0.2, 0.5, 1.0, x),
+        DomainError, "grid"),
+}
+
+
+def refusal(site, error, arg):
+    """The message of the ``error`` that ``site(arg)`` raises, which must
+    be of exactly that class."""
+    with pytest.raises(error) as caught:
+        site(arg)
+    assert type(caught.value) is error
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("site", AXIS_SITES)
+@pytest.mark.parametrize("axis, requirement", [
+    ([0.0, 2.0, 1.0], "finite and strictly increasing"),
+    ([0.0, 1.0, 1.0], "finite and strictly increasing"),
+    ([0.0, math.nan, 2.0], "finite and strictly increasing"),
+    ([0.0, 1.0, math.inf], "finite and strictly increasing"),
+    ([1.0], "one-dimensional with at least two points"),
+    ([[0.0, 1.0], [2.0, 3.0]], "one-dimensional with at least two points"),
+])
+def test_sample_axis_refused_alike(site, axis, requirement):
+    call, error, name = AXIS_SITES[site]
+    assert refusal(call, error, np.array(axis)) == f"{name} must be {requirement}"
+
+
+def unit_grid(**axes):
+    unit = GridAxis(0.1, 0.2, 0.1)
+    return MleGrid(**{**dict.fromkeys(("malware_activity", "bonware_activity",
+                                        "malware_effectiveness",
+                                        "bonware_effectiveness"), unit),
+                      **axes})
+
+
+RANGE_SITES = {
+    "SdeParams malware_activity": (
+        lambda v: SdeParams(v, 0.1, 0.5, 0.5), "malware_activity"),
+    "SdeParams bonware_activity": (
+        lambda v: SdeParams(0.1, v, 0.5, 0.5), "bonware_activity"),
+    "SdeParams malware_effectiveness": (
+        lambda v: SdeParams(0.1, 0.1, v, 0.5), "malware_effectiveness"),
+    "SdeParams bonware_effectiveness": (
+        lambda v: SdeParams(0.1, 0.1, 0.5, v), "bonware_effectiveness"),
+    "effective_impact activity": (
+        lambda v: effective_impact(v, 0.5), "activity"),
+    "effective_impact effectiveness": (
+        lambda v: effective_impact(0.5, v), "effectiveness"),
+    "mle_grid malware_activity": (
+        lambda v: unit_grid(malware_activity=GridAxis(v, v, 0.1)).axes(),
+        "malware_activity"),
+    "mle_grid bonware_effectiveness": (
+        lambda v: unit_grid(bonware_effectiveness=GridAxis(v, v, 0.1)).axes(),
+        "bonware_effectiveness"),
+}
+
+
+@pytest.mark.parametrize("site", RANGE_SITES)
+@pytest.mark.parametrize("value", [1.5, -0.5, 0.0])
+def test_parameter_range_refused_alike(site, value):
+    call, name = RANGE_SITES[site]
+    interval = "[0, 1]" if name.endswith("activity") else "(0, 1]"
+    if value == 0.0 and interval == "[0, 1]":
+        call(value)  # an activity of 0 is allowed
+        return
+    assert refusal(call, DomainError, value) == (
+        f"{name} must lie in {interval}, got {value}")
+
+
+@pytest.mark.parametrize("axis, got", [(GridAxis(-0.5, 0.5, 0.5), -0.5),
+                                       (GridAxis(0.5, 1.5, 0.5), 1.5)])
+def test_grid_axis_range_names_offending_end(axis, got):
+    # An axis is checked at its first and last values; the message gives
+    # the one out of range.
+    grid = unit_grid(bonware_activity=axis)
+    assert refusal(MleGrid.axes, DomainError, grid) == (
+        f"bonware_activity must lie in [0, 1], got {got}")
+
+
+LEVEL_SITES = {
+    "solve_constant f_init": (
+        lambda v: solve_constant(IMPACTS, v, 1.0, GRID), DomainError, "f_init"),
+    "solve_linear f_init": (
+        lambda v: solve_linear(FADING, v, 1.0, GRID), DomainError, "f_init"),
+    "integrate_reference f_init": (
+        lambda v: integrate_reference(lambda t: 0.1, lambda t: 0.2, v, 1.0, GRID),
+        DomainError, "f_init"),
+    "simulate f_init": (
+        lambda v: simulate(PARAMS, v, 1.0, 5), DomainError, "f_init"),
+    "ensemble_average f_init": (
+        lambda v: ensemble_average(PARAMS, v, 1.0, 5, n=2), DomainError, "f_init"),
+    "expectation_recursion f_init": (
+        lambda v: expectation_recursion(0.1, 0.2, v, 1.0, 5), DomainError,
+        "f_init"),
+    "step_log_density f_now": (
+        lambda v: step_log_density(v, 0.5, PARAMS, 1.0), DomainError, "f_now"),
+    "step_log_density f_next": (
+        lambda v: step_log_density(0.5, v, PARAMS, 1.0), DomainError, "f_next"),
+    "trace values": (
+        lambda v: FunctionalityTrace(GRID[:3], np.array([0.5, v, 0.5]), 1.0),
+        InvalidTraceError, "values"),
+}
+
+
+@pytest.mark.parametrize("site", LEVEL_SITES)
+@pytest.mark.parametrize("level", [1.5, -0.5, math.nan, math.inf])
+def test_level_bounds_refused_alike(site, level):
+    call, error, name = LEVEL_SITES[site]
+    assert refusal(call, error, level) == (
+        f"{name} must lie in [0, f0], got {level}")
+
+
+@pytest.mark.parametrize("dt, malware_onset, bonware_onset, cutoff", [
+    (0.1, 0.3, 0.7, 1.2),   # 3 * 0.1 > 0.3 and 12 * 0.1 > 1.2 in floats
+    (1.0, 2.0, 0.0, None),
+    (0.3, 0.0, 0.9, 0.9),   # bonware starts where malware stops
+    (0.7, 5.0, 5.0, 2.0),   # malware never acts
+])
+def test_agents_act_exactly_while_live(dt, malware_onset, bonware_onset,
+                                       cutoff):
+    # The rule written out per step, at the clock k * dt of simulate's
+    # specification; with one agent's activity at 1 and the other's at 0,
+    # the level moves on exactly the steps where that agent is live.
+    steps = 30
+    rule = [(k * dt >= malware_onset and (cutoff is None or k * dt < cutoff),
+             k * dt >= bonware_onset) for k in range(steps)]
+    for agent, activities, sign in ((0, (1.0, 0.0), -1.0),
+                                    (1, (0.0, 1.0), 1.0)):
+        params = SdeParams(*activities, 0.5, 0.5, malware_onset,
+                           bonware_onset, cutoff)
+        live = stochastic._live(params, dt * np.arange(steps))[agent]
+        assert live.tolist() == [step[agent] for step in rule]
+        for trace in (simulate(params, 0.5, 1.0, steps, dt, seed=4),
+                      ensemble_average(params, 0.5, 1.0, steps, dt,
+                                       n=3).mean_trace):
+            assert np.sign(np.diff(trace.values)).tolist() == (
+                sign * live).tolist()

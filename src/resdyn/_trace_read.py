@@ -100,19 +100,27 @@ def read_trace(path) -> FunctionalityTrace:
     """See :func:`resdyn.core.read_trace_csv`."""
     reader = _TraceLines(path)
     blocks = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lineno = 0
-        while not reader.saw_header:
-            raw = fh.readline()
-            if not raw:
-                raise InvalidTraceError(
-                    f"{path}: missing {TRACE_CSV_HEADER!r} header")
-            lineno += 1
-            reader.rows((raw,), lineno)
-        while chunk := fh.readlines(_BLOCK_CHARS):
-            rows = _bulk_rows(chunk)
-            blocks.append(reader.rows(chunk, lineno + 1) if rows is None
-                          else rows)
-            lineno += len(chunk)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lineno = 0
+            while not reader.saw_header:
+                raw = fh.readline()
+                if not raw:
+                    raise InvalidTraceError(
+                        f"{path}: missing {TRACE_CSV_HEADER!r} header")
+                lineno += 1
+                reader.rows((raw,), lineno)
+            while chunk := fh.readlines(_BLOCK_CHARS):
+                rows = _bulk_rows(chunk)
+                blocks.append(reader.rows(chunk, lineno + 1) if rows is None
+                              else rows)
+                lineno += len(chunk)
+    except UnicodeDecodeError as exc:
+        raise InvalidTraceError(
+            f"{path}: not UTF-8 text ({exc.reason})") from exc
     rows = np.concatenate(blocks) if blocks else np.empty((0, 2))
-    return FunctionalityTrace(rows[:, 0], rows[:, 1], reader.f0)
+    try:
+        return FunctionalityTrace(rows[:, 0], rows[:, 1], reader.f0)
+    except InvalidTraceError as exc:
+        # The samples as a whole are refused: no one line is at fault.
+        raise InvalidTraceError(f"{path}: {exc}") from exc

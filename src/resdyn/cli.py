@@ -145,11 +145,14 @@ def _from_json(cls, obj: dict, path: str):
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep.
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -235,7 +238,7 @@ def _run_solve(config: dict):
 
 
 def _run_simulate(config: dict, seed_override: int | None):
-    from .stochastic import SdeParams
+    from .stochastic import SdeParams, _check_run
 
     kind, f0, f_init = _scenario_common(config)
     if kind != "sde":
@@ -248,20 +251,13 @@ def _run_simulate(config: dict, seed_override: int | None):
     dt = _number(params_obj, "dt", "params.", required=False, default=1.0)
     seed = _integer(params_obj, "seed", "params.", required=False, default=0)
     n = _integer(params_obj, "n", "params.", required=False, default=1)
+    _at("params", _check_run, steps, dt, n)
     if seed_override is not None:
         seed = seed_override
-    try:
-        if n == 1:
-            return simulate(params, f_init, f0, steps, dt, seed=seed)
-        return ensemble_average(params, f_init, f0, steps, dt, n=n,
-                                master_seed=seed)
-    except ResdynError as exc:
-        # The engine names its arguments n, steps and dt, which sit under
-        # params.
-        message = str(exc)
-        if message.startswith(("n: ", "steps: ", "dt: ")):
-            message = "params." + message
-        raise ConfigError(message) from exc
+    if n == 1:
+        return simulate(params, f_init, f0, steps, dt, seed=seed)
+    return ensemble_average(params, f_init, f0, steps, dt, n=n,
+                            master_seed=seed)
 
 
 def _mle_grid(doc: dict) -> MleGrid:
@@ -269,14 +265,11 @@ def _mle_grid(doc: dict) -> MleGrid:
 
     section = _section(doc, "mle_grid", "")
     names = [field.name for field in dataclasses.fields(MleGrid)]
-    grid = MleGrid(**{
+    return _at("mle_grid", MleGrid, **{
         name: _from_json(GridAxis, _section(section, name, "mle_grid."),
                          f"mle_grid.{name}.")
         for name in names
     })
-    for name in names:
-        _at(f"mle_grid.{name}", grid._check_axis, name)
-    return grid
 
 
 def cmd_solve(args) -> int:

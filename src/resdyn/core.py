@@ -388,14 +388,12 @@ def read_trace_csv(path) -> FunctionalityTrace:
 
     Sample lines are parsed in blocks by numpy; a block that holds
     anything but plain numbers is read line by line, so every refused
-    line is reported as ``path:lineno``.
+    line is reported as ``path:lineno``.  A refusal of the samples as a
+    whole (out of order, outside [0, f0], fewer than two) and of the
+    file's encoding is reported as ``path``.
     """
     # The parser is its own module, so a command that reads no trace does
     # not compile it.
     from ._trace_read import read_trace
 
-    try:
-        return read_trace(path)
-    except UnicodeDecodeError as exc:
-        raise InvalidTraceError(
-            f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return read_trace(path)

@@ -350,8 +350,12 @@ def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
     Field names are part of the output contract; undefined effectiveness
     values (phases with no counted events) serialize as null.  The MLE,
     when given, goes last under ``mle``: its parameters, log likelihood
-    and cell count.
+    and cell count.  An MLE whose log likelihood is not finite, where no
+    grid cell can produce the trace, raises :class:`FitFailureError`.
     """
+    if mle is not None and not math.isfinite(mle.log_likelihood):
+        raise FitFailureError(
+            f"none of the {mle.n_cells} grid cells can produce the trace")
 
     def phase(p: PhaseEstimate) -> dict:
         return {
@@ -396,5 +400,5 @@ def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
 
 def write_fit_result_json(result: FitResult, path,
                           mle: MleResult | None = None) -> None:
-    _write_text(path, (json.dumps(fit_result_to_dict(result, mle), indent=2),
-                       "\n"))
+    _write_text(path, (json.dumps(fit_result_to_dict(result, mle), indent=2,
+                                  allow_nan=False), "\n"))

@@ -161,34 +161,29 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class MleGrid:
-    """Search ranges for the four stochastic parameters."""
+    """Search ranges for the four stochastic parameters: each axis stays
+    in its parameter's range, and the grid holds at most
+    ``MAX_GRID_POINTS`` cells."""
 
     malware_activity: GridAxis
     bonware_activity: GridAxis
     malware_effectiveness: GridAxis
     bonware_effectiveness: GridAxis
 
-    def _check_axis(self, name: str) -> None:
-        """Refuse axis ``name`` when its first or last value leaves its
-        parameter's range."""
-        axis = getattr(self, name)
-        _check_range(name, axis.start, axis._last())
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # Each range, and then the cell count, is checked from the axes'
-        # first and last values before any axis is built.
-        names = ("malware_activity", "bonware_activity",
-                 "malware_effectiveness", "bonware_effectiveness")
-        for name in names:
-            self._check_axis(name)
-        axes = tuple(getattr(self, name) for name in names)
-        sizes = [axis._last_index() + 1 for axis in axes]
+    def __post_init__(self):
+        # Each range, then the cell count, from the axes' first and last
+        # values: no axis is built before the grid is known to be valid.
+        for name, axis in vars(self).items():
+            _check_range(name, axis.start, axis._last())
+        sizes = [axis._last_index() + 1 for axis in vars(self).values()]
         if math.prod(sizes) > MAX_GRID_POINTS:
             raise DomainError(
-                f"mle_grid: grid of more than {MAX_GRID_POINTS} cells: "
+                f"grid of more than {MAX_GRID_POINTS} cells: "
                 + " x ".join(map(str, sizes))
             )
-        return tuple(axis.values() for axis in axes)
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(axis.values() for axis in vars(self).values())
 
 
 @dataclass(frozen=True)

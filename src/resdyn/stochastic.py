@@ -131,18 +131,24 @@ class EnsembleResult:
                            _readonly(self.per_step_stderr))
 
 
-def _check_step_args(steps: int, dt: float) -> None:
-    """Refuse a run whose trace could not be allocated or timed."""
+def _check_run(steps: int, dt: float, n: int = 1) -> None:
+    """Refuse a run of ``n`` realizations whose traces could not be
+    allocated or timed; the stack holds ``n * (steps + 1)`` values."""
     if steps < 1:
-        raise DomainError(f"steps: must be >= 1, got {steps}")
+        raise DomainError(f"steps must be >= 1, got {steps}")
     if steps + 1 > MAX_GRID_POINTS:
-        raise DomainError(f"steps: trace of more than {MAX_GRID_POINTS} points: "
-                          f"steps + 1 = {steps + 1}")
+        raise DomainError(
+            f"steps must be <= {MAX_GRID_POINTS - 1}, got {steps}")
     if not math.isfinite(dt) or dt <= 0.0:
-        raise DomainError(f"dt: must be positive and finite, got {dt}")
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(dt * steps):
-        raise DomainError(f"dt: horizon dt * steps = {dt!r} * {steps} "
-                          "is not finite")
+        raise DomainError(f"dt must keep the horizon dt * steps finite, "
+                          f"got {dt!r} * {steps}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if n * (steps + 1) > MAX_GRID_POINTS:
+        raise DomainError(f"n must keep n * (steps + 1) <= {MAX_GRID_POINTS}, "
+                          f"got {n} * {steps + 1}")
 
 
 def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
@@ -160,8 +166,8 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     Identical (params, seed) give bit-identical traces.  ``steps + 1`` may
     not exceed ``MAX_GRID_POINTS``, and ``dt * steps`` must be finite.
     """
+    _check_run(steps, dt)
     _check_level("f_init", f0, f_init)
-    _check_step_args(steps, dt)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     draws = rng.random((steps, 4))
 
@@ -254,13 +260,8 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     order, so the result does not depend on the block size.  With n = 1
     the standard error is reported as zero.
     """
-    if n < 1:
-        raise DomainError(f"n: ensemble size must be >= 1, got {n}")
+    _check_run(steps, dt, n)
     _check_level("f_init", f0, f_init)
-    _check_step_args(steps, dt)
-    if n * (steps + 1) > MAX_GRID_POINTS:
-        raise DomainError(f"n: ensemble of more than {MAX_GRID_POINTS} points: "
-                          f"n * (steps + 1) = {n * (steps + 1)}")
     f_init, f0 = float(f_init), float(f0)
     rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
     stack = np.empty((n, steps + 1))

@@ -124,8 +124,9 @@ def reference_read_trace_csv(path):
     """``read_trace_csv`` as one Python loop over the lines of the file.
 
     This is the reader's grammar stated line by line, as it was before
-    samples were parsed in blocks: same accepted files, same values and
-    same ``path:lineno`` messages.
+    samples were parsed in blocks: same accepted files, same values, same
+    ``path:lineno`` messages for a line and ``path`` ones for the samples
+    as a whole.
     """
 
     def check_ascii_number(raw):
@@ -173,4 +174,7 @@ def reference_read_trace_csv(path):
                 ) from exc
     if not saw_header:
         raise InvalidTraceError(f"{path}: missing {TRACE_CSV_HEADER!r} header")
-    return FunctionalityTrace(np.array(times), np.array(values), f0)
+    try:
+        return FunctionalityTrace(np.array(times), np.array(values), f0)
+    except InvalidTraceError as exc:
+        raise InvalidTraceError(f"{path}: {exc}") from exc

@@ -184,26 +184,25 @@ class TestSimulate:
         cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=-3))
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert ("error: params.steps: must be >= 1, got -3"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            "error: params: steps must be >= 1, got -3\n")
         assert not out.exists()
 
     def test_ensemble_size_capped(self, tmp_path, capsys):
         # 10**6 realizations of 10**4 steps would need an 80 GB stack, and
         # one realization of 10**22 steps could not be allocated at all.
-        # Every refusal names its field under params.
+        # Every refusal names its field in the params section.
         for n, steps, extra, error in [
-            (10**6, 10**4, None, f"error: params.n: ensemble of more than "
-                                 f"{MAX_GRID_POINTS} points: n * (steps + 1) "
-                                 "= 10001000000"),
-            (1, 10**22, None, f"error: params.steps: trace of more than "
-                              f"{MAX_GRID_POINTS} points: steps + 1 = "
-                              "10000000000000000000001"),
-            (0, 10, None, "error: params.n: ensemble size must be >= 1, got 0"),
-            (1, 0, None, "error: params.steps: must be >= 1, got 0"),
-            (1, 10, {"dt": -1}, "error: params.dt: must be positive and "
+            (10**6, 10**4, None, f"error: params: n must keep n * (steps + 1) "
+                                 f"<= {MAX_GRID_POINTS}, got 1000000 * 10001"),
+            (1, 10**22, None, f"error: params: steps must be <= "
+                              f"{MAX_GRID_POINTS - 1}, got "
+                              "10000000000000000000000"),
+            (0, 10, None, "error: params: n must be >= 1, got 0"),
+            (1, 0, None, "error: params: steps must be >= 1, got 0"),
+            (1, 10, {"dt": -1}, "error: params: dt must be positive and "
                                 "finite, got -1.0"),
-            (4, 10, {"dt": 0}, "error: params.dt: must be positive and "
+            (4, 10, {"dt": 0}, "error: params: dt must be positive and "
                                "finite, got 0.0"),
         ]:
             cfg = write_config(tmp_path, "s.json",
@@ -215,18 +214,9 @@ class TestSimulate:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert error in capsys.readouterr().err
+            assert capsys.readouterr().err == error + "\n"
             assert peak < 1 << 20
             assert not out.exists()
-
-    def test_overflowing_horizon_names_dt(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "s.json",
-                           sde_config(steps=10, extra={"dt": 1e308}))
-        out = tmp_path / "out.csv"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert ("error: params.dt: horizon dt * steps = 1e+308 * 10 is not "
-                "finite") in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestFit:
@@ -282,6 +272,20 @@ class TestFit:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_infeasible_mle_grid_refused(self, tmp_path, capsys):
+        # No cell with a malware effectiveness of 0.01 or 0.02 can make
+        # the trace's largest drops, so every cell scores -inf.
+        doc = copy.deepcopy(FIT_MLE_CONFIG)
+        doc["mle_grid"]["malware_effectiveness"] = {
+            "start": 0.01, "stop": 0.02, "step": 0.01}
+        cfg = write_config(tmp_path, "fit.json", doc)
+        out = tmp_path / "fit_out.json"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", cfg,
+                     "--out", str(out), "--mle"]) == 2
+        assert capsys.readouterr().err == (
+            "error: none of the 16 grid cells can produce the trace\n")
+        assert not out.exists()
+
     def test_mle_without_grid_fails(self, tmp_path, capsys):
         out = tmp_path / "fit.json"
         assert main(["fit", str(NOTIONAL_CSV), "--out", str(out),
@@ -330,12 +334,51 @@ class TestMetrics:
         assert main(["metrics", str(tmp_path / "nope.csv")]) != 0
         assert capsys.readouterr().err
 
-    def test_non_utf8_trace_names_file(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(b"x\x8b")
-        assert main(["metrics", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}: not UTF-8 text (invalid start byte)\n")
+
+TRACE_HEAD = b"# f0=1\ntime,functionality\n"
+
+
+def file_argv(command, path, out):
+    """Argument list running ``command`` on input file ``path``: the
+    trace of metrics, or the config of solve or fit --mle."""
+    if command == "metrics":
+        return ["metrics", str(path)]
+    if command == "fit":
+        return ["fit", str(NOTIONAL_CSV), "--config", str(path), "--mle",
+                "--out", str(out)]
+    return [command, "--config", str(path), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command, contents, reason", [
+    ("metrics", b"x\x8b", "not UTF-8 text (invalid start byte)"),
+    ("solve", b'{"kind": "\x8b"}', "not UTF-8 text (invalid start byte)"),
+    ("fit", b'{"mle_grid": "\x8b"}', "not UTF-8 text (invalid start byte)"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n1,1.5\n",
+     "values must lie in [0, f0], got 1.5"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n",
+     "times must be one-dimensional with at least two points"),
+    ("metrics", TRACE_HEAD + b"1,0.5\n0,0.5\n",
+     "times must be finite and strictly increasing"),
+    ("metrics", b"# f0=0\ntime,functionality\n0,0\n1,0\n",
+     "f0 must be positive and finite, got 0.0"),
+    ("solve", b"[]", "top level must be a JSON object"),
+    ("solve", b'{"kind": ', "not valid JSON (Expecting value: line 1 "
+                            "column 10 (char 9))"),
+    ("fit", b"[" * 100000, "not valid JSON (maximum recursion depth "
+                           "exceeded while decoding a JSON array from a "
+                           "unicode string)"),
+], ids=["trace-not-utf8", "solve-config-not-utf8", "fit-config-not-utf8",
+        "value-above-f0", "one-sample", "times-out-of-order", "zero-f0",
+        "config-array", "config-invalid-json", "config-nested-too-deep"])
+def test_bad_input_file_names_it_once(tmp_path, capsys, command, contents,
+                                      reason):
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_bytes(contents)
+    assert main(file_argv(command, path, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {reason}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestConfigValidation:
@@ -388,8 +431,8 @@ class TestConfigValidation:
         assert main(["fit", str(NOTIONAL_CSV), "--config", path,
                      "--out", str(out), "--mle"]) == 2
         assert capsys.readouterr().err == (
-            "error: mle_grid.bonware_activity: bonware_activity must lie in "
-            "[0, 1], got 3.0000000000000004\n")
+            "error: mle_grid: bonware_activity must lie in [0, 1], "
+            "got 3.0000000000000004\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("breakpoints, message", [
@@ -546,9 +589,12 @@ FIT_MLE_CONFIG = {
     "recovery_fit_end": 125.0,
     "min_window_policy": "midpoint",
     "mle_grid": {
-        name: {"start": 0.1, "stop": 0.2, "step": 0.1}
-        for name in ("malware_activity", "bonware_activity",
-                     "malware_effectiveness", "bonware_effectiveness")
+        **{name: {"start": 0.1, "stop": 0.2, "step": 0.1}
+           for name in ("malware_activity", "bonware_activity")},
+        # Effectivenesses of 0.3 reach only some of the trace's steps;
+        # 0.4 reaches all of them.
+        **{name: {"start": 0.3, "stop": 0.4, "step": 0.1}
+           for name in ("malware_effectiveness", "bonware_effectiveness")},
     },
 }
 
@@ -592,6 +638,52 @@ def test_config_boundary_never_raises(tmp_path, target, value):
     command, doc, path = target
     argv = command_argv(tmp_path, command, replaced(doc, path, value))
     assert main(argv) in (0, 2)
+
+
+VALID_FILES = {
+    "solve": json.dumps(constant_config(0.1, 0.02)).encode(),
+    "fit": json.dumps(FIT_MLE_CONFIG).encode(),
+    "metrics": TRACE_HEAD + b"0,1\n1,0.5\n2,0.75\n",
+}
+
+
+@st.composite
+def input_files(draw):
+    """A command and the bytes of its input file: arbitrary bytes, or a
+    valid file with a few bytes replaced."""
+    command = draw(st.sampled_from(sorted(VALID_FILES)))
+    valid = VALID_FILES[command]
+    if draw(st.booleans()):
+        return command, draw(st.binary(max_size=64))
+    at = draw(st.integers(0, len(valid)))
+    cut = draw(st.integers(0, 4))
+    return command, valid[:at] + draw(st.binary(max_size=4)) + valid[at + cut:]
+
+
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=input_files())
+def test_input_file_bytes_never_raise(tmp_path, capsys, case):
+    # The byte-level sibling of test_config_boundary_never_raises: a
+    # config of solve or fit, or a trace of metrics, holding any bytes
+    # either runs or is refused with one error line.
+    command, contents = case
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_bytes(contents)
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(file_argv(command, path, out))
+    captured = capsys.readouterr()
+    if contents == VALID_FILES[command]:
+        assert code == 0
+    if code == 0:
+        assert captured.err == ""
+        assert out.exists() or json.loads(captured.out)
+    else:
+        assert code in (1, 2)
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config", [

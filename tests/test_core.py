@@ -339,7 +339,9 @@ class TestTraceCsv:
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("# f0=1\ntime,functionality\n")
-        with pytest.raises(InvalidTraceError, match="at least two points"):
+        with pytest.raises(InvalidTraceError, match=(
+                "trace.csv: times must be one-dimensional with at least two "
+                "points$")):
             read_trace_csv(path)
         assert read_outcome(read_trace_csv, path) == read_outcome(
             reference_read_trace_csv, path)

@@ -420,15 +420,13 @@ class TestGridMle:
             GridAxis(0.1, 0.05, 0.01)
         with pytest.raises(DomainError):
             GridAxis(0.1, 0.2, 0.0)
-        grid = MleGrid(
-            malware_activity=GridAxis(0.0, 0.1, 0.05),
-            bonware_activity=GridAxis(0.0, 0.1, 0.05),
-            malware_effectiveness=GridAxis(0.0, 0.4, 0.1),  # gamma = 0 invalid
-            bonware_effectiveness=GridAxis(0.2, 0.4, 0.1),
-        )
-        trace = FunctionalityTrace(np.arange(3.0), np.full(3, 0.5), 1.0)
         with pytest.raises(DomainError):
-            grid_mle(trace, grid)
+            MleGrid(
+                malware_activity=GridAxis(0.0, 0.1, 0.05),
+                bonware_activity=GridAxis(0.0, 0.1, 0.05),
+                malware_effectiveness=GridAxis(0.0, 0.4, 0.1),  # gamma = 0
+                bonware_effectiveness=GridAxis(0.2, 0.4, 0.1),
+            )
 
     @pytest.mark.parametrize("field", ["start", "stop", "step"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -448,29 +446,27 @@ class TestGridMle:
     def test_axis_range_checked_before_building(self, monkeypatch):
         wide = GridAxis(0.0, float(MAX_GRID_POINTS - 1), 1.0)
         unit = GridAxis(0.1, 0.2, 0.1)
-        grid = MleGrid(malware_activity=unit, bonware_activity=wide,
-                       malware_effectiveness=unit, bonware_effectiveness=unit)
 
         def refuse(axis):
             raise AssertionError("axis built before its range was checked")
 
         monkeypatch.setattr(GridAxis, "values", refuse)
         with pytest.raises(DomainError, match="bonware_activity must lie in"):
-            grid.axes()
+            MleGrid(malware_activity=unit, bonware_activity=wide,
+                    malware_effectiveness=unit, bonware_effectiveness=unit)
 
     def test_cell_count_checked_before_building(self, monkeypatch):
         activity = GridAxis(0.0, 0.99, 0.01)
         effectiveness = GridAxis(0.005, 0.995, 0.01)
-        grid = MleGrid(activity, activity, effectiveness, effectiveness)
 
         def refuse(axis):
             raise AssertionError("axis built before the cell count was checked")
 
         monkeypatch.setattr(GridAxis, "values", refuse)
         with pytest.raises(DomainError, match=(
-                f"mle_grid: grid of more than {MAX_GRID_POINTS} cells: "
-                "100 x 100 x 100 x 100")):
-            grid.axes()
+                f"^grid of more than {MAX_GRID_POINTS} cells: "
+                "100 x 100 x 100 x 100$")):
+            MleGrid(activity, activity, effectiveness, effectiveness)
 
 
 # Activity axes may hold 0 and 1 exactly; binary steps land on them.

@@ -2,6 +2,7 @@
 bad input is refused alike, with one error class and one message, at
 every site that applies it."""
 
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from resdyn import (
     step_log_density,
     stochastic,
 )
+from resdyn.cli import main
 
 IMPACTS = ConstantImpacts(0.1, 0.2)
 SCHEDULE = PiecewiseConstantSchedule(np.array([0.0, 4.0]), (IMPACTS,))
@@ -99,10 +101,10 @@ RANGE_SITES = {
     "effective_impact effectiveness": (
         lambda v: effective_impact(0.5, v), "effectiveness"),
     "mle_grid malware_activity": (
-        lambda v: unit_grid(malware_activity=GridAxis(v, v, 0.1)).axes(),
+        lambda v: unit_grid(malware_activity=GridAxis(v, v, 0.1)),
         "malware_activity"),
     "mle_grid bonware_effectiveness": (
-        lambda v: unit_grid(bonware_effectiveness=GridAxis(v, v, 0.1)).axes(),
+        lambda v: unit_grid(bonware_effectiveness=GridAxis(v, v, 0.1)),
         "bonware_effectiveness"),
 }
 
@@ -124,8 +126,8 @@ def test_parameter_range_refused_alike(site, value):
 def test_grid_axis_range_names_offending_end(axis, got):
     # An axis is checked at its first and last values; the message gives
     # the one out of range.
-    grid = unit_grid(bonware_activity=axis)
-    assert refusal(MleGrid.axes, DomainError, grid) == (
+    assert refusal(lambda a: unit_grid(bonware_activity=a), DomainError,
+                   axis) == (
         f"bonware_activity must lie in [0, 1], got {got}")
 
 
@@ -187,3 +189,42 @@ def test_agents_act_exactly_while_live(dt, malware_onset, bonware_onset,
                                        n=3).mean_trace):
             assert np.sign(np.diff(trace.values)).tolist() == (
                 sign * live).tolist()
+
+
+# (steps, dt, n) of a run, and the one text every site refuses it with.
+RUN_REFUSALS = {
+    "steps-zero": (0, 1.0, 1, "steps must be >= 1, got 0"),
+    "steps-negative": (-3, 1.0, 4, "steps must be >= 1, got -3"),
+    "steps-too-many": (10**22, 1.0, 1, "steps must be <= 9999999, "
+                                       "got 10000000000000000000000"),
+    "dt-negative": (10, -1.0, 1, "dt must be positive and finite, got -1.0"),
+    "dt-zero": (10, 0.0, 4, "dt must be positive and finite, got 0.0"),
+    # Ten steps of 1e308 s end past the largest float.
+    "dt-horizon": (10, 1e308, 1, "dt must keep the horizon dt * steps "
+                                 "finite, got 1e+308 * 10"),
+    "n-zero": (10, 1.0, 0, "n must be >= 1, got 0"),
+    "n-too-many": (10**4, 1.0, 10**6, "n must keep n * (steps + 1) <= "
+                                      "10000000, got 1000000 * 10001"),
+}
+
+
+@pytest.mark.parametrize("steps, dt, n, text", RUN_REFUSALS.values(),
+                         ids=RUN_REFUSALS)
+def test_run_arguments_refused_alike(tmp_path, capsys, steps, dt, n, text):
+    # An f_init out of range shows that the run's arguments are checked
+    # first.
+    if n == 1:
+        assert refusal(lambda _: simulate(PARAMS, 2.0, 1.0, steps, dt),
+                       DomainError, None) == text
+    assert refusal(lambda _: ensemble_average(PARAMS, 2.0, 1.0, steps, dt,
+                                              n=n), DomainError, None) == text
+    config = tmp_path / "sde.json"
+    config.write_text(json.dumps({
+        "kind": "sde", "f_init": 2.0,
+        "params": {"malware_activity": 0.3, "bonware_activity": 0.4,
+                   "malware_effectiveness": 0.5, "bonware_effectiveness": 0.5,
+                   "steps": steps, "dt": dt, "n": n}}))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: params: {text}\n"
+    assert not out.exists()

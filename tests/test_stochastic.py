@@ -145,13 +145,6 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(BASE, 1.0, 1.0, steps=10, dt=0.0, seed=1)
 
-    def test_overflowing_horizon_names_dt(self):
-        # Ten steps of 1e308 s end past the largest float.
-        match = r"^dt: horizon dt \* steps = 1e\+308 \* 10 is not finite$"
-        with pytest.raises(DomainError, match=match):
-            simulate(BASE, 1.0, 1.0, steps=10, dt=1e308)
-        with pytest.raises(DomainError, match=match):
-            ensemble_average(BASE, 1.0, 1.0, steps=10, dt=1e308, n=4)
 
 
 class TestEnsembleAverage:
@@ -170,10 +163,10 @@ class TestEnsembleAverage:
     def test_size_capped_before_allocation(self):
         # 10**6 realizations of 10**4 steps would need an 80 GB stack, and
         # one realization of 10**22 steps could not be allocated at all.
-        too_many = (rf"^n: ensemble of more than {MAX_GRID_POINTS} points: "
-                    r"n \* \(steps \+ 1\) = 10001000000$")
-        too_long = (rf"^steps: trace of more than {MAX_GRID_POINTS} points: "
-                    r"steps \+ 1 = 10000000000000000000001$")
+        too_many = (rf"^n must keep n \* \(steps \+ 1\) <= {MAX_GRID_POINTS}, "
+                    r"got 1000000 \* 10001$")
+        too_long = (rf"^steps must be <= {MAX_GRID_POINTS - 1}, "
+                    r"got 10000000000000000000000$")
         for run, match in [
             (lambda: ensemble_average(BASE, 1.0, 1.0, steps=10**4, n=10**6),
              too_many),
@@ -196,7 +189,8 @@ class TestEnsembleAverage:
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_bad_steps_rejected(self, steps):
-        with pytest.raises(DomainError, match="steps: must be >= 1"):
+        with pytest.raises(DomainError,
+                           match=f"^steps must be >= 1, got {steps}$"):
             ensemble_average(BASE, 1.0, 1.0, steps=steps, n=4, master_seed=1)
 
     def test_mean_approaches_expectation(self):

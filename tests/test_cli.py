@@ -218,6 +218,16 @@ class TestSimulate:
             assert peak < 1 << 20
             assert not out.exists()
 
+    def test_overflowing_horizon_names_dt(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json",
+                           sde_config(steps=10, extra={"dt": 1e308}))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: params: dt must keep the horizon dt * steps finite, "
+            "got 1e+308 * 10\n")
+        assert not out.exists()
+
 
 class TestFit:
     def test_notional_fixture(self, tmp_path):

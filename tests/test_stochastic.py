@@ -145,6 +145,14 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(BASE, 1.0, 1.0, steps=10, dt=0.0, seed=1)
 
+    def test_overflowing_horizon_names_dt(self):
+        # Ten steps of 1e308 s end past the largest float.
+        match = (r"^dt must keep the horizon dt \* steps finite, "
+                 r"got 1e\+308 \* 10$")
+        with pytest.raises(DomainError, match=match):
+            simulate(BASE, 1.0, 1.0, steps=10, dt=1e308)
+        with pytest.raises(DomainError, match=match):
+            ensemble_average(BASE, 1.0, 1.0, steps=10, dt=1e308, n=4)
 
 
 class TestEnsembleAverage:

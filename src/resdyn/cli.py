@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import import_module
 
@@ -35,7 +36,7 @@ from .core import (
     read_trace_csv,
     write_trace_csv,
 )
-from .errors import ResdynError
+from .errors import DomainError, InvalidTraceError, ResdynError
 
 
 def _deferred(module: str, name: str):
@@ -163,8 +164,10 @@ def _build_grid(config: dict) -> np.ndarray:
     start = _number(grid, "start", "grid.")
     end = _number(grid, "end", "grid.")
     step = _number(grid, "step", "grid.")
-    if not step > 0.0:
-        raise ConfigError(f"grid.step: must be > 0, got {step}")
+    if not math.isfinite(start):
+        raise ConfigError(f"grid.start: must be finite, got {start}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"grid.step: must be > 0 and finite, got {step}")
     if not end > start:
         raise ConfigError(f"grid.end: must exceed grid.start, got {end}")
     span = (end - start) / step
@@ -300,10 +303,14 @@ def cmd_fit(args) -> int:
 
 def cmd_metrics(args) -> int:
     trace = read_trace_csv(args.trace)
-    print(json.dumps({
-        "accomplishment": accomplishment(trace),
-        "auc_resilience": auc_resilience(trace),
-    }))
+    try:
+        metrics = {
+            "accomplishment": accomplishment(trace),
+            "auc_resilience": auc_resilience(trace),
+        }
+    except DomainError as exc:
+        raise InvalidTraceError(f"{args.trace}: {exc}") from exc
+    print(json.dumps(metrics, allow_nan=False))
     return 0
 
 

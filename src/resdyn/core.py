@@ -77,12 +77,16 @@ def _check_level(name: str, f0: float, *levels: float,
 def _sample_axis(x, name: str, error: type = DomainError) -> np.ndarray:
     """``x`` as a read-only float array, refused unless it is a sample
     axis: one-dimensional, at least two points, finite and strictly
-    increasing."""
+    increasing, with a span ``x[-1] - x[0]`` that is a finite float."""
     axis = _readonly(x)
     if axis.ndim != 1 or axis.size < 2:
         raise error(f"{name} must be one-dimensional with at least two points")
-    if not (np.isfinite(axis).all() and (np.diff(axis) > 0.0).all()):
-        raise error(f"{name} must be finite and strictly increasing")
+    # Finite points may lie further apart than the largest float.
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(axis).all() and (np.diff(axis) > 0.0).all()):
+            raise error(f"{name} must be finite and strictly increasing")
+        if not np.isfinite(axis[-1] - axis[0]):
+            raise error(f"{name} must be of finite span (last - first)")
     return axis
 
 
@@ -256,17 +260,28 @@ def accomplishment(trace: FunctionalityTrace) -> float:
     """Cumulative accomplishment: the integral of functionality over time.
 
     Uses trapezoidal quadrature on the trace's own grid, so the metric is
-    first-order correct on irregular grids.
+    first-order correct on irregular grids.  An integral that overflows
+    a float raises DomainError.
     """
-    return float(np.trapezoid(trace.values, trace.times))
+    with np.errstate(over="ignore"):
+        total = float(np.trapezoid(trace.values, trace.times))
+    if not math.isfinite(total):
+        raise DomainError(f"accomplishment must be finite, got {total}")
+    return total
 
 
 def auc_resilience(trace: FunctionalityTrace) -> float:
     """Average functionality over the mission divided by the normal level.
 
-    Dimensionless, in [0, 1]; 1.0 means no functionality was lost.
+    Dimensionless, in [0, 1]; 1.0 means no functionality was lost.  A
+    product ``f0 * duration`` that underflows to 0 or overflows raises
+    DomainError.
     """
-    return accomplishment(trace) / (trace.f0 * trace.duration)
+    scale = trace.f0 * trace.duration
+    if not (0.0 < scale < math.inf):
+        raise DomainError(
+            f"f0 * duration must be positive and finite, got {scale}")
+    return accomplishment(trace) / scale
 
 
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:

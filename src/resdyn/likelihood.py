@@ -221,14 +221,6 @@ _LOG_BLOCK = 1 << 16
 _EXACT_BLOCK = 4096
 
 
-def _count_log(n: int, x: np.ndarray) -> np.ndarray:
-    """n * log(x); a count of zero contributes 0, never 0 * log(0)."""
-    if n == 0:
-        return np.zeros_like(x)
-    with np.errstate(divide="ignore"):
-        return n * np.log(x)
-
-
 def _trapezoid(delta, a, b) -> np.ndarray:
     """Both-fired (trapezoid) density of steps with a > 0 and b > 0.
 
@@ -249,21 +241,29 @@ def _trapezoid(delta, a, b) -> np.ndarray:
     return num / den
 
 
-def _mixture_log_sums(p: np.ndarray, inv: np.ndarray, trap: np.ndarray):
-    """For each p, the sum over j of log((1 - p) * inv[j] + p * trap[j]).
+def _side(act, n_moves, n_still, inv, trap, edge):
+    """One agent's half of the separable surface, and its terms' magnitudes.
 
-    Returns the sums and the sums of the terms' magnitudes.
+    For each activity t in ``act``: n_moves log t + n_still log(1 - t)
+    + sum over j of log((1 - t) inv[j] + t trap[j]) - sum of log edge.
+    A count of zero contributes 0, never 0 * log(0).
     """
-    total = np.empty(p.size)
-    magnitude = np.empty(p.size)
-    rows = max(1, _LOG_BLOCK // max(1, inv.size))
-    for lo in range(0, p.size, rows):
-        q = p[lo:lo + rows, None]
-        with np.errstate(divide="ignore"):
-            logs = np.log((1.0 - q) * inv + q * trap)
-        total[lo:lo + rows] = logs.sum(axis=1)
-        magnitude[lo:lo + rows] = np.abs(logs, out=logs).sum(axis=1)
-    return total, magnitude
+    total = np.zeros(act.size)
+    magnitude = np.zeros(act.size)
+    with np.errstate(divide="ignore"):
+        for n, x in ((n_moves, act), (n_still, 1.0 - act)):
+            if n:
+                term = n * np.log(x)
+                total += term
+                magnitude += np.abs(term)
+        rows = max(1, _LOG_BLOCK // max(1, inv.size))
+        for lo in range(0, act.size, rows):
+            t = act[lo:lo + rows, None]
+            logs = np.log((1.0 - t) * inv + t * trap)
+            total[lo:lo + rows] += logs.sum(axis=1)
+            magnitude[lo:lo + rows] += np.abs(logs, out=logs).sum(axis=1)
+    logs = np.log(edge)
+    return total - logs.sum(), magnitude + np.abs(logs).sum()
 
 
 def _separable_surface(f_now, f_next, f0, axes):
@@ -309,12 +309,8 @@ def _separable_surface(f_now, f_next, f0, axes):
     d_top, f_top = delta[dec & top], f_now[dec & top]
     d_bot, g_bot = delta[inc & bottom], gap[inc & bottom]
 
-    log_m = (_count_log(int(dec.sum()), act_m),
-             _count_log(int((atom & ~bottom).sum()), 1.0 - act_m))
-    log_b = (_count_log(int(inc.sum()), act_b),
-             _count_log(int((atom & ~top).sum()), 1.0 - act_b))
-    a_fixed, a_fixed_mag = sum(log_m), sum(np.abs(x) for x in log_m)
-    b_fixed, b_fixed_mag = sum(log_b), sum(np.abs(x) for x in log_b)
+    n_dec, n_inc = int(dec.sum()), int(inc.sum())
+    still_m, still_b = int((atom & ~bottom).sum()), int((atom & ~top).sum())
 
     surface = np.empty(tuple(axis.size for axis in axes))
     largest = 0.0
@@ -326,23 +322,15 @@ def _separable_surface(f_now, f_next, f0, axes):
                     and (d_inc < b_inc).all() and (d_bot < b_bot).all()):
                 surface[:, :, j, k] = -np.inf
                 continue
-            lm, lm_mag = _mixture_log_sums(act_m, 1.0 / b_inc,
-                                           _trapezoid(d_inc, a_inc, b_inc))
-            lb, lb_mag = _mixture_log_sums(act_b, 1.0 / a_dec,
-                                           _trapezoid(d_dec, a_dec, b_dec))
-            log_a_top, log_b_bot = np.log(a_top), np.log(b_bot)
-            a_part = a_fixed + lm - log_a_top.sum()
-            b_part = b_fixed + lb - log_b_bot.sum()
+            a_part, a_mag = _side(act_m, n_dec, still_m, 1.0 / b_inc,
+                                  _trapezoid(d_inc, a_inc, b_inc), a_top)
+            b_part, b_mag = _side(act_b, n_inc, still_b, 1.0 / a_dec,
+                                  _trapezoid(d_dec, a_dec, b_dec), b_bot)
             surface[:, :, j, k] = a_part[:, None] + b_part[None, :]
             finite_a, finite_b = a_part > -np.inf, b_part > -np.inf
             if finite_a.any() and finite_b.any():
-                largest = max(
-                    largest,
-                    (a_fixed_mag + lm_mag)[finite_a].max()
-                    + np.abs(log_a_top).sum()
-                    + (b_fixed_mag + lb_mag)[finite_b].max()
-                    + np.abs(log_b_bot).sum(),
-                )
+                largest = max(largest, a_mag[finite_a].max()
+                              + b_mag[finite_b].max())
 
     # Rounding bound, with eps = 2**-52, unit roundoff u = eps/2, N
     # transitions and W the sum of the magnitudes of the surface's log
@@ -395,19 +383,24 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
 
     terms = np.empty(f_now.size)
 
-    def exact(index) -> float:
+    def cell(i) -> tuple[float, float, float, float]:
+        """(t_m, t_b, g_m, g_b) of the cell with flat index ``i``."""
+        return tuple(float(axis[j]) for axis, j in
+                     zip(axes, np.unravel_index(i, shape)))
+
+    def exact(i) -> float:
         # Elementwise, block by block, then one sum over all the terms:
         # the same bits as _transition_log_density(f_now, f_next, ...).sum().
-        tm, tb, gm, gb = (axis[i] for axis, i in zip(axes, index))
+        values = cell(i)
         for lo in range(0, terms.size, _EXACT_BLOCK):
             hi = lo + _EXACT_BLOCK
             terms[lo:hi] = _transition_log_density(
-                f_now[lo:hi], f_next[lo:hi], tm, tb, gm, gb, trace.f0)
+                f_now[lo:hi], f_next[lo:hi], *values, trace.f0)
         return float(terms.sum())
 
     ranked = _separable_surface(f_now, f_next, trace.f0, axes)
     if ranked is None:
-        surface = np.fromiter(map(exact, np.ndindex(shape)), float, n_cells)
+        surface = np.fromiter(map(exact, range(n_cells)), float, n_cells)
         # A cell with both +inf and -inf terms (overflowing densities)
         # sums to NaN; it ranks with the infeasible cells.
         surface[np.isnan(surface)] = -np.inf
@@ -422,26 +415,14 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
                                      infeasible))[:k]
     else:
         candidates = np.flatnonzero(flat >= kth - 2.0 * margin)
-    scored = sorted(
-        ((exact(np.unravel_index(i, shape)), i) for i in candidates.tolist()),
-        key=lambda item: (-item[0], item[1]),
-    )[:k]
-
-    def cell_params(index) -> SdeParams:
-        tm, tb, gm, gb = (float(axis[i]) for axis, i in
-                          zip(axes, np.unravel_index(index, shape)))
-        return SdeParams(
-            malware_activity=tm,
-            bonware_activity=tb,
-            malware_effectiveness=gm,
-            bonware_effectiveness=gb,
-        )
+    scored = sorted(((exact(i), i) for i in candidates.tolist()),
+                    key=lambda item: (-item[0], item[1]))[:k]
 
     best_ll, best = scored[0]
     return MleResult(
-        params=cell_params(best),
+        params=SdeParams(*cell(best)),
         log_likelihood=best_ll,
-        top_cells=tuple((ll, cell_params(i)) for ll, i in scored),
+        top_cells=tuple((ll, SdeParams(*cell(i))) for ll, i in scored),
         n_cells=n_cells,
         n_infeasible_cells=int(infeasible.size),
         on_grid_edge=tuple(bool(i in (0, size - 1)) for i, size in

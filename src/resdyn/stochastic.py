@@ -51,15 +51,14 @@ def split_seed(master_seed: int, index: int) -> int:
     """
     if index < 0:
         raise DomainError(f"realization index must be >= 0, got {index}")
-    z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return int(_split_seeds(master_seed, index, index + 1)[0])
 
 
 def _split_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     """``split_seed(master_seed, i)`` for i in [lo, hi), in uint64 arithmetic."""
-    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = np.arange(hi - lo, dtype=np.uint64)
+    z += np.uint64((lo + 1) & _MASK64)
+    z *= np.uint64(_GOLDEN)
     z += np.uint64(master_seed & _MASK64)
     z ^= z >> 30
     z *= np.uint64(0xBF58476D1CE4E5B9)

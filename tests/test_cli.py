@@ -371,6 +371,12 @@ def file_argv(command, path, out):
      "times must be finite and strictly increasing"),
     ("metrics", b"# f0=0\ntime,functionality\n0,0\n1,0\n",
      "f0 must be positive and finite, got 0.0"),
+    ("metrics", TRACE_HEAD + b"-1e308,0.5\n1e308,0.5\n",
+     "times must be of finite span (last - first)"),
+    ("metrics", b"# f0=1e300\ntime,functionality\n0,1e300\n1e10,1e300\n",
+     "accomplishment must be finite, got inf"),
+    ("metrics", b"# f0=0.5\ntime,functionality\n0,0.5\n5e-324,0.5\n",
+     "f0 * duration must be positive and finite, got 0.0"),
     ("solve", b"[]", "top level must be a JSON object"),
     ("solve", b'{"kind": ', "not valid JSON (Expecting value: line 1 "
                             "column 10 (char 9))"),
@@ -379,6 +385,7 @@ def file_argv(command, path, out):
                            "unicode string)"),
 ], ids=["trace-not-utf8", "solve-config-not-utf8", "fit-config-not-utf8",
         "value-above-f0", "one-sample", "times-out-of-order", "zero-f0",
+        "span-overflows", "accomplishment-overflows", "duration-underflows",
         "config-array", "config-invalid-json", "config-nested-too-deep"])
 def test_bad_input_file_names_it_once(tmp_path, capsys, command, contents,
                                       reason):
@@ -406,8 +413,8 @@ class TestConfigValidation:
         ("end", 1e300, "grid.end/grid.step: grid of more than"),
         ("end", float(MAX_GRID_POINTS), "grid.end/grid.step: grid of more than"),
         ("end", math.inf, "grid.end/grid.step: grid of more than"),
-        ("start", -math.inf, "grid.end/grid.step: grid of more than"),
-        ("start", math.nan, "grid.end: must exceed grid.start"),
+        ("start", -math.inf, "grid.start: must be finite, got -inf"),
+        ("start", math.nan, "grid.start: must be finite, got nan"),
         ("step", math.nan, "grid.step: must be > 0"),
     ])
     def test_unbounded_grid_rejected(self, tmp_path, capsys, field, value,

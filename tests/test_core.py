@@ -161,6 +161,12 @@ class TestAccomplishment:
             accomplishment(whole), rel=1e-12
         )
 
+    def test_overflowing_integral_refused(self):
+        trace = flat_trace(1e300, f0=1e300, end=1e10, n=2)
+        with pytest.raises(DomainError,
+                           match=r"^accomplishment must be finite, got inf$"):
+            accomplishment(trace)
+
 
 class TestAucResilience:
     def test_flat_at_normal(self):
@@ -185,6 +191,16 @@ class TestAucResilience:
             assert auc_resilience(scaled) == pytest.approx(
                 auc_resilience(base), rel=1e-12
             )
+
+    # f0 * duration overflows (the quotient was a silent 0.0) or
+    # underflows to 0 (a ZeroDivisionError).
+    @pytest.mark.parametrize("f0, end, scale", [(1e300, 1e10, "inf"),
+                                                (0.5, 5e-324, "0.0")])
+    def test_unrepresentable_scale_refused(self, f0, end, scale):
+        trace = flat_trace(0.0, f0=f0, end=end, n=2)
+        with pytest.raises(DomainError, match=(
+                rf"^f0 \* duration must be positive and finite, got {scale}$")):
+            auc_resilience(trace)
 
 
 class TestIntegrateReference:

@@ -73,6 +73,8 @@ def refusal(site, error, arg):
     ([0.0, 1.0, math.inf], "finite and strictly increasing"),
     ([1.0], "one-dimensional with at least two points"),
     ([[0.0, 1.0], [2.0, 3.0]], "one-dimensional with at least two points"),
+    ([-1e308, 1e308], "of finite span (last - first)"),
+    ([-1e308, 0.0, 1e308], "of finite span (last - first)"),
 ])
 def test_sample_axis_refused_alike(site, axis, requirement):
     call, error, name = AXIS_SITES[site]

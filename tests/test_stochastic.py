@@ -53,9 +53,19 @@ class TestSplitSeed:
         with pytest.raises(DomainError):
             split_seed(42, -1)
 
+    def test_published_splitmix64_outputs(self):
+        # The first outputs of splitmix64 started from state 0.
+        assert [split_seed(0, i) for i in range(4)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+            0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+    def test_last_uint64_index(self):
+        assert split_seed(5, 2**64 - 1) == 0xB6BF613DBEBB45DC
+
     @pytest.mark.parametrize("master_seed", [-7, 0, 12345, 2**64 - 1, 2**70 + 3])
     def test_block_seeds_match_split_seed(self, master_seed):
-        for lo, hi in ((0, 1100), (2**40 - 3, 2**40 + 3), (2**63 - 2, 2**63 + 2)):
+        for lo, hi in ((0, 1100), (2**40 - 3, 2**40 + 3), (2**63 - 2, 2**63 + 2),
+                       (2**64 - 1, 2**64 + 3)):
             seeds = stochastic._split_seeds(master_seed, lo, hi)
             assert seeds.dtype == np.uint64
             assert seeds.tolist() == [split_seed(master_seed, i)

@@ -79,40 +79,49 @@ class ConfigError(ResdynError, ValueError):
     """Configuration problem; the message names the offending field."""
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
-    """The value of ``key``; an absent key and a JSON null are alike."""
+# The JSON types a config field may be read as, by the Python type it is
+# returned as.
+_JSON_TYPES = {float: "number", int: "integer", dict: "object"}
+
+
+def _is_json(raw, kind: type) -> bool:
+    """Whether ``raw`` is a JSON value of ``kind``, a key of ``_JSON_TYPES``.
+
+    A bool is neither a number nor an integer, though Python counts it an
+    int.
+    """
+    return (isinstance(raw, (int, float) if kind is float else kind)
+            and not isinstance(raw, bool))
+
+
+def _get(obj: dict, key: str, path: str, kind: type | None = None,
+         required: bool = True, default=None):
+    """The value of ``key``; an absent key and a JSON null are alike.
+
+    Given a ``kind`` from ``_JSON_TYPES``, the value must be of that JSON
+    type, and is returned as that Python type.
+    """
     raw = obj.get(key)
     if raw is None:
         if required:
             raise ConfigError(f"{path}{key}: missing required field")
         return default
-    return raw
+    if kind is None:
+        return raw
+    if not _is_json(raw, kind):
+        name = _JSON_TYPES[kind]
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ConfigError(f"{path}{key}: expected {article} {name}, "
+                          f"got {raw!r}")
+    return kind(raw)
 
 
-def _number(obj: dict, key: str, path: str, required: bool = True,
-            default=None) -> float | None:
-    raw = _get(obj, key, path, required, default)
-    if raw is None:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}{key}: expected a number, got {raw!r}")
-    return float(raw)
-
-
-def _integer(obj: dict, key: str, path: str, required: bool = True,
-             default=None) -> int | None:
-    raw = _get(obj, key, path, required, default)
-    if raw is None:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}{key}: expected an integer, got {raw!r}")
-    return raw
-
-
-def _section(obj: dict, key: str, path: str) -> dict:
+def _list_of(obj: dict, key: str, path: str, kind: type) -> list:
+    """The list at ``key``, each of whose items is of JSON type ``kind``."""
     raw = _get(obj, key, path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}{key}: expected an object")
+    if not (isinstance(raw, list) and all(_is_json(x, kind) for x in raw)):
+        raise ConfigError(
+            f"{path}{key}: expected a list of {_JSON_TYPES[kind]}s")
     return raw
 
 
@@ -138,8 +147,8 @@ def _from_json(cls, obj: dict, path: str):
     """
     kwargs = {}
     for field in dataclasses.fields(cls):
-        value = _number(obj, field.name, path,
-                        required=field.default is dataclasses.MISSING)
+        value = _get(obj, field.name, path, float,
+                     required=field.default is dataclasses.MISSING)
         if value is not None:
             kwargs[field.name] = value
     return _at(path, cls, **kwargs)
@@ -160,10 +169,10 @@ def _load_json(path: str) -> dict:
 
 
 def _build_grid(config: dict) -> np.ndarray:
-    grid = _section(config, "grid", "")
-    start = _number(grid, "start", "grid.")
-    end = _number(grid, "end", "grid.")
-    step = _number(grid, "step", "grid.")
+    grid = _get(config, "grid", "", dict)
+    start = _get(grid, "start", "grid.", float)
+    end = _get(grid, "end", "grid.", float)
+    step = _get(grid, "step", "grid.", float)
     if not math.isfinite(start):
         raise ConfigError(f"grid.start: must be finite, got {start}")
     if not 0.0 < step < math.inf:
@@ -188,21 +197,11 @@ def _build_grid(config: dict) -> np.ndarray:
 
 def _schedule(cls, params: dict):
     """A piecewise schedule whose segments are ``cls._segment_type``."""
-    segments = _get(params, "segments", "params.")
-    if not isinstance(segments, list) or not all(
-        isinstance(x, dict) for x in segments
-    ):
-        raise ConfigError("params.segments: expected a list of objects")
     segments = tuple(
         _from_json(cls._segment_type, seg, f"params.segments[{i}].")
-        for i, seg in enumerate(segments)
+        for i, seg in enumerate(_list_of(params, "segments", "params.", dict))
     )
-    breakpoints = _get(params, "breakpoints", "params.")
-    if not isinstance(breakpoints, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool)
-        for x in breakpoints
-    ):
-        raise ConfigError("params.breakpoints: expected a list of numbers")
+    breakpoints = _list_of(params, "breakpoints", "params.", float)
     # The segments were checked one by one above, so what the schedule
     # still refuses is its breakpoints or their count.
     return _at("params.breakpoints", cls,
@@ -216,14 +215,14 @@ def _scenario_common(config: dict) -> tuple[str, float, float]:
         raise ConfigError(
             f"kind: expected one of {', '.join(MODEL_KINDS)}, got {kind!r}"
         )
-    f0 = _number(config, "f0", "", required=False, default=1.0)
-    f_init = _number(config, "f_init", "", required=False, default=f0)
+    f0 = _get(config, "f0", "", float, required=False, default=1.0)
+    f_init = _get(config, "f_init", "", float, required=False, default=f0)
     return kind, f0, f_init
 
 
 def _run_solve(config: dict):
     kind, f0, f_init = _scenario_common(config)
-    params = _section(config, "params", "")
+    params = _get(config, "params", "", dict)
     grid = _build_grid(config)
     if kind == "constant":
         return solve_constant(
@@ -248,12 +247,12 @@ def _run_simulate(config: dict, seed_override: int | None):
         raise ConfigError(
             f"kind: simulate requires an 'sde' scenario, got {kind!r}"
         )
-    params_obj = _section(config, "params", "")
+    params_obj = _get(config, "params", "", dict)
     params = _from_json(SdeParams, params_obj, "params.")
-    steps = _integer(params_obj, "steps", "params.")
-    dt = _number(params_obj, "dt", "params.", required=False, default=1.0)
-    seed = _integer(params_obj, "seed", "params.", required=False, default=0)
-    n = _integer(params_obj, "n", "params.", required=False, default=1)
+    steps = _get(params_obj, "steps", "params.", int)
+    dt = _get(params_obj, "dt", "params.", float, required=False, default=1.0)
+    seed = _get(params_obj, "seed", "params.", int, required=False, default=0)
+    n = _get(params_obj, "n", "params.", int, required=False, default=1)
     _at("params", _check_run, steps, dt, n)
     if seed_override is not None:
         seed = seed_override
@@ -266,10 +265,10 @@ def _run_simulate(config: dict, seed_override: int | None):
 def _mle_grid(doc: dict) -> MleGrid:
     from .likelihood import GridAxis, MleGrid
 
-    section = _section(doc, "mle_grid", "")
+    section = _get(doc, "mle_grid", "", dict)
     names = [field.name for field in dataclasses.fields(MleGrid)]
     return _at("mle_grid", MleGrid, **{
-        name: _from_json(GridAxis, _section(section, name, "mle_grid."),
+        name: _from_json(GridAxis, _get(section, name, "mle_grid.", dict),
                          f"mle_grid.{name}.")
         for name in names
     })

@@ -151,6 +151,8 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
         raise DomainError(
             f"count_end {count_end} must exceed switch_time {switch_time}"
         )
+    if not math.isfinite(count_end):
+        raise DomainError(f"count_end must be finite, got {count_end}")
     diffs = np.diff(trace.values)
     ends = trace.times[1:]
     down = diffs < -EVENT_TOL
@@ -213,6 +215,7 @@ def fit_phase1(min_value: float, switch_elapsed: float, f_init: float,
     the fitted impacts and the residual norm of both equations.
     """
     cfg = config or FitConfig()
+    _check_f0(f0)
     if not 0.0 < min_value < f_init <= f0:
         raise DomainError(
             f"need 0 < min_value < f_init <= f0, got "

@@ -70,29 +70,17 @@ def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
 
     a_safe = np.where(a_gone, 1.0, a)
     b_safe = np.where(b_gone, 1.0, b)
-    dens = np.zeros_like(delta)
-    dens += np.where(
-        (delta < 0.0) & (delta > -a) & ~a_gone, mal_only / a_safe, 0.0
-    )
-    dens += np.where(
-        (delta > 0.0) & (delta < b) & ~b_gone, bon_only / b_safe, 0.0
-    )
+    # The decreases malware alone reaches and the increases bonware alone
+    # reaches (none where its width is zero); the both-fired case reaches
+    # them too, and nothing else off the atom.
+    down = (delta < 0.0) & (delta > -a)
+    up = (delta > 0.0) & (delta < b)
+    dens = np.where(down, mal_only / a_safe, bon_only / b_safe)
     if both > 0.0:
-        dens += np.where(
-            ~a_gone & ~b_gone & (delta > -a) & (delta < b),
-            both * _trapezoid(delta, a_safe, b_safe),
-            0.0,
-        )
-        dens += np.where(
-            a_gone & ~b_gone & (delta > 0.0) & (delta < b),
-            both / b_safe,
-            0.0,
-        )
-        dens += np.where(
-            b_gone & ~a_gone & (delta < 0.0) & (delta > -a),
-            both / a_safe,
-            0.0,
-        )
+        # With one width zero, both firing acts as the other agent alone.
+        dens += np.where(a_gone, both / b_safe, np.where(
+            b_gone, both / a_safe, both * _trapezoid(delta, a_safe, b_safe)))
+    dens = np.where(down | up, dens, 0.0)
 
     is_atom = np.abs(delta) <= ATOM_TOL
     with np.errstate(divide="ignore"):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (
     MAX_GRID_POINTS,
+    ConstantImpacts,
     FunctionalityTrace,
     _check_fields,
     _check_level,
@@ -309,16 +310,14 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
 
     Requires q < 1; at q >= 1 the factor (1 - q) stops being a decay and
     the recursion leaves the model's intended regime.  Sample k is placed
-    at time k (one step per second).
+    at time k (one step per second), and ``steps`` is refused as
+    :func:`simulate` refuses it.
     """
-    if malware_impact < 0.0 or bonware_impact < 0.0:
-        raise DomainError("per-step impacts must be >= 0")
-    _check_level("f_init", f0, f_init)
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
-    q = malware_impact + bonware_impact
+    q = ConstantImpacts(malware_impact, bonware_impact).total_impact
     if q >= 1.0:
         raise DomainError(f"combined per-step impact must be < 1, got {q}")
+    _check_run(steps, 1.0)
+    _check_level("f_init", f0, f_init)
     k = np.arange(steps + 1, dtype=float)
     if q == 0.0:
         values = np.full(steps + 1, float(f_init))

@@ -21,7 +21,7 @@ from resdyn import (
     split_seed,
 )
 from resdyn.core import TRACE_CSV_HEADER
-from resdyn.likelihood import _transition_log_density
+from resdyn.likelihood import ATOM_TOL, _trapezoid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NOTIONAL_CSV = REPO_ROOT / "data" / "notional.csv"
@@ -97,10 +97,71 @@ def reference_ensemble(params, f_init, f0, steps, dt=1.0, n=1, master_seed=0):
     return mean, stderr
 
 
+# A subnormal width overflows its density to +inf, which is its value.
+@np.errstate(over="ignore")
+def reference_transition_log_density(f_now, f_next, malware_activity,
+                                     bonware_activity, malware_effectiveness,
+                                     bonware_effectiveness, f0):
+    """The exact transition scorer as it stood before its reach masks were
+    formed once: each mixture component tests its own support, and the
+    density is accumulated term by term from zeros."""
+    f_now = np.asarray(f_now, dtype=float)
+    f_next = np.asarray(f_next, dtype=float)
+    delta = f_next - f_now
+    a = malware_effectiveness * f_now
+    b = bonware_effectiveness * (f0 - f_now)
+    tm = malware_activity
+    tb = bonware_activity
+    mal_only = tm * (1.0 - tb)
+    bon_only = (1.0 - tm) * tb
+    both = tm * tb
+
+    a_gone = a <= 0.0
+    b_gone = b <= 0.0
+    atom = (
+        (1.0 - tm) * (1.0 - tb)
+        + np.where(a_gone, mal_only, 0.0)
+        + np.where(b_gone, bon_only, 0.0)
+        + np.where(a_gone & b_gone, both, 0.0)
+    )
+
+    a_safe = np.where(a_gone, 1.0, a)
+    b_safe = np.where(b_gone, 1.0, b)
+    dens = np.zeros_like(delta)
+    dens += np.where(
+        (delta < 0.0) & (delta > -a) & ~a_gone, mal_only / a_safe, 0.0
+    )
+    dens += np.where(
+        (delta > 0.0) & (delta < b) & ~b_gone, bon_only / b_safe, 0.0
+    )
+    if both > 0.0:
+        dens += np.where(
+            ~a_gone & ~b_gone & (delta > -a) & (delta < b),
+            both * _trapezoid(delta, a_safe, b_safe),
+            0.0,
+        )
+        dens += np.where(
+            a_gone & ~b_gone & (delta > 0.0) & (delta < b),
+            both / b_safe,
+            0.0,
+        )
+        dens += np.where(
+            b_gone & ~a_gone & (delta < 0.0) & (delta > -a),
+            both / a_safe,
+            0.0,
+        )
+
+    is_atom = np.abs(delta) <= ATOM_TOL
+    with np.errstate(divide="ignore"):
+        log_atom = np.log(atom)
+        log_dens = np.log(dens)
+    return np.where(is_atom, log_atom, log_dens)
+
+
 def reference_grid_mle(trace, grid, top_k=5):
     """Exhaustive grid search, as ``grid_mle`` ran before its surface.
 
-    Scores every cell with the exact transition evaluator, in
+    Scores every cell with :func:`reference_transition_log_density`, in
     ``itertools.product`` order, and sorts all of them by
     (-log likelihood, enumeration index).  Returns
     ``(params, log_likelihood, top_cells, n_cells)``.
@@ -111,8 +172,8 @@ def reference_grid_mle(trace, grid, top_k=5):
     scored = []
     for order, (tm, tb, gm, gb) in enumerate(product(act_m, act_b,
                                                      eff_m, eff_b)):
-        ll = float(_transition_log_density(f_now, f_next, tm, tb, gm, gb,
-                                           trace.f0).sum())
+        ll = float(reference_transition_log_density(f_now, f_next, tm, tb,
+                                                    gm, gb, trace.f0).sum())
         params = SdeParams(float(tm), float(tb), float(gm), float(gb))
         scored.append((ll, order, params))
     scored.sort(key=lambda item: (-item[0], item[1]))

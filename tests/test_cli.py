@@ -18,11 +18,14 @@ from hypothesis import strategies as st
 
 import resdyn.cli
 from resdyn import (
+    LinearImpacts,
+    PiecewiseLinearSchedule,
     accomplishment,
     auc_resilience,
     effective_impact,
     expectation_recursion,
     read_trace_csv,
+    solve_piecewise_linear,
     write_trace_csv,
 )
 from resdyn.cli import main
@@ -132,6 +135,26 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert read_trace_csv(out).times.size == 81
 
+    def test_piecewise_linear_kind_matches_library(self, tmp_path):
+        segments = [{**LINEAR_CONFIG["params"]},
+                    {"bonware_intercept": 0.08, "bonware_slope": 2e-4,
+                     "malware_intercept": 0.01, "malware_slope": 0.0}]
+        cfg = write_config(tmp_path, "pl.json", {
+            "kind": "piecewise-linear", "f_init": 0.9,
+            "grid": {"start": 0.0, "end": 40.0, "step": 0.5},
+            "params": {"breakpoints": [0.0, 25.0, 40.0], "segments": segments},
+        })
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        schedule = PiecewiseLinearSchedule(
+            np.array([0.0, 25.0, 40.0]),
+            tuple(LinearImpacts(**seg) for seg in segments))
+        expected = solve_piecewise_linear(schedule, 0.9, 1.0,
+                                          np.arange(81) * 0.5)
+        trace = read_trace_csv(out)
+        assert np.array_equal(trace.times, expected.times)
+        assert np.array_equal(trace.values, expected.values)
+
 
 def sde_config(n=1, seed=11, steps=125, extra=None):
     params = dict(SDE_PARAMS, steps=steps, dt=1.0, seed=seed, n=n)
@@ -157,6 +180,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out2),
                      "--seed", "78"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_non_sde_kind_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", constant_config(0.1, 0.0))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: kind: simulate requires an 'sde' scenario, "
+            "got 'constant'\n")
+        assert not out.exists()
 
     def test_no_activity_is_flat(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", sde_config(extra={
@@ -367,6 +399,7 @@ def file_argv(command, path, out):
      "values must lie in [0, f0], got 1.5"),
     ("metrics", TRACE_HEAD + b"0,0.5\n",
      "times must be one-dimensional with at least two points"),
+    ("metrics", b"# f0=1\n\n", "missing 'time,functionality' header"),
     ("metrics", TRACE_HEAD + b"1,0.5\n0,0.5\n",
      "times must be finite and strictly increasing"),
     ("metrics", b"# f0=0\ntime,functionality\n0,0\n1,0\n",
@@ -384,7 +417,7 @@ def file_argv(command, path, out):
                            "exceeded while decoding a JSON array from a "
                            "unicode string)"),
 ], ids=["trace-not-utf8", "solve-config-not-utf8", "fit-config-not-utf8",
-        "value-above-f0", "one-sample", "times-out-of-order", "zero-f0",
+        "value-above-f0", "one-sample", "no-header", "times-out-of-order", "zero-f0",
         "span-overflows", "accomplishment-overflows", "duration-underflows",
         "config-array", "config-invalid-json", "config-nested-too-deep"])
 def test_bad_input_file_names_it_once(tmp_path, capsys, command, contents,
@@ -408,7 +441,8 @@ class TestConfigValidation:
         assert "grid.step" in capsys.readouterr().err
 
     # Grids of 1e300 points, of one point over the limit, and of an
-    # infinite or undefined span are refused before anything is allocated.
+    # infinite or undefined span are refused before anything is allocated,
+    # as are spans that are not a whole number of steps, or none at all.
     @pytest.mark.parametrize("field, value, message", [
         ("end", 1e300, "grid.end/grid.step: grid of more than"),
         ("end", float(MAX_GRID_POINTS), "grid.end/grid.step: grid of more than"),
@@ -416,6 +450,9 @@ class TestConfigValidation:
         ("start", -math.inf, "grid.start: must be finite, got -inf"),
         ("start", math.nan, "grid.start: must be finite, got nan"),
         ("step", math.nan, "grid.step: must be > 0"),
+        ("end", 10.5, "grid.step: span (end - start) must be a whole number "
+                      "of steps"),
+        ("end", 1e-10, "grid.step: grid needs at least two samples"),
     ])
     def test_unbounded_grid_rejected(self, tmp_path, capsys, field, value,
                                      message):
@@ -615,16 +652,18 @@ FIT_MLE_CONFIG = {
     },
 }
 
+PIECEWISE_CONFIG = {
+    "kind": "piecewise-constant", "f0": 1.0, "f_init": 1.0,
+    "grid": {"start": 0.0, "end": 10.0, "step": 1.0},
+    "params": {
+        "breakpoints": [0.0, 4.0, 10.0],
+        "segments": [{"malware_impact": 0.1, "bonware_impact": 0.01},
+                     {"malware_impact": 0.01, "bonware_impact": 0.1}],
+    },
+}
+
 BOUNDARY_CONFIGS = [
-    ("solve", {
-        "kind": "piecewise-constant", "f0": 1.0, "f_init": 1.0,
-        "grid": {"start": 0.0, "end": 10.0, "step": 1.0},
-        "params": {
-            "breakpoints": [0.0, 4.0, 10.0],
-            "segments": [{"malware_impact": 0.1, "bonware_impact": 0.01},
-                         {"malware_impact": 0.01, "bonware_impact": 0.1}],
-        },
-    }),
+    ("solve", PIECEWISE_CONFIG),
     ("simulate", sde_config(n=2, steps=5, extra={
         "malware_onset": 1.0, "bonware_onset": 0.0,
         "interaction_cutoff": 4.0})),
@@ -655,6 +694,35 @@ def test_config_boundary_never_raises(tmp_path, target, value):
     command, doc, path = target
     argv = command_argv(tmp_path, command, replaced(doc, path, value))
     assert main(argv) in (0, 2)
+
+
+# A field of each JSON type a config may ask for, set to a value of
+# another type, and the one refusal for it.
+@pytest.mark.parametrize("command, config, path, value, error", [
+    ("solve", constant_config(0.1, 0.02), ("grid", "start"), True,
+     "grid.start: expected a number, got True"),
+    ("solve", constant_config(0.1, 0.02), ("params", "malware_impact"), "0.1",
+     "params.malware_impact: expected a number, got '0.1'"),
+    ("simulate", sde_config(), ("params", "steps"), 12.0,
+     "params.steps: expected an integer, got 12.0"),
+    ("simulate", sde_config(), ("params", "seed"), False,
+     "params.seed: expected an integer, got False"),
+    ("solve", constant_config(0.1, 0.02), ("grid",), [0.0, 1.0],
+     "grid: expected an object, got [0.0, 1.0]"),
+    ("fit", FIT_MLE_CONFIG, ("mle_grid", "malware_activity"), 0.1,
+     "mle_grid.malware_activity: expected an object, got 0.1"),
+    ("solve", PIECEWISE_CONFIG, ("params", "segments", 0), 1,
+     "params.segments: expected a list of objects"),
+    ("solve", PIECEWISE_CONFIG, ("params", "breakpoints", 1), True,
+     "params.breakpoints: expected a list of numbers"),
+], ids=["number-bool", "number-string", "integer-float", "integer-bool",
+        "object-list", "object-number", "segments", "breakpoints"])
+def test_json_type_refused(tmp_path, capsys, command, config, path, value,
+                           error):
+    argv = command_argv(tmp_path, command, replaced(config, path, value))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 VALID_FILES = {

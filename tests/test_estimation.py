@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import reference_grid_mle
+from conftest import reference_grid_mle, reference_transition_log_density
 from resdyn import (
     ConstantImpacts,
     DomainError,
     FitConfig,
+    FitFailureError,
     FunctionalityTrace,
     GridAxis,
     MleGrid,
@@ -36,7 +37,11 @@ from resdyn import (
 )
 from resdyn import likelihood
 from resdyn.core import MAX_GRID_POINTS
-from resdyn.likelihood import _separable_surface, _transition_log_density
+from resdyn.likelihood import (
+    ATOM_TOL,
+    _separable_surface,
+    _transition_log_density,
+)
 
 ALPHA1 = 1.0 - 1.0 / math.e
 ALPHA2 = 1.0 - math.exp(-4.0)
@@ -109,6 +114,13 @@ class TestCountActivities:
         with pytest.raises(DomainError):
             count_activities(trace, switch_time=20.0, count_end=30.0)
 
+    @pytest.mark.parametrize("count_end", [math.nan, math.inf])
+    def test_non_finite_count_end_names_field(self, notional_trace,
+                                              count_end):
+        with pytest.raises(DomainError, match=(
+                rf"^count_end must be finite, got {count_end}$")):
+            count_activities(notional_trace, 69.5, count_end)
+
 
 class TestFitPhase1:
     def test_reference_incident_values(self):
@@ -180,6 +192,14 @@ class TestFitPhase2:
         from resdyn import FitFailureError
         with pytest.raises(FitFailureError):
             fit_phase2(0.4, 69.5, 1.0, cfg)
+
+    def test_minimum_above_reach_target_rejected(self):
+        # The asymptote 0.95 exceeds the minimum, but half of it does not.
+        cfg = FitConfig(recovery_level_fraction=0.5)
+        with pytest.raises(FitFailureError, match=(
+                r"^recovery target at recovery_fit_end \(0\.475\) does not "
+                r"exceed the data minimum 0\.5$")):
+            fit_phase2(0.5, 69.5, 1.0, cfg)
 
     def test_non_finite_horizon_rejected(self):
         for switch_time in (-math.inf, math.nan):
@@ -549,6 +569,49 @@ def test_separable_surface_within_its_margin(trace, grid):
     assert np.array_equal(surface == -np.inf, exact == -np.inf)
     feasible = exact > -np.inf
     assert np.all(np.abs(surface[feasible] - exact[feasible]) <= margin)
+
+
+def test_separable_margin_covers_mixture_logs():
+    # Just below f0 the bonware widths are about 1e-6, so the mixture logs
+    # of the increases, near log(1e6) each, make up most of W, the largest
+    # sum of |log term| of the exact scorer over the feasible cells.  The
+    # margin must cover the bound its comment derives from that W.
+    values = np.where(np.arange(301) % 2 == 0, 1.0 - 2e-6, 1.0 - 1e-6)
+    f_now, f_next = values[:-1], values[1:]
+    grid = MleGrid(GridAxis(0.2, 0.6, 0.2), GridAxis(0.2, 0.6, 0.2),
+                   GridAxis(0.9, 1.0, 0.1), GridAxis(0.9, 1.0, 0.1))
+    _, margin = _separable_surface(f_now, f_next, 1.0, grid.axes())
+    terms = (_transition_log_density(f_now, f_next, *cell, 1.0)
+             for cell in itertools.product(*grid.axes()))
+    w = max(np.abs(logs).sum() for logs in terms if np.isfinite(logs).all())
+    n = f_now.size
+    assert margin >= (2 * n + 16) * np.finfo(float).eps * (w + n)
+
+
+@st.composite
+def scored_transitions(draw):
+    """Levels at 0, at f0, subnormal or anywhere in [0, f0], each followed
+    by another such level or by a move of at most a few ``ATOM_TOL``."""
+    f0 = draw(st.sampled_from([1.0, 0.75, 3.0]))
+    level = st.sampled_from([0.0, f0, 5e-324, 1e-310]) | st.floats(0.0, f0)
+    move = st.sampled_from([0.0, ATOM_TOL, -ATOM_TOL, ATOM_TOL / 2,
+                            -ATOM_TOL / 2, 2 * ATOM_TOL, -2 * ATOM_TOL])
+    n = draw(st.integers(1, 16))
+    f_now = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    f_next = np.array([
+        draw(level) if draw(st.booleans()) else min(f0, max(0.0, f + draw(move)))
+        for f in f_now])
+    activity = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    effectiveness = (st.sampled_from([1.0, 5e-324])
+                     | st.floats(0.0, 1.0, exclude_min=True))
+    return (f_now, f_next, draw(activity), draw(activity),
+            draw(effectiveness), draw(effectiveness), f0)
+
+
+@given(args=scored_transitions())
+def test_transition_log_density_matches_reference(args):
+    assert (_transition_log_density(*args).tobytes()
+            == reference_transition_log_density(*args).tobytes())
 
 
 PINNED_GRID = MleGrid(

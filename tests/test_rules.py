@@ -21,6 +21,8 @@ from resdyn import (
     effective_impact,
     ensemble_average,
     expectation_recursion,
+    fit_phase1,
+    fit_phase2,
     integrate_reference,
     simulate,
     solve_constant,
@@ -166,6 +168,31 @@ def test_level_bounds_refused_alike(site, level):
         f"{name} must lie in [0, f0], got {level}")
 
 
+F0_SITES = {
+    "solve_constant": (lambda f0: solve_constant(IMPACTS, 0.5, f0, GRID),
+                       DomainError),
+    "simulate": (lambda f0: simulate(PARAMS, 0.5, f0, 5), DomainError),
+    "expectation_recursion": (
+        lambda f0: expectation_recursion(0.1, 0.2, 0.5, f0, 5), DomainError),
+    "step_log_density": (lambda f0: step_log_density(0.5, 0.5, PARAMS, f0),
+                         DomainError),
+    "fit_phase1": (lambda f0: fit_phase1(0.3, 10.0, 0.9, f0), DomainError),
+    "fit_phase2": (lambda f0: fit_phase2(0.3, 69.5, f0), DomainError),
+    "trace": (lambda f0: FunctionalityTrace(GRID, np.full(5, 0.5), f0),
+              InvalidTraceError),
+}
+
+
+@pytest.mark.parametrize("site", F0_SITES)
+@pytest.mark.parametrize("f0", [0.0, -1.0, math.nan, math.inf])
+def test_normal_level_refused_alike(site, f0):
+    # f0 is checked before the levels and rates that are measured against
+    # it, so no site reports a bad f0 as some other failure.
+    call, error = F0_SITES[site]
+    assert refusal(call, error, f0) == (
+        f"f0 must be positive and finite, got {f0}")
+
+
 @pytest.mark.parametrize("dt, malware_onset, bonware_onset, cutoff", [
     (0.1, 0.3, 0.7, 1.2),   # 3 * 0.1 > 0.3 and 12 * 0.1 > 1.2 in floats
     (1.0, 2.0, 0.0, None),
@@ -217,6 +244,10 @@ def test_run_arguments_refused_alike(tmp_path, capsys, steps, dt, n, text):
     # first.
     if n == 1:
         assert refusal(lambda _: simulate(PARAMS, 2.0, 1.0, steps, dt),
+                       DomainError, None) == text
+    if dt == 1.0 and text.startswith("steps"):
+        assert refusal(lambda _: expectation_recursion(0.1, 0.2, 2.0, 1.0,
+                                                       steps),
                        DomainError, None) == text
     assert refusal(lambda _: ensemble_average(PARAMS, 2.0, 1.0, steps, dt,
                                               n=n), DomainError, None) == text

@@ -316,6 +316,33 @@ class TestExpectationRecursion:
         with pytest.raises(DomainError):
             expectation_recursion(0.6, 0.5, 1.0, 1.0, steps=10)
 
+    def test_no_impact_stays_at_initial_value(self):
+        trace = expectation_recursion(0.0, 0.0, 0.3, 1.0, steps=4)
+        assert np.array_equal(trace.values, np.full(5, 0.3))
+
+    @pytest.mark.parametrize("impacts, message", [
+        ((math.nan, 0.2), "malware_impact must be finite and >= 0, got nan"),
+        ((0.1, -0.2), "bonware_impact must be finite and >= 0, got -0.2"),
+        ((0.1, math.inf), "bonware_impact must be finite and >= 0, got inf"),
+    ])
+    def test_impacts_checked_first(self, impacts, message):
+        # The impacts are refused as ConstantImpacts refuses them, before
+        # the bad steps and f_init that follow them.
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            expectation_recursion(*impacts, 2.0, 1.0, steps=0)
+
+    def test_steps_capped_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=(
+                    rf"^steps must be <= {MAX_GRID_POINTS - 1}, "
+                    rf"got {MAX_GRID_POINTS}$")):
+                expectation_recursion(0.01, 0.02, 1.0, 1.0, MAX_GRID_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_small_q_tracks_continuous_model(self):
         # (1-q)^k vs exp(-q*t) differ at O(q^2 k) for q = 0.01.
         trace = expectation_recursion(0.004, 0.006, 1.0, 1.0, steps=500)

@@ -113,7 +113,16 @@ def _get(obj: dict, key: str, path: str, kind: type | None = None,
         article = "an" if name[0] in "aeiou" else "a"
         raise ConfigError(f"{path}{key}: expected {article} {name}, "
                           f"got {raw!r}")
-    return kind(raw)
+    return _as(kind, raw, path + key)
+
+
+def _as(kind: type, raw, where: str):
+    """``raw``, a JSON value of ``kind``, as that Python type; a JSON integer
+    is a number only if a float can hold it."""
+    try:
+        return kind(raw)
+    except OverflowError:
+        raise ConfigError(f"{where}: number too large for a float") from None
 
 
 def _list_of(obj: dict, key: str, path: str, kind: type) -> list:
@@ -122,7 +131,7 @@ def _list_of(obj: dict, key: str, path: str, kind: type) -> list:
     if not (isinstance(raw, list) and all(_is_json(x, kind) for x in raw)):
         raise ConfigError(
             f"{path}{key}: expected a list of {_JSON_TYPES[kind]}s")
-    return raw
+    return [_as(kind, x, path + key) for x in raw]
 
 
 def _at(path: str, build, /, *args, **kwargs):
@@ -160,8 +169,9 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # json raises RecursionError on arrays or objects nested too deep.
+    except (ValueError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep,
+        # and a plain ValueError on an integer of more than 4300 digits.
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

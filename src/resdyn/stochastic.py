@@ -38,9 +38,11 @@ from .errors import DomainError, InvalidTraceError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Scratch budget of one ensemble block: a realization's row holds steps * 4
-# float64 draws (drawn half a block at a time) and steps * 2 effect factors.
+# Scratch budget of one ensemble block, steps * 32 bytes a realization: its
+# steps * 2 effect factors and steps + 1 levels take 3/4 of that, and its
+# steps * 4 draws are made at most _DRAW_ROWS (and half a block) at a time.
 _BLOCK_BYTES = 4 << 20
+_DRAW_ROWS = 64
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -133,7 +135,8 @@ class EnsembleResult:
 
 def _check_run(steps: int, dt: float, n: int = 1) -> None:
     """Refuse a run of ``n`` realizations whose traces could not be
-    allocated or timed; the stack holds ``n * (steps + 1)`` values."""
+    allocated or timed; a run steps ``n * (steps + 1)`` values and, when
+    every step changes, an ensemble stores them all."""
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps + 1 > MAX_GRID_POINTS:
@@ -188,17 +191,15 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     return FunctionalityTrace(times, values, f0)
 
 
-def _step_blocks(params: SdeParams, f0: float, dt: float, master_seed: int,
-                 stack: np.ndarray, rows: int):
-    """Step ``stack``'s rows on from column 0; return per-step min and max."""
-    n, steps = stack.shape[0], stack.shape[1] - 1
+def _step_blocks(params: SdeParams, f_init: float, f0: float, dt: float,
+                 master_seed: int, n: int, steps: int, rows: int):
+    """Step the ``n`` realizations on from ``f_init``, ``rows`` at a time;
+    yield each block's levels at steps 1 to ``steps``, time-major."""
     live = _live(params, dt * np.arange(steps))
-    low, high = stack[0].copy(), stack[0].copy()
-    low[1:], high[1:] = np.inf, -np.inf
     rng = np.random.Generator(np.random.Philox(key=0))
     state = rng.bit_generator.state
     key = state["state"]["key"]
-    half = (rows + 1) // 2
+    half = min((rows + 1) // 2, _DRAW_ROWS)
     draws = np.empty((half, steps, 4))
     hit = np.empty((half, steps), dtype=bool)
     # Time-major effect factors, zero where the agent misses or is off.
@@ -228,17 +229,37 @@ def _step_blocks(params: SdeParams, f0: float, dt: float, master_seed: int,
         # same bits.  Each step's level overwrites its spent malware factor,
         # so kicks[0] ends as the block's time-major trajectory.
         levels = kicks[0, :, :m]
-        f, x, y = stack[lo:lo + m, 0].copy(), np.empty(m), np.empty(m)
+        f, x, y = np.full(m, f_init), np.empty(m), np.empty(m)
         for km, kb in zip(levels, kicks[1, :, :m]):
             np.subtract(f0, f, out=y)
             y *= kb
             np.multiply(km, f, out=x)
             y -= x
             f = np.add(f, y, out=km)
-        stack[lo:lo + m, 1:] = levels.T
-        np.minimum(low[1:], levels.min(axis=1), out=low[1:])
-        np.maximum(high[1:], levels.max(axis=1), out=high[1:])
-    return low, high
+        yield levels
+
+
+def _changes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``block``'s entries, in C order, as runs: a packed bit per entry, set
+    where its bits differ from the entry before's (and for the first), and
+    the entries at the set bits."""
+    flat = block.reshape(-1)
+    bits = flat.view(np.uint64)  # so -0.0 and 0.0 differ
+    changed = np.empty(flat.size, dtype=bool)
+    changed[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    return np.packbits(changed), np.compress(changed, flat)
+
+
+def _expand(changed: np.ndarray, values: np.ndarray, block: np.ndarray) -> None:
+    """Write the entries :func:`_changes` took from ``block`` back into it."""
+    flat = block.reshape(-1)
+    # Entry j holds the value of the last change at or before it.
+    runs = np.unpackbits(changed, count=flat.size).astype(np.intp)
+    np.cumsum(runs, out=runs)
+    runs -= 1
+    # Every index is in range; mode "raise" would first copy ``out``.
+    np.take(values, runs, out=flat, mode="clip")
 
 
 def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
@@ -249,46 +270,64 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     Realization i is the trace :func:`simulate` gives with seed
     ``split_seed(master_seed, i)``, bit for bit, though blocks of rows are
     stepped together as time-major vectors: a Philox stream is a pure
-    function of its key and counter.  Peak memory is the ``(n, steps + 1)``
-    stack plus about 4 MiB (half a block of draws and the block's effect
-    factors, or one realization's if larger); ``n * (steps + 1)`` may not
-    exceed ``MAX_GRID_POINTS``.
+    function of its key and counter.  Each realization is kept as its
+    changes: a step on which no agent fires leaves the level's bits as they
+    were, so a packed bit per step marks the steps whose level differs from
+    the step before, and only those levels are stored.  Peak memory is that
+    store, (steps + 1) / 8 bytes per realization and 8 per change (1/64
+    more than an ``(n, steps + 1)`` stack when every step changes), plus a
+    fixed scratch of at most about 5 MiB: a block's effect factors and
+    levels, and the draws of 64 realizations or half a block if fewer (one
+    realization's worth, if that is larger).
+    ``n * (steps + 1)`` may not exceed ``MAX_GRID_POINTS``.
 
-    The aggregation is a pure function of the inputs: reducing the C-order
-    stack over axis 0 adds the realization rows one after another in index
-    order (not pairwise), and the squared deviations are added in the same
-    order, so the result does not depend on the block size.  With n = 1
-    the standard error is reported as zero.
+    The aggregation is a pure function of the inputs: the realizations are
+    added one after another in index order (not pairwise), as reducing a
+    C-order ``(n, steps + 1)`` stack over axis 0 adds them, and the squared
+    deviations are added in the same order, so the result does not depend
+    on the block size.  With n = 1 the standard error is reported as zero.
     """
     _check_run(steps, dt, n)
     _check_level("f_init", f0, f_init)
     f_init, f0 = float(f_init), float(f0)
     rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
-    stack = np.empty((n, steps + 1))
-    stack[:, 0] = f_init
-    low, high = _step_blocks(params, f0, dt, master_seed, stack, rows)
+    # A block of realizations below a row that carries the running sum into
+    # each block's axis-0 reduce, so the rows are added in index order, as
+    # the reduce of the whole stack adds them.
+    buf = np.empty((rows + 1, steps + 1))
+    buf[:, 0] = f_init
+    total = np.zeros(steps + 1)
+    low, high = np.full(steps + 1, np.inf), np.full(steps + 1, -np.inf)
+    store = []
+    for levels in _step_blocks(params, f_init, f0, dt, master_seed, n, steps,
+                               rows):
+        block = buf[1:levels.shape[1] + 1]
+        block[:, 1:] = levels.T
+        np.minimum(low, block.min(axis=0), out=low)
+        np.maximum(high, block.max(axis=0), out=high)
+        buf[0] = total
+        np.add.reduce(buf[:len(block) + 1], axis=0, out=total)
+        store.append(_changes(block))
 
     # The bounds check simulate's trace makes, once for every row.
     _check_level("values", f0, low.min(), high.max(), error=InvalidTraceError)
-    mean = stack.mean(axis=0)
+    mean = total / n
     if n > 1:
-        # stack.std(axis=0, ddof=1) without its (n, steps + 1) temporary:
-        # row 0 of the buffer carries the running sum into each block's
-        # axis-0 reduce, so the rows are added in stack order.
+        # stack.std(axis=0, ddof=1), one block at a time.
         squares = np.zeros(steps + 1)
-        dev = np.empty((rows + 1, steps + 1))
-        for lo in range(0, n, rows):
-            block = dev[:min(rows, n - lo) + 1]
-            block[0] = squares
-            np.subtract(stack[lo:lo + rows], mean, out=block[1:])
-            block[1:] *= block[1:]
-            np.add.reduce(block, axis=0, out=squares)
+        for lo, changes in zip(range(0, n, rows), store):
+            block = buf[1:min(rows, n - lo) + 1]
+            _expand(*changes, block)
+            buf[0] = squares
+            np.subtract(block, mean, out=block)
+            block *= block
+            np.add.reduce(buf[:len(block) + 1], axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
-        # Steps where every realization agrees have that shared value as
-        # their exact mean and zero spread; keep them free of summation
-        # roundoff.
+        # Steps where every realization agrees have that shared value, low
+        # (f_init at step 0), as their exact mean and zero spread; keep them
+        # free of summation roundoff.
         agree = high == low
-        mean[agree] = stack[0, agree]
+        mean[agree] = low[agree]
         stderr[agree] = 0.0
     else:
         stderr = np.zeros(steps + 1)

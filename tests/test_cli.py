@@ -416,10 +416,15 @@ def file_argv(command, path, out):
     ("fit", b"[" * 100000, "not valid JSON (maximum recursion depth "
                            "exceeded while decoding a JSON array from a "
                            "unicode string)"),
+    ("solve", b'{"f0": 1' + b"0" * 5000 + b"}",
+     "not valid JSON (Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5001 digits; use sys.set_int_max_str_digits() "
+     "to increase the limit)"),
 ], ids=["trace-not-utf8", "solve-config-not-utf8", "fit-config-not-utf8",
         "value-above-f0", "one-sample", "no-header", "times-out-of-order", "zero-f0",
         "span-overflows", "accomplishment-overflows", "duration-underflows",
-        "config-array", "config-invalid-json", "config-nested-too-deep"])
+        "config-array", "config-invalid-json", "config-nested-too-deep",
+        "config-integer-too-long"])
 def test_bad_input_file_names_it_once(tmp_path, capsys, command, contents,
                                       reason):
     path, out = tmp_path / "input", tmp_path / "out"
@@ -676,20 +681,24 @@ BOUNDARY_FIELDS = [
     for path in field_paths(doc)
 ]
 
-# Non-numbers only, so no generated config can ask for a huge grid or
-# ensemble.
-NON_NUMBERS = st.one_of(
+# Non-numbers and integers outside float range (|x| >= 2**1024, fewer than
+# json's 4300 digits), so no generated config can ask for a huge grid or
+# ensemble: a float field refuses such an integer, and an integer field's
+# bounds refuse it as a count.
+BOUNDARY_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.text(max_size=3),
     st.lists(st.text(max_size=2), max_size=2),
     st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2),
+    st.integers(2**1024, 2**4000),
+    st.integers(-(2**4000), -(2**1024)),
 )
 
 
 @settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(target=st.sampled_from(BOUNDARY_FIELDS), value=NON_NUMBERS)
+@given(target=st.sampled_from(BOUNDARY_FIELDS), value=BOUNDARY_VALUES)
 def test_config_boundary_never_raises(tmp_path, target, value):
     command, doc, path = target
     argv = command_argv(tmp_path, command, replaced(doc, path, value))
@@ -715,8 +724,13 @@ def test_config_boundary_never_raises(tmp_path, target, value):
      "params.segments: expected a list of objects"),
     ("solve", PIECEWISE_CONFIG, ("params", "breakpoints", 1), True,
      "params.breakpoints: expected a list of numbers"),
+    ("solve", constant_config(0.1, 0.02), ("grid", "end"), 10**400,
+     "grid.end: number too large for a float"),
+    ("solve", PIECEWISE_CONFIG, ("params", "breakpoints", 2), -(2**1024),
+     "params.breakpoints: number too large for a float"),
 ], ids=["number-bool", "number-string", "integer-float", "integer-bool",
-        "object-list", "object-number", "segments", "breakpoints"])
+        "object-list", "object-number", "segments", "breakpoints",
+        "number-overflows", "breakpoint-overflows"])
 def test_json_type_refused(tmp_path, capsys, command, config, path, value,
                            error):
     argv = command_argv(tmp_path, command, replaced(config, path, value))

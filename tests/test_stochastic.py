@@ -252,8 +252,10 @@ class TestEnsembleAverage:
                interaction_cutoff=1e4), 0.6, 2**64 - 1),
     (SdeParams(0.3, 0.4, 0.5, 0.5, bonware_onset=250.0,
                interaction_cutoff=250.0), 0.6, -7),
+    (SdeParams(0.3, 0.4, 1.0, 0.5), -0.0, 2024),
 ], ids=["onset-cutoff", "certain-hits", "no-activity", "malware-only",
-        "from-zero", "subnormal", "late-malware", "late-bonware-and-cutoff"])
+        "from-zero", "subnormal", "late-malware", "late-bonware-and-cutoff",
+        "negative-zero"])
 def test_block_engine_pinned_cases(params, f_init, master_seed):
     n, steps = 600, 250
     assert 0 < n - stochastic._BLOCK_BYTES // (steps * 32) < n
@@ -261,8 +263,30 @@ def test_block_engine_pinned_cases(params, f_init, master_seed):
                               master_seed=master_seed)
     mean, stderr = reference_ensemble(params, f_init, 1.0, steps, n=n,
                                       master_seed=master_seed)
-    assert np.array_equal(result.mean_trace.values, mean)
-    assert np.array_equal(result.per_step_stderr, stderr)
+    # Bytes, not values, so that -0.0 and 0.0 differ.
+    assert result.mean_trace.values.tobytes() == mean.tobytes()
+    assert result.per_step_stderr.tobytes() == stderr.tobytes()
+
+
+# A dense (n, steps + 1) stack and the block budget: what the ensemble
+# held before it kept only each realization's changes.
+@pytest.mark.parametrize("params, share", [
+    # The bench input, on which about 1 entry in 6 changes.
+    (SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
+               interaction_cutoff=200.0), 0.5),
+    # Every entry changes, so the store is the stack and 1/64 more.
+    (SdeParams(1.0, 1.0, 1.0, 1.0), 1.1),
+], ids=["bench", "certain-hits"])
+def test_ensemble_peak_memory(params, share):
+    n, steps = 10_000, 250
+    stack_peak = n * (steps + 1) * 8 + stochastic._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        ensemble_average(params, 1.0, 1.0, steps, n=n, master_seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= share * stack_peak
 
 
 PROBABILITY = st.floats(0.0, 1.0)
@@ -282,14 +306,17 @@ DT = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 4.0)
     steps=st.integers(1, 60),
     master_seed=st.integers(0, 2**64 - 1),
     block_rows=st.integers(0, 8),
+    draw_rows=st.integers(1, 3),
 )
 def test_block_engine_matches_per_realization_loop(params, f0, fraction, dt,
                                                    n, steps, master_seed,
-                                                   block_rows):
+                                                   block_rows, draw_rows):
     f_init = fraction * f0
-    # A budget of block_rows rows (at least one) splits n into many blocks.
+    # A budget of block_rows rows (at least one) splits n into many blocks,
+    # and draw_rows splits a block's draws.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stochastic, "_BLOCK_BYTES", block_rows * steps * 32)
+        mp.setattr(stochastic, "_DRAW_ROWS", draw_rows)
         result = ensemble_average(params, f_init, f0, steps, dt, n=n,
                                   master_seed=master_seed)
     mean, stderr = reference_ensemble(params, f_init, f0, steps, dt, n=n,

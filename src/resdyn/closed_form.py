@@ -176,9 +176,9 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
         )
         return _constant_values(fallback, f_start, f0, tau)
 
-    # scipy is imported only on this path, so commands that never solve a
-    # linear window do not pay for loading it.
-    from scipy.special import erfcx
+    # Imported only on this path, so commands that never solve a linear
+    # window do not load the coefficient table.
+    from ._faddeeva import erfcx
 
     big_lam = lam / math.sqrt(2.0 * om)
     x = math.sqrt(om / 2.0) * tau

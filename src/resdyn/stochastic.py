@@ -312,6 +312,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     # The bounds check simulate's trace makes, once for every row.
     _check_level("values", f0, low.min(), high.max(), error=InvalidTraceError)
     mean = total / n
+    stderr = np.zeros(steps + 1)
     if n > 1:
         # stack.std(axis=0, ddof=1), one block at a time.
         squares = np.zeros(steps + 1)
@@ -323,14 +324,13 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
             block *= block
             np.add.reduce(buf[:len(block) + 1], axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
-        # Steps where every realization agrees have that shared value, low
-        # (f_init at step 0), as their exact mean and zero spread; keep them
-        # free of summation roundoff.
-        agree = high == low
-        mean[agree] = low[agree]
-        stderr[agree] = 0.0
-    else:
-        stderr = np.zeros(steps + 1)
+    # Steps where every realization agrees (all of them when n = 1) have
+    # that shared value, low (f_init at step 0), as their exact mean and
+    # zero spread; keep them free of summation roundoff and of the sum's
+    # 0.0 + -0.0 = 0.0.
+    agree = high == low
+    mean[agree] = low[agree]
+    stderr[agree] = 0.0
     mean_trace = FunctionalityTrace(dt * np.arange(steps + 1), mean, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
                           n=n, master_seed=int(master_seed) & _MASK64)

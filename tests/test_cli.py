@@ -894,7 +894,7 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["solve", "--config", "{cfg}", "--out", "{out}"],
      constant_config(0.1, 0.02), ("closed_form",)),
     (["solve", "--config", "{cfg}", "--out", "{out}"],
-     LINEAR_CONFIG, ("closed_form",)),
+     LINEAR_CONFIG, ("closed_form", "_faddeeva")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
      sde_config(), ("stochastic",)),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
@@ -903,8 +903,8 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
 ], ids=["import", "import-cli", "help", "metrics", "fit", "solve",
         "solve-linear", "simulate", "fit-mle"])
 def test_import_footprint(tmp_path, argv, config, layers):
-    # Each command loads only the layers it runs; scipy is needed only by
-    # the linear solver, which imports it lazily.
+    # Each command loads only the layers it runs (the linear solver's erfcx
+    # table only when it solves a linear window) and none loads scipy.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
     argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
@@ -914,8 +914,7 @@ def test_import_footprint(tmp_path, argv, config, layers):
     want = {"resdyn"} if layers is None else (
         CLI_MODULES | {f"resdyn.{layer}" for layer in layers})
     assert {m for m in loaded if m.startswith("resdyn")} == want
-    scipy = any(m.startswith("scipy") for m in loaded)
-    assert scipy == (config is LINEAR_CONFIG)
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
 
 
 def test_cli_binds_traced_entry_points_without_loading_layers():

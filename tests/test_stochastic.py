@@ -167,10 +167,14 @@ class TestSimulate:
 
 class TestEnsembleAverage:
     def test_single_realization_equals_simulate(self):
-        ens = ensemble_average(BASE, 1.0, 1.0, steps=80, n=1, master_seed=7)
-        direct = simulate(BASE, 1.0, 1.0, steps=80, seed=split_seed(7, 0))
-        assert np.array_equal(ens.mean_trace.values, direct.values)
-        assert np.array_equal(ens.per_step_stderr, np.zeros(81))
+        # Bit for bit, so a level of -0.0 keeps its sign.
+        for f_init in (1.0, -0.0):
+            ens = ensemble_average(BASE, f_init, 1.0, steps=80, n=1,
+                                   master_seed=7)
+            direct = simulate(BASE, f_init, 1.0, steps=80,
+                              seed=split_seed(7, 0))
+            assert ens.mean_trace.values.tobytes() == direct.values.tobytes()
+            assert np.array_equal(ens.per_step_stderr, np.zeros(81))
 
     def test_no_activity_zero_stderr(self):
         p = SdeParams(0.0, 0.0, 0.5, 0.5)

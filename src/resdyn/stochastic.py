@@ -11,10 +11,17 @@ Optional onset times delay either agent, and an interaction cutoff models
 bonware disabling malware outright: the malware term is suppressed for
 t >= interaction_cutoff.
 
-Randomness comes from a Philox counter-based generator keyed directly
-with a 64-bit seed, and ensembles derive per-realization seeds from a
-master seed with the splitmix64 mix, so any run is reproducible bit for
-bit regardless of evaluation order.
+Randomness comes from a Philox4x64-10 counter-based generator keyed
+directly with a 64-bit seed, and ensembles derive per-realization seeds
+from a master seed with the splitmix64 mix, so any run is reproducible bit
+for bit regardless of evaluation order.  :func:`simulate` computes its
+stream itself (``resdyn._philox``, in numpy ``uint64`` arithmetic): step k
+takes the four 64-bit words of the block at counter k + 1 as its four
+draws, in the order its docstring gives, each word x as the double
+(x >> 11) * 2**-53.  That is the stream ``numpy.random.Philox(key=seed)``
+feeds ``Generator.random``, and :func:`ensemble_average` draws it from
+there: numpy's C computes the millions of blocks an ensemble needs about
+six times faster.  So only ensembles import ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -166,25 +173,37 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     which keeps the stream aligned across parameter choices.  Uniform
     effect draws are half-open: Uniform[0, effectiveness).
 
+    The draws of step k are the four words, in that order, of the
+    Philox4x64-10 block at counter k + 1 under the key ``seed`` mod 2**64,
+    each word x taken as the double (x >> 11) * 2**-53.  That is row k of
+    numpy's ``Generator(Philox(key=seed)).random((steps, 4))``, the stream
+    :func:`ensemble_average` draws; here it is computed a fixed chunk of
+    steps at a time, without importing ``numpy.random``.
+
     Identical (params, seed) give bit-identical traces.  ``steps + 1`` may
     not exceed ``MAX_GRID_POINTS``, and ``dt * steps`` must be finite.
     """
+    # Imported only on this path: ensembles draw from numpy's C Philox.
+    from ._philox import uniforms
+
     _check_run(steps, dt)
     _check_level("f_init", f0, f_init)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    draws = rng.random((steps, 4))
+    # Each chunk's draws as Python floats, row by row: scalar arithmetic on
+    # floats gives the same bits as on numpy scalars, and is faster.
+    chunks = uniforms(int(seed) & _MASK64, steps)
+    rows = chain.from_iterable(zip(*draws.T.tolist()) for draws in chunks)
 
     times = dt * np.arange(steps + 1)
     malware_on, bonware_on = (live.tolist() for live in _live(params, times[:-1]))
     values = np.empty(steps + 1)
     f = float(f_init)
     values[0] = f
-    for k in range(steps):
+    for k, (m_roll, m_effect, b_roll, b_effect) in enumerate(rows):
         delta = 0.0
-        if malware_on[k] and draws[k, 0] < params.malware_activity:
-            delta -= draws[k, 1] * params.malware_effectiveness * f
-        if bonware_on[k] and draws[k, 2] < params.bonware_activity:
-            delta += draws[k, 3] * params.bonware_effectiveness * (f0 - f)
+        if malware_on[k] and m_roll < params.malware_activity:
+            delta -= m_effect * params.malware_effectiveness * f
+        if bonware_on[k] and b_roll < params.bonware_activity:
+            delta += b_effect * params.bonware_effectiveness * (f0 - f)
         f += delta
         values[k + 1] = f
 

@@ -864,7 +864,8 @@ def test_output_to_pipe_is_streamed(tmp_path):
 
 
 # Runs ``python -m resdyn ARGS`` in-process, or with ``--import MODULE`` only
-# imports MODULE, then writes the resdyn and scipy modules loaded to stderr.
+# imports MODULE, then writes the resdyn, scipy and numpy.random modules
+# loaded to stderr.
 FOOTPRINT = """
 import json, runpy, sys
 if sys.argv[1] == "--import":
@@ -876,7 +877,8 @@ else:
         if exc.code:
             raise
 print(json.dumps([m for m in sys.modules
-                  if m.partition(".")[0] in ("resdyn", "scipy")]),
+                  if m.partition(".")[0] in ("resdyn", "scipy")
+                  or m.startswith("numpy.random")]),
       file=sys.stderr)
 """
 
@@ -896,15 +898,19 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["solve", "--config", "{cfg}", "--out", "{out}"],
      LINEAR_CONFIG, ("closed_form", "_faddeeva")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
-     sde_config(), ("stochastic",)),
+     sde_config(), ("stochastic", "_philox")),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"],
+     sde_config(n=3, steps=5), ("stochastic",)),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
      FIT_MLE_CONFIG, ("_trace_read", "estimation", "likelihood",
                       "stochastic")),
 ], ids=["import", "import-cli", "help", "metrics", "fit", "solve",
-        "solve-linear", "simulate", "fit-mle"])
+        "solve-linear", "simulate", "simulate-ensemble", "fit-mle"])
 def test_import_footprint(tmp_path, argv, config, layers):
     # Each command loads only the layers it runs (the linear solver's erfcx
-    # table only when it solves a linear window) and none loads scipy.
+    # table only when it solves a linear window, the Philox port only for
+    # one realization) and none loads scipy.  Only an ensemble draws from
+    # numpy.random.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
     argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
@@ -915,6 +921,8 @@ def test_import_footprint(tmp_path, argv, config, layers):
         CLI_MODULES | {f"resdyn.{layer}" for layer in layers})
     assert {m for m in loaded if m.startswith("resdyn")} == want
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
+    ensemble = argv[0] == "simulate" and config["params"]["n"] > 1
+    assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
 
 
 def test_cli_binds_traced_entry_points_without_loading_layers():

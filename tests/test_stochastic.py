@@ -1,5 +1,6 @@
 """Stochastic step model: reproducibility, bounds, onsets, and the mean law."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,10 +22,14 @@ from resdyn import (
     stochastic,
     write_ensemble_csv,
 )
+from resdyn._philox import _CHUNK
 from resdyn.core import MAX_GRID_POINTS, ConstantImpacts
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
                  malware_effectiveness=0.34, bonware_effectiveness=0.71)
+# The cutoff falls in the second chunk of simulate's draws.
+ONSET_CUTOFF = SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
+                         bonware_onset=3.0, interaction_cutoff=30000.0)
 
 
 class TestSdeParams:
@@ -167,14 +172,19 @@ class TestSimulate:
 
 class TestEnsembleAverage:
     def test_single_realization_equals_simulate(self):
-        # Bit for bit, so a level of -0.0 keeps its sign.
-        for f_init in (1.0, -0.0):
-            ens = ensemble_average(BASE, f_init, 1.0, steps=80, n=1,
+        # Bit for bit, so a level of -0.0 keeps its sign.  simulate computes
+        # its draws a chunk of steps at a time and the ensemble takes them
+        # from numpy.random, so at one chunk, and at two and a step, the
+        # chunked loop meets an independent stream.
+        for (params, steps), f_init in itertools.product(
+                [(BASE, 80), (ONSET_CUTOFF, _CHUNK),
+                 (ONSET_CUTOFF, 2 * _CHUNK + 1)], (1.0, -0.0)):
+            ens = ensemble_average(params, f_init, 1.0, steps=steps, n=1,
                                    master_seed=7)
-            direct = simulate(BASE, f_init, 1.0, steps=80,
+            direct = simulate(params, f_init, 1.0, steps=steps,
                               seed=split_seed(7, 0))
             assert ens.mean_trace.values.tobytes() == direct.values.tobytes()
-            assert np.array_equal(ens.per_step_stderr, np.zeros(81))
+            assert np.array_equal(ens.per_step_stderr, np.zeros(steps + 1))
 
     def test_no_activity_zero_stderr(self):
         p = SdeParams(0.0, 0.0, 0.5, 0.5)

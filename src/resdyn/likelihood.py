@@ -20,23 +20,34 @@ import numpy as np
 
 from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_fields, _check_level
 from .errors import DomainError
-from .stochastic import SdeParams, _check_range
+from .stochastic import SdeParams, _check_range, _is_integer
 
 # Increments at most this close to zero are scored against the atom of
 # the transition mixture.
 ATOM_TOL = 1e-12
 
 
+def _transitions(f_now, f_next, f0):
+    """Each transition F -> F' as ``(F, f0 - F, F' - F, atom, decrease,
+    increase)``: an increment within ATOM_TOL of zero is an atom, any
+    other a decrease or an increase by its sign."""
+    f_now = np.asarray(f_now, dtype=float)
+    f_next = np.asarray(f_next, dtype=float)
+    delta = f_next - f_now
+    atom = np.abs(delta) <= ATOM_TOL
+    return (f_now, f0 - f_now, delta, atom, ~atom & (delta < 0.0),
+            ~atom & (delta > 0.0))
+
+
 # A subnormal width overflows its density to +inf, which is its value.
 @np.errstate(over="ignore")
-def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
-                            malware_effectiveness, bonware_effectiveness,
-                            f0) -> np.ndarray:
-    """Vectorized log density/mass of step transitions.
+def _transition_log_density(steps, malware_activity, bonware_activity,
+                            malware_effectiveness,
+                            bonware_effectiveness) -> np.ndarray:
+    """Vectorized log density/mass of the :func:`_transitions` table.
 
-    Marginalizing the four per-step draws leaves, for the increment
-    d = f_next - f_now with a = malware_effectiveness * f_now and
-    b = bonware_effectiveness * (f0 - f_now):
+    Marginalizing the four per-step draws leaves, for the increment d with
+    a = malware_effectiveness * F and b = bonware_effectiveness * gap:
 
     * an atom at 0 with mass (1-tm)(1-tb),
     * Uniform(-a, 0) with mass tm(1-tb),
@@ -44,15 +55,13 @@ def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
     * the difference of two uniforms (a trapezoid on (-a, b)) with mass
       tm*tb.
 
-    Components collapse into the atom where their width is zero (f_now at
-    either bound).  Increments within ATOM_TOL of zero score log-mass;
-    others score log-density, with -inf outside the support.
+    Components collapse into the atom where their width is zero (F at
+    either bound).  Atoms score log-mass; others score log-density, with
+    -inf outside the support.
     """
-    f_now = np.asarray(f_now, dtype=float)
-    f_next = np.asarray(f_next, dtype=float)
-    delta = f_next - f_now
+    f_now, gap, delta, atom, dec, inc = steps
     a = malware_effectiveness * f_now
-    b = bonware_effectiveness * (f0 - f_now)
+    b = bonware_effectiveness * gap
     tm = malware_activity
     tb = bonware_activity
     mal_only = tm * (1.0 - tb)
@@ -61,7 +70,7 @@ def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
 
     a_gone = a <= 0.0
     b_gone = b <= 0.0
-    atom = (
+    mass = (
         (1.0 - tm) * (1.0 - tb)
         + np.where(a_gone, mal_only, 0.0)
         + np.where(b_gone, bon_only, 0.0)
@@ -73,8 +82,8 @@ def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
     # The decreases malware alone reaches and the increases bonware alone
     # reaches (none where its width is zero); the both-fired case reaches
     # them too, and nothing else off the atom.
-    down = (delta < 0.0) & (delta > -a)
-    up = (delta > 0.0) & (delta < b)
+    down = dec & (delta > -a)
+    up = inc & (delta < b)
     dens = np.where(down, mal_only / a_safe, bon_only / b_safe)
     if both > 0.0:
         # With one width zero, both firing acts as the other agent alone.
@@ -82,11 +91,10 @@ def _transition_log_density(f_now, f_next, malware_activity, bonware_activity,
             b_gone, both / a_safe, both * _trapezoid(delta, a_safe, b_safe)))
     dens = np.where(down | up, dens, 0.0)
 
-    is_atom = np.abs(delta) <= ATOM_TOL
     with np.errstate(divide="ignore"):
-        log_atom = np.log(atom)
+        log_mass = np.log(mass)
         log_dens = np.log(dens)
-    return np.where(is_atom, log_atom, log_dens)
+    return np.where(atom, log_mass, log_dens)
 
 
 def step_log_density(f_now: float, f_next: float, params: SdeParams,
@@ -99,17 +107,13 @@ def step_log_density(f_now: float, f_next: float, params: SdeParams,
     """
     _check_level("f_now", f0, f_now)
     _check_level("f_next", f0, f_next)
-    return float(
-        _transition_log_density(
-            f_now,
-            f_next,
-            params.malware_activity,
-            params.bonware_activity,
-            params.malware_effectiveness,
-            params.bonware_effectiveness,
-            f0,
-        )
-    )
+    return float(_transition_log_density(
+        _transitions([f_now], [f_next], f0),
+        params.malware_activity,
+        params.bonware_activity,
+        params.malware_effectiveness,
+        params.bonware_effectiveness,
+    )[0])
 
 
 @dataclass(frozen=True)
@@ -254,8 +258,9 @@ def _side(act, n_moves, n_still, inv, trap, edge):
     return total - logs.sum(), magnitude + np.abs(logs).sum()
 
 
-def _separable_surface(f_now, f_next, f0, axes):
-    """Log-likelihood surface from one-dimensional sums, and its error bound.
+def _separable_surface(steps, axes):
+    """Log-likelihood surface of the :func:`_transitions` table ``steps``
+    from one-dimensional sums, and its error bound.
 
     With a = g_m F, b = g_b (f0 - F) and t_m, t_b the activities, each
     transition's density factors into a t_m part times a t_b part:
@@ -269,7 +274,7 @@ def _separable_surface(f_now, f_next, f0, axes):
     (The trace bounds rule out a decrease from 0 and an increase from
     f0.)  So for each effectiveness pair the summed log density is
     A(t_m) + B(t_b), and that pair's block of the surface is an outer
-    sum.  Transitions are classified once; each pair then costs
+    sum.  The table classifies the transitions; each pair then costs
     n_tm * N_increase + n_tb * N_decrease logs.  A pair under which some
     step leaves the support scores -inf throughout.
 
@@ -277,20 +282,16 @@ def _separable_surface(f_now, f_next, f0, axes):
     every cell, where exact is ``_transition_log_density(...).sum()`` and
     -inf cells agree exactly, or None outside ``_SEPARABLE_RANGE``.
     """
+    f_now, gap, delta, atom, dec, inc = steps
     act_m, act_b, eff_m, eff_b = axes
-    gap = f0 - f_now
     lo, hi = _SEPARABLE_RANGE
     for values in (f_now, gap, act_m, act_b, eff_m, eff_b):
         positive = values[values > 0.0]
         if positive.size and not lo <= positive.min() <= positive.max() <= hi:
             return None
 
-    delta = f_next - f_now
-    atom = np.abs(delta) <= ATOM_TOL
     top = gap <= 0.0
     bottom = f_now <= 0.0
-    dec = ~atom & (delta < 0.0)
-    inc = ~atom & (delta > 0.0)
     dec_in, inc_in = dec & ~top, inc & ~bottom
     d_dec, f_dec, g_dec = delta[dec_in], f_now[dec_in], gap[dec_in]
     d_inc, f_inc, g_inc = delta[inc_in], f_now[inc_in], gap[inc_in]
@@ -363,13 +364,13 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
     exhaustively, with the same result.  The grid may hold at most
     ``MAX_GRID_POINTS`` cells.
     """
+    if not (_is_integer(top_k) and top_k >= 1):
+        raise DomainError(f"top_k must be an integer >= 1, got {top_k!r}")
     axes = grid.axes()
     shape = tuple(axis.size for axis in axes)
     n_cells = math.prod(shape)
-    f_now = trace.values[:-1]
-    f_next = trace.values[1:]
-
-    terms = np.empty(f_now.size)
+    steps = _transitions(trace.values[:-1], trace.values[1:], trace.f0)
+    terms = np.empty(trace.values.size - 1)
 
     def cell(i) -> tuple[float, float, float, float]:
         """(t_m, t_b, g_m, g_b) of the cell with flat index ``i``."""
@@ -377,16 +378,16 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
                      zip(axes, np.unravel_index(i, shape)))
 
     def exact(i) -> float:
-        # Elementwise, block by block, then one sum over all the terms:
-        # the same bits as _transition_log_density(f_now, f_next, ...).sum().
+        # Views of the table block by block, then one sum over all terms:
+        # the same bits as _transition_log_density(steps, ...).sum().
         values = cell(i)
         for lo in range(0, terms.size, _EXACT_BLOCK):
             hi = lo + _EXACT_BLOCK
             terms[lo:hi] = _transition_log_density(
-                f_now[lo:hi], f_next[lo:hi], *values, trace.f0)
+                [column[lo:hi] for column in steps], *values)
         return float(terms.sum())
 
-    ranked = _separable_surface(f_now, f_next, trace.f0, axes)
+    ranked = _separable_surface(steps, axes)
     if ranked is None:
         surface = np.fromiter(map(exact, range(n_cells)), float, n_cells)
         # A cell with both +inf and -inf terms (overflowing densities)
@@ -395,7 +396,7 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
         ranked = surface, 0.0
     surface, margin = ranked
     flat = surface.ravel()
-    k = min(max(1, top_k), n_cells)
+    k = min(top_k, n_cells)
     kth = np.partition(flat, n_cells - k)[n_cells - k]
     infeasible = np.flatnonzero(flat == -np.inf)
     if kth == -np.inf:

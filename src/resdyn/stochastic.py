@@ -140,10 +140,20 @@ class EnsembleResult:
                            _readonly(self.per_step_stderr))
 
 
-def _check_run(steps: int, dt: float, n: int = 1) -> None:
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
     """Refuse a run of ``n`` realizations whose traces could not be
     allocated or timed; a run steps ``n * (steps + 1)`` values and, when
-    every step changes, an ensemble stores them all."""
+    every step changes, an ensemble stores them all.  Returns ``(steps,
+    n)`` as Python ints, whose arithmetic cannot wrap around."""
+    for name, value in (("steps", steps), ("n", n)):
+        if not _is_integer(value):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    steps, n = int(steps), int(n)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps + 1 > MAX_GRID_POINTS:
@@ -159,6 +169,7 @@ def _check_run(steps: int, dt: float, n: int = 1) -> None:
     if n * (steps + 1) > MAX_GRID_POINTS:
         raise DomainError(f"n must keep n * (steps + 1) <= {MAX_GRID_POINTS}, "
                           f"got {n} * {steps + 1}")
+    return steps, n
 
 
 def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
@@ -186,7 +197,7 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     # Imported only on this path: ensembles draw from numpy's C Philox.
     from ._philox import uniforms
 
-    _check_run(steps, dt)
+    steps, _ = _check_run(steps, dt)
     _check_level("f_init", f0, f_init)
     # Each chunk's draws as Python floats, row by row: scalar arithmetic on
     # floats gives the same bits as on numpy scalars, and is faster.
@@ -306,7 +317,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     deviations are added in the same order, so the result does not depend
     on the block size.  With n = 1 the standard error is reported as zero.
     """
-    _check_run(steps, dt, n)
+    steps, n = _check_run(steps, dt, n)
     _check_level("f_init", f0, f_init)
     f_init, f0 = float(f_init), float(f0)
     rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
@@ -374,7 +385,7 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
     q = ConstantImpacts(malware_impact, bonware_impact).total_impact
     if q >= 1.0:
         raise DomainError(f"combined per-step impact must be < 1, got {q}")
-    _check_run(steps, 1.0)
+    steps, _ = _check_run(steps, 1.0)
     _check_level("f_init", f0, f_init)
     k = np.arange(steps + 1, dtype=float)
     if q == 0.0:

@@ -41,6 +41,7 @@ from resdyn.likelihood import (
     ATOM_TOL,
     _separable_surface,
     _transition_log_density,
+    _transitions,
 )
 
 ALPHA1 = 1.0 - 1.0 / math.e
@@ -558,12 +559,12 @@ def test_grid_mle_matches_exhaustive_search(trace, grid, data):
 @given(trace=mle_traces(), grid=MLE_GRIDS)
 def test_separable_surface_within_its_margin(trace, grid):
     axes = grid.axes()
-    f_now, f_next = trace.values[:-1], trace.values[1:]
-    ranked = _separable_surface(f_now, f_next, trace.f0, axes)
+    steps = _transitions(trace.values[:-1], trace.values[1:], trace.f0)
+    ranked = _separable_surface(steps, axes)
     assume(ranked is not None)
     surface, margin = ranked
     exact = np.array([
-        _transition_log_density(f_now, f_next, *cell, trace.f0).sum()
+        _transition_log_density(steps, *cell).sum()
         for cell in itertools.product(*axes)
     ]).reshape(surface.shape)
     assert np.array_equal(surface == -np.inf, exact == -np.inf)
@@ -577,14 +578,14 @@ def test_separable_margin_covers_mixture_logs():
     # sum of |log term| of the exact scorer over the feasible cells.  The
     # margin must cover the bound its comment derives from that W.
     values = np.where(np.arange(301) % 2 == 0, 1.0 - 2e-6, 1.0 - 1e-6)
-    f_now, f_next = values[:-1], values[1:]
+    steps = _transitions(values[:-1], values[1:], 1.0)
     grid = MleGrid(GridAxis(0.2, 0.6, 0.2), GridAxis(0.2, 0.6, 0.2),
                    GridAxis(0.9, 1.0, 0.1), GridAxis(0.9, 1.0, 0.1))
-    _, margin = _separable_surface(f_now, f_next, 1.0, grid.axes())
-    terms = (_transition_log_density(f_now, f_next, *cell, 1.0)
+    _, margin = _separable_surface(steps, grid.axes())
+    terms = (_transition_log_density(steps, *cell)
              for cell in itertools.product(*grid.axes()))
     w = max(np.abs(logs).sum() for logs in terms if np.isfinite(logs).all())
-    n = f_now.size
+    n = values.size - 1
     assert margin >= (2 * n + 16) * np.finfo(float).eps * (w + n)
 
 
@@ -610,8 +611,13 @@ def scored_transitions(draw):
 
 @given(args=scored_transitions())
 def test_transition_log_density_matches_reference(args):
-    assert (_transition_log_density(*args).tobytes()
-            == reference_transition_log_density(*args).tobytes())
+    f_now, f_next, *rates, f0 = args
+    logs = _transition_log_density(_transitions(f_now, f_next, f0), *rates)
+    assert logs.tobytes() == reference_transition_log_density(*args).tobytes()
+    # One transition at a time, through step_log_density's one-row table.
+    one_by_one = [step_log_density(a, b, SdeParams(*rates), f0)
+                  for a, b in zip(f_now, f_next)]
+    assert np.array(one_by_one).tobytes() == logs.tobytes()
 
 
 PINNED_GRID = MleGrid(
@@ -631,7 +637,8 @@ PINNED_GRID = MleGrid(
     [0.5, 0.5],                         # a single atom
 ], ids=["all-infeasible", "no-decrease", "no-increase", "no-atom",
         "one-step", "one-atom"])
-@pytest.mark.parametrize("top_k", [1, 5, 200])
+@pytest.mark.parametrize("top_k", [1, 5, 200, pytest.param(np.int64(2),
+                                                             id="numpy-2")])
 def test_grid_mle_pinned_cases(values, top_k):
     trace = FunctionalityTrace(np.arange(float(len(values))),
                                np.array(values), 1.0)
@@ -639,12 +646,24 @@ def test_grid_mle_pinned_cases(values, top_k):
     assert result.n_infeasible_cells == infeasible_cells(trace, PINNED_GRID)
 
 
+@pytest.mark.parametrize("top_k", [0, -1, 2.5, True, "3", np.float64(2.0)],
+                         ids=["zero", "negative", "float", "bool", "str",
+                              "numpy-float"])
+def test_grid_mle_refuses_top_k(top_k):
+    trace = FunctionalityTrace(np.arange(3.0), np.array([0.5, 0.45, 0.5]),
+                               1.0)
+    with pytest.raises(DomainError) as caught:
+        grid_mle(trace, PINNED_GRID, top_k)
+    assert str(caught.value) == f"top_k must be an integer >= 1, got {top_k!r}"
+
+
 def test_outside_separable_range_scored_exhaustively():
     # A level below 2**-100 leaves the range the rounding margin assumes.
     values = np.array([1e-40, 0.1, 0.1, 0.08])
     trace = FunctionalityTrace(np.arange(4.0), values, 1.0)
     axes = PINNED_GRID.axes()
-    assert _separable_surface(values[:-1], values[1:], 1.0, axes) is None
+    assert _separable_surface(_transitions(values[:-1], values[1:], 1.0),
+                              axes) is None
     result = assert_matches_reference(trace, PINNED_GRID, 5)
     assert result.log_likelihood > -math.inf
     assert 0 < result.n_infeasible_cells == infeasible_cells(
@@ -663,7 +682,8 @@ def test_subnormal_level_scored_without_warnings():
     assert f_now[0] == 5e-324
     assert step_log_density(5e-324, 5e-324, params, 1.0) == math.log(
         (1.0 - 0.3) * (1.0 - 0.4))
-    exact = _transition_log_density(f_now, f_next, 0.3, 0.4, 0.75, 0.75, 1.0)
+    exact = _transition_log_density(_transitions(f_now, f_next, 1.0),
+                                    0.3, 0.4, 0.75, 0.75)
     assert [step_log_density(a, b, params, 1.0)
             for a, b in zip(f_now, f_next)] == exact.tolist()
     grid = MleGrid(GridAxis(0.0, 1.0, 0.25), GridAxis(0.0, 1.0, 0.5),

@@ -261,3 +261,45 @@ def test_run_arguments_refused_alike(tmp_path, capsys, steps, dt, n, text):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: params: {text}\n"
     assert not out.exists()
+
+
+# (steps, n) that the command line refuses by JSON type, and the one text
+# every library site refuses them with.
+SIZE_REFUSALS = {
+    "steps-float": (2.5, 1, "steps must be an integer, got 2.5"),
+    "steps-whole-float": (3.0, 1, "steps must be an integer, got 3.0"),
+    "steps-numpy-float": (np.float64(3.0), 1,
+                          "steps must be an integer, got np.float64(3.0)"),
+    "steps-bool": (True, 1, "steps must be an integer, got True"),
+    "steps-str": ("3", 1, "steps must be an integer, got '3'"),
+    "n-float": (10, 2.5, "n must be an integer, got 2.5"),
+    "n-bool": (10, True, "n must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("steps, n, text", SIZE_REFUSALS.values(),
+                         ids=SIZE_REFUSALS)
+def test_run_sizes_must_be_integers(steps, n, text):
+    # As in test_run_arguments_refused_alike, f_init is out of range.
+    if text.startswith("steps"):
+        assert refusal(lambda _: simulate(PARAMS, 2.0, 1.0, steps),
+                       DomainError, None) == text
+        assert refusal(lambda _: expectation_recursion(0.1, 0.2, 2.0, 1.0,
+                                                       steps),
+                       DomainError, None) == text
+    assert refusal(lambda _: ensemble_average(PARAMS, 2.0, 1.0, steps, n=n),
+                   DomainError, None) == text
+
+
+def test_numpy_integer_run_sizes_run_as_ints():
+    # np.uint8(255) + 1 would wrap to 0; the sizes are used as Python ints.
+    steps, n = np.uint8(255), np.int16(3)
+    assert (simulate(PARAMS, 0.5, 1.0, steps, seed=2).values.tobytes()
+            == simulate(PARAMS, 0.5, 1.0, 255, seed=2).values.tobytes())
+    assert (expectation_recursion(0.1, 0.2, 0.5, 1.0, steps).values.tobytes()
+            == expectation_recursion(0.1, 0.2, 0.5, 1.0, 255).values.tobytes())
+    result = ensemble_average(PARAMS, 0.5, 1.0, steps, n=n)
+    assert type(result.n) is int
+    assert (result.mean_trace.values.tobytes()
+            == ensemble_average(PARAMS, 0.5, 1.0, 255,
+                                n=3).mean_trace.values.tobytes())

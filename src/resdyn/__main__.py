@@ -1,3 +1,4 @@
 from .cli import run
 
-run()
+if __name__ == "__main__":
+    run()

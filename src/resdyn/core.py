@@ -90,13 +90,14 @@ def _sample_axis(x, name: str, error: type = DomainError) -> np.ndarray:
     return axis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalityTrace:
     """A time-ordered sampling of functionality, with its normal level.
 
     ``times`` must be strictly increasing with at least two samples and
     ``values`` must stay within ``[0, f0]``.  Instances are immutable
-    (arrays are marked read-only) and safe to share across threads.
+    (arrays are marked read-only) and safe to share across threads.  They
+    compare and hash by identity, as an array has no one truth value.
     """
 
     times: np.ndarray
@@ -147,12 +148,12 @@ class ConstantImpacts:
         return self.malware_impact + self.bonware_impact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PiecewiseSchedule:
     """Impacts on consecutive windows [t_j, t_{j+1}), one segment each.
 
     Subclasses set ``_segment_type``, the impacts type every segment must
-    be an instance of.
+    be an instance of.  Schedules compare and hash by identity, as traces do.
     """
 
     breakpoints: np.ndarray

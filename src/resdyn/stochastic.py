@@ -59,8 +59,12 @@ def split_seed(master_seed: int, index: int) -> int:
     a fixed avalanche mix, so seeds for different indices are decorrelated
     while remaining a pure function of (master_seed, index).
     """
+    master_seed = _seed_key("master_seed", master_seed)
+    if not _is_integer(index):
+        raise DomainError(f"index must be an integer, got {index!r}")
     if index < 0:
         raise DomainError(f"realization index must be >= 0, got {index}")
+    index = int(index)
     return int(_split_seeds(master_seed, index, index + 1)[0])
 
 
@@ -126,9 +130,10 @@ def _live(params: SdeParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return malware, t >= params.bonware_onset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Per-step mean and standard error over seeded realizations."""
+    """Per-step mean and standard error over seeded realizations; results
+    compare and hash by identity, as traces do."""
 
     mean_trace: FunctionalityTrace
     per_step_stderr: np.ndarray
@@ -143,6 +148,14 @@ class EnsembleResult:
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _seed_key(name: str, seed) -> int:
+    """The Philox key of the integer ``seed``: ``seed`` mod 2**64, as a
+    Python int; refuses any other value, naming the argument ``name``."""
+    if not _is_integer(seed):
+        raise DomainError(f"{name} must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
 
 
 def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
@@ -201,7 +214,7 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     _check_level("f_init", f0, f_init)
     # Each chunk's draws as Python floats, row by row: scalar arithmetic on
     # floats gives the same bits as on numpy scalars, and is faster.
-    chunks = uniforms(int(seed) & _MASK64, steps)
+    chunks = uniforms(_seed_key("seed", seed), steps)
     rows = chain.from_iterable(zip(*draws.T.tolist()) for draws in chunks)
 
     times = dt * np.arange(steps + 1)
@@ -319,6 +332,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     """
     steps, n = _check_run(steps, dt, n)
     _check_level("f_init", f0, f_init)
+    master_seed = _seed_key("master_seed", master_seed)
     f_init, f0 = float(f_init), float(f0)
     rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
     # A block of realizations below a row that carries the running sum into
@@ -363,7 +377,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     stderr[agree] = 0.0
     mean_trace = FunctionalityTrace(dt * np.arange(steps + 1), mean, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
-                          n=n, master_seed=int(master_seed) & _MASK64)
+                          n=n, master_seed=master_seed)
 
 
 def expectation_recursion(malware_impact: float, bonware_impact: float,

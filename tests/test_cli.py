@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import gc
 import json
 import math
 import os
@@ -923,6 +924,72 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     ensemble = argv[0] == "simulate" and config["params"]["n"] > 1
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
+
+
+# Runs resdyn to its exit the way ``python -m resdyn ARGS`` does (entry
+# "runpy", as FOOTPRINT does) or the console script does ("run"), and at exit,
+# after the command's own output, writes gc.get_freeze_count() to the file
+# RECORD.  An entry ending in "-no-freeze" first makes gc.freeze a no-op,
+# which is the exit as it was before run() froze the collector.
+EXIT = """
+import atexit, gc, pathlib, runpy, sys
+record, entry, *argv = sys.argv[1:]
+if entry.endswith("-no-freeze"):
+    gc.freeze = lambda: None
+atexit.register(
+    lambda: pathlib.Path(record).write_text(str(gc.get_freeze_count())))
+sys.argv[1:] = argv
+if entry.startswith("runpy"):
+    runpy.run_module("resdyn", run_name="__main__", alter_sys=True)
+else:
+    import resdyn.cli
+    resdyn.cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["metrics", str(NOTIONAL_CSV)], None, 0),
+    (["solve", "--config", "{cfg}", "--out", "{out}"],
+     constant_config(-0.1, 0.02), 2),
+    (["metrics", "{out}"], None, 1),
+    (["--help"], None, 0),
+    ([], None, 2),
+], ids=["ok", "resdyn-error", "os-error", "help", "no-command"])
+def test_exit_freezes_the_collector(tmp_path, argv, config, code):
+    # However the command ends, both entries exit with the collector frozen,
+    # and print and return exactly what they did without the freeze.
+    cfg = write_config(tmp_path, "cfg.json", config) if config else None
+    argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
+    runs = {}
+    for entry in ("run-no-freeze", "runpy", "run"):
+        record = tmp_path / f"{entry}.count"
+        proc = subprocess.run(
+            [sys.executable, "-c", EXIT, str(record), entry, *argv],
+            capture_output=True, text=True)
+        runs[entry] = ((proc.returncode, proc.stdout, proc.stderr),
+                       int(record.read_text()))
+    before, unfrozen = runs.pop("run-no-freeze")
+    assert before[0] == code, before
+    assert unfrozen == 0
+    for entry, (after, frozen) in runs.items():
+        assert after == before, entry
+        assert frozen > 0, entry
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # Only the process exit freezes: library callers, tests and traced
+    # benchmark passes call main() and keep a normal collector.
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            before = gc.get_freeze_count()
+            assert main(["metrics", str(NOTIONAL_CSV)]) == 0
+            assert main(["metrics", str(tmp_path / "missing.csv")]) == 1
+            with pytest.raises(SystemExit):
+                main([])
+            assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
+        finally:
+            gc.enable()
 
 
 def test_cli_binds_traced_entry_points_without_loading_layers():

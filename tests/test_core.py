@@ -14,11 +14,15 @@ from resdyn import (
     ConstantImpacts,
     DomainError,
     FunctionalityTrace,
+    GridAxis,
     InvalidTraceError,
     LinearImpacts,
     PiecewiseConstantSchedule,
+    PiecewiseLinearSchedule,
+    SdeParams,
     accomplishment,
     auc_resilience,
+    ensemble_average,
     integrate_reference,
     read_trace_csv,
     solve_piecewise_constant,
@@ -68,6 +72,33 @@ class TestFunctionalityTrace:
             trace.values[0] = 0.9
         with pytest.raises(ValueError):
             trace.times[0] = -1.0
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # An array has no one truth value, so records holding arrays compare and
+    # hash as objects; records of scalars keep value equality.
+    def schedules():
+        return (PiecewiseConstantSchedule(
+                    [0.0, 1.0], (ConstantImpacts(0.1, 0.2),)),
+                PiecewiseLinearSchedule(
+                    [0.0, 1.0], (LinearImpacts(0.1, 0.0, 0.2, 0.0),)))
+
+    def ensemble():
+        return ensemble_average(SdeParams(0.3, 0.4, 1.0, 0.4), 0.5, 1.0, 4,
+                                n=2, master_seed=1)
+
+    for record, twin in [(read_trace_csv(NOTIONAL_CSV),
+                          read_trace_csv(NOTIONAL_CSV)),
+                         *zip(schedules(), schedules()),
+                         (ensemble(), ensemble())]:
+        assert record == record and record != twin
+        assert record in [twin, record] and record not in [twin]
+        assert hash(record) == hash(record)
+        assert len({record, twin}) == 2
+    for make in (lambda: ConstantImpacts(0.1, 0.2),
+                 lambda: SdeParams(0.3, 0.4, 1.0, 0.4),
+                 lambda: GridAxis(0.0, 1.0, 0.5)):
+        assert make() == make() and hash(make()) == hash(make())
 
 
 class TestImpactTypes:

@@ -62,3 +62,17 @@ def test_submodules_reachable_after_plain_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [f"resdyn.{m}" for m in layers]
+
+
+def test_importing_main_module_does_not_run_the_cli():
+    # Tools that import every module (pydoc, package walkers) import
+    # resdyn.__main__ too; only running it as __main__ runs the CLI.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import pydoc, resdyn.__main__; "
+         "print(pydoc.render_doc('resdyn.__main__').splitlines()[0])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (
+        "Python Library Documentation: module resdyn.__main__ in resdyn\n", "")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,38 @@ class TestSplitSeed:
             assert seeds.dtype == np.uint64
             assert seeds.tolist() == [split_seed(master_seed, i)
                                       for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("seed, key", [
+    (2.7, None), (2.0, None), (True, None), ("3", None), (None, None),
+    (np.float64(3.0), None), (7, 7), (np.int64(7), 7), (np.uint8(7), 7),
+    (np.uint64(2**64 - 1), 2**64 - 1), (-3, 2**64 - 3),
+    (np.int32(-3), 2**64 - 3), (2**64 + 5, 5), (2**70 + 3, 3),
+])
+def test_seeds_follow_one_integer_rule(seed, key):
+    # A seed, master seed or index that is not an int or numpy integer is
+    # refused, naming its argument; any integer keys its stream mod 2**64.
+    run = (BASE, 0.5, 1.0, 6)
+    if key is None:
+        for name, call in (
+                ("seed", lambda: simulate(*run, seed=seed)),
+                ("master_seed", lambda: ensemble_average(*run, n=3,
+                                                         master_seed=seed)),
+                ("master_seed", lambda: split_seed(seed, 1)),
+                ("index", lambda: split_seed(11, seed))):
+            match = f"^{name} must be an integer, got {re.escape(repr(seed))}$"
+            with pytest.raises(DomainError, match=match):
+                call()
+        return
+    assert (simulate(*run, seed=seed).values.tobytes()
+            == simulate(*run, seed=key).values.tobytes())
+    ensemble = ensemble_average(*run, n=3, master_seed=seed)
+    assert type(ensemble.master_seed) is int and ensemble.master_seed == key
+    assert (ensemble.mean_trace.values.tobytes()
+            == ensemble_average(*run, n=3, master_seed=key).mean_trace.values.tobytes())
+    assert split_seed(seed, 1) == split_seed(key, 1)
+    if seed >= 0:
+        assert split_seed(11, seed) == split_seed(11, key)
 
 
 class TestSimulate:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 from .core import TRACE_CSV_HEADER, FunctionalityTrace
 from .errors import InvalidTraceError
@@ -19,8 +19,9 @@ def _check_ascii_number(raw: str) -> None:
 class _TraceLines:
     """The line grammar of a trace CSV, applied one line at a time.
 
-    Holds what earlier lines set: the ``f0`` metadata and whether the
-    header was seen.  :meth:`rows` reads lines in file order and raises
+    Holds what earlier lines set: the ``f0`` metadata, whether the header
+    was seen, and the samples read so far, as ``times`` and ``values``
+    columns.  :meth:`read` reads lines in file order and raises
     InvalidTraceError naming ``path:lineno`` at the first bad one.
     """
 
@@ -28,12 +29,13 @@ class _TraceLines:
         self.path = path
         self.f0 = 1.0
         self.saw_header = False
+        self.times = array("d")
+        self.values = array("d")
 
-    def rows(self, lines, first: int) -> np.ndarray:
-        """The samples in ``lines``, the first of which is line ``first``,
-        as an (n, 2) array of (time, value) rows."""
+    def read(self, lines, first: int) -> None:
+        """Add the samples in ``lines``, the first of which is line
+        ``first``, to the columns."""
         path = self.path
-        rows = []
         for lineno, raw in enumerate(lines, start=first):
             line = raw.strip()
             if not line:
@@ -62,15 +64,40 @@ class _TraceLines:
                 raise InvalidTraceError(f"{path}:{lineno}: expected two fields")
             try:
                 _check_ascii_number(raw)
-                rows.append((float(parts[0]), float(parts[1])))
+                t, v = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise InvalidTraceError(
                     f"{path}:{lineno}: non-numeric sample {line!r}"
                 ) from exc
-        return np.array(rows, dtype=float).reshape(-1, 2)
+            self.times.append(t)
+            self.values.append(v)
+
+    def read_bulk(self, lines) -> bool:
+        """Add the samples in ``lines`` from one numpy parse, and say so;
+        or add nothing and return False when the lines need the line
+        grammar: a comment, a whitespace-only line, a character outside
+        ``_BULK_CHARS``, or a row numpy refuses."""
+        text = "".join(lines)
+        if (not text.isascii() or not text.strip()
+                or text.encode("ascii").translate(None, _BULK_CHARS)):
+            return False
+        import numpy as np
+
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return False
+        if rows.shape[1] != 2:
+            return False
+        self.times.frombytes(rows[:, 0].tobytes())
+        self.values.frombytes(rows[:, 1].tobytes())
+        return True
 
 
-# Sample lines are read in blocks of about this many characters.
+# Sample lines are read in blocks of about this many characters.  A file
+# whose first block of samples is longer than this has its blocks parsed
+# by numpy (:meth:`_TraceLines.read_bulk`); a shorter one holds all of its
+# samples, and the line grammar reads them without loading numpy.
 _BLOCK_CHARS = 1 << 16
 
 # Over lines made only of these characters, numpy's loadtxt and the line
@@ -81,25 +108,9 @@ _BLOCK_CHARS = 1 << 16
 _BULK_CHARS = b"0123456789+-.eE, \t\n"
 
 
-def _bulk_rows(lines) -> np.ndarray | None:
-    """The samples in ``lines`` from one numpy parse, or None when the
-    lines need the line grammar: a comment, a whitespace-only line, a
-    character outside ``_BULK_CHARS``, or a row numpy refuses."""
-    text = "".join(lines)
-    if (not text.isascii() or not text.strip()
-            or text.encode("ascii").translate(None, _BULK_CHARS)):
-        return None
-    try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if rows.shape[1] == 2 else None
-
-
 def read_trace(path) -> FunctionalityTrace:
     """See :func:`resdyn.core.read_trace_csv`."""
     reader = _TraceLines(path)
-    blocks = []
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lineno = 0
@@ -109,18 +120,21 @@ def read_trace(path) -> FunctionalityTrace:
                     raise InvalidTraceError(
                         f"{path}: missing {TRACE_CSV_HEADER!r} header")
                 lineno += 1
-                reader.rows((raw,), lineno)
-            while chunk := fh.readlines(_BLOCK_CHARS):
-                rows = _bulk_rows(chunk)
-                blocks.append(reader.rows(chunk, lineno + 1) if rows is None
-                              else rows)
+                reader.read((raw,), lineno)
+            chunk = fh.readlines(_BLOCK_CHARS)
+            # readlines stops once a block is longer than the hint, so a
+            # shorter first block is the whole rest of the file.
+            bulk = sum(map(len, chunk)) > _BLOCK_CHARS
+            while chunk:
+                if not (bulk and reader.read_bulk(chunk)):
+                    reader.read(chunk, lineno + 1)
                 lineno += len(chunk)
+                chunk = fh.readlines(_BLOCK_CHARS)
     except UnicodeDecodeError as exc:
         raise InvalidTraceError(
             f"{path}: not UTF-8 text ({exc.reason})") from exc
-    rows = np.concatenate(blocks) if blocks else np.empty((0, 2))
     try:
-        return FunctionalityTrace(rows[:, 0], rows[:, 1], reader.f0)
+        return FunctionalityTrace(reader.times, reader.values, reader.f0)
     except InvalidTraceError as exc:
         # The samples as a whole are refused: no one line is at fault.
         raise InvalidTraceError(f"{path}: {exc}") from exc

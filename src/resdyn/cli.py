@@ -23,8 +23,7 @@ import json
 import math
 import sys
 from importlib import import_module
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     MAX_GRID_POINTS,
@@ -38,6 +37,9 @@ from .core import (
     write_trace_csv,
 )
 from .errors import DomainError, InvalidTraceError, ResdynError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _deferred(module: str, name: str):
@@ -180,6 +182,8 @@ def _load_json(path: str) -> dict:
 
 
 def _build_grid(config: dict) -> np.ndarray:
+    import numpy as np
+
     grid = _get(config, "grid", "", dict)
     start = _get(grid, "start", "grid.", float)
     end = _get(grid, "end", "grid.", float)
@@ -197,7 +201,8 @@ def _build_grid(config: dict) -> np.ndarray:
             f"(end - start) / step = {span:.6g}"
         )
     count = int(round(span))
-    if not np.isclose(start + count * step, end, rtol=0.0, atol=1e-9 * max(1.0, abs(end))):
+    if not math.isclose(start + count * step, end, rel_tol=0.0,
+                        abs_tol=1e-9 * max(1.0, abs(end))):
         raise ConfigError(
             "grid.step: span (end - start) must be a whole number of steps"
         )
@@ -215,8 +220,7 @@ def _schedule(cls, params: dict):
     breakpoints = _list_of(params, "breakpoints", "params.", float)
     # The segments were checked one by one above, so what the schedule
     # still refuses is its breakpoints or their count.
-    return _at("params.breakpoints", cls,
-               breakpoints=np.asarray(breakpoints, dtype=float),
+    return _at("params.breakpoints", cls, breakpoints=breakpoints,
                segments=segments)
 
 

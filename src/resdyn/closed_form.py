@@ -28,6 +28,7 @@ from .core import (
     _check_f0,
     _check_level,
     _clamp_to_bounds,
+    _readonly,
     _sample_axis,
 )
 from .errors import DomainError, UndefinedSteadyStateError
@@ -93,7 +94,7 @@ def solve_constant(impacts: ConstantImpacts, f_init: float, f0: float,
     one-window case of :func:`solve_piecewise_constant`, the window being
     the grid's span.
     """
-    g = _sample_axis(grid, "grid")
+    g = _readonly(_sample_axis(grid, "grid"))
     schedule = PiecewiseConstantSchedule(g[[0, -1]], (impacts,))
     return solve_piecewise_constant(schedule, f_init, f0, g)
 
@@ -108,7 +109,7 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
     is continuous across breakpoints by construction.  The grid must lie
     inside the schedule's span.
     """
-    g = _sample_axis(grid, "grid")
+    g = _readonly(_sample_axis(grid, "grid"))
     _check_level("f_init", f0, f_init)
     span = max(1.0, abs(schedule.start_time), abs(schedule.end_time))
     tol = 1e-9 * span
@@ -203,7 +204,7 @@ def solve_linear(impacts: LinearImpacts, f_init: float, f0: float,
     window being the grid's span, so window-local time starts at
     ``grid[0]`` and the window's checks apply to segment 0.
     """
-    g = _sample_axis(grid, "grid")
+    g = _readonly(_sample_axis(grid, "grid"))
     schedule = PiecewiseLinearSchedule(g[[0, -1]], (impacts,))
     return solve_piecewise_linear(schedule, f_init, f0, g)
 

@@ -16,15 +16,20 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import stat
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from typing import ClassVar
-
-import numpy as np
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, ClassVar
 
 from .errors import DomainError, InvalidTraceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Fixed step ceiling of the reference integrator; a fixed step keeps the
 # oracle bit-reproducible run to run.
@@ -39,9 +44,33 @@ MAX_GRID_POINTS = 10**7
 
 
 def _readonly(x) -> np.ndarray:
-    arr = np.array(x, dtype=float)
+    """``x`` as a read-only float array: a view of an ``array('d')``, else
+    a copy."""
+    import numpy as np
+
+    arr = np.frombuffer(x) if isinstance(x, array) else np.array(x, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _floats(x) -> tuple[array | None, tuple[int, ...]]:
+    """The samples of ``x`` as a new ``array('d')``, and the shape numpy
+    gives ``x``; the samples are None unless ``x`` is one-dimensional.
+
+    An ``array('d')``, or a list or tuple of floats and ints, is read
+    without numpy; anything else is converted as ``np.asarray(x, float)``
+    converts it.
+    """
+    if (isinstance(x, array) and x.typecode == "d") or (
+            type(x) in (list, tuple) and set(map(type, x)) <= {float, int}):
+        samples = array("d", x)
+        return samples, (len(samples),)
+    import numpy as np
+
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        return None, arr.shape
+    return array("d", arr.tobytes()), arr.shape
 
 
 def _check_fields(obj, names, ok, requirement: str) -> None:
@@ -74,60 +103,83 @@ def _check_level(name: str, f0: float, *levels: float,
             raise error(f"{name} must lie in [0, f0], got {v}")
 
 
-def _sample_axis(x, name: str, error: type = DomainError) -> np.ndarray:
-    """``x`` as a read-only float array, refused unless it is a sample
-    axis: one-dimensional, at least two points, finite and strictly
-    increasing, with a span ``x[-1] - x[0]`` that is a finite float."""
-    axis = _readonly(x)
-    if axis.ndim != 1 or axis.size < 2:
+def _extremes(samples) -> tuple[float, float]:
+    """The least and greatest of ``samples``, both NaN when one is NaN, as
+    numpy's ``min`` and ``max`` give them (``min`` alone would skip a NaN
+    that does not come first).  A NaN makes the sum NaN, so only a NaN sum
+    needs the slower search."""
+    if math.isnan(sum(samples)) and any(map(math.isnan, samples)):
+        return math.nan, math.nan
+    return min(samples), max(samples)
+
+
+def _sample_axis(x, name: str, error: type = DomainError) -> array:
+    """``x`` as a new ``array('d')``, refused unless it is a sample axis:
+    one-dimensional, at least two points, finite and strictly increasing,
+    with a span ``x[-1] - x[0]`` that is a finite float."""
+    axis, _ = _floats(x)
+    if axis is None or len(axis) < 2:
         raise error(f"{name} must be one-dimensional with at least two points")
+    # A NaN fails every comparison, so a strictly increasing axis with
+    # finite ends is finite throughout.
+    if not (math.isfinite(axis[0]) and math.isfinite(axis[-1])
+            and all(map(operator.lt, axis[:-1], axis[1:]))):
+        raise error(f"{name} must be finite and strictly increasing")
     # Finite points may lie further apart than the largest float.
-    with np.errstate(over="ignore"):
-        if not (np.isfinite(axis).all() and (np.diff(axis) > 0.0).all()):
-            raise error(f"{name} must be finite and strictly increasing")
-        if not np.isfinite(axis[-1] - axis[0]):
-            raise error(f"{name} must be of finite span (last - first)")
+    if not math.isfinite(axis[-1] - axis[0]):
+        raise error(f"{name} must be of finite span (last - first)")
     return axis
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FunctionalityTrace:
     """A time-ordered sampling of functionality, with its normal level.
 
     ``times`` must be strictly increasing with at least two samples and
-    ``values`` must stay within ``[0, f0]``.  Instances are immutable
-    (arrays are marked read-only) and safe to share across threads.  They
-    compare and hash by identity, as an array has no one truth value.
+    ``values`` must stay within ``[0, f0]``.  The samples are copied into
+    ``array('d')`` buffers; ``times`` and ``values`` are read-only numpy
+    views of them, each made on first access, so code that never reads
+    them does not load numpy.  Instances are immutable and safe to share
+    across threads.  They compare and hash by identity, as an array has no
+    one truth value.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    f0: float = 1.0
+    _times: array
+    _values: array
+    f0: float
 
-    def __post_init__(self):
-        times = _sample_axis(self.times, "times", InvalidTraceError)
-        values = _readonly(self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "f0", float(self.f0))
-        if values.shape != times.shape:
+    def __init__(self, times, values, f0: float = 1.0):
+        times = _sample_axis(times, "times", InvalidTraceError)
+        values, shape = _floats(values)
+        f0 = float(f0)
+        if shape != (len(times),):
             raise InvalidTraceError(
-                f"times and values differ in shape: {times.shape} vs {values.shape}"
+                f"times and values differ in shape: {(len(times),)} vs {shape}"
             )
-        _check_level("values", self.f0, values.min(), values.max(),
-                     error=InvalidTraceError)
+        _check_level("values", f0, *_extremes(values), error=InvalidTraceError)
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "f0", f0)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return _readonly(self._times)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _readonly(self._values)
 
     @property
     def start_time(self) -> float:
-        return float(self.times[0])
+        return self._times[0]
 
     @property
     def end_time(self) -> float:
-        return float(self.times[-1])
+        return self._times[-1]
 
     @property
     def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
+        return self._times[-1] - self._times[0]
 
 
 @dataclass(frozen=True)
@@ -148,49 +200,57 @@ class ConstantImpacts:
         return self.malware_impact + self.bonware_impact
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _PiecewiseSchedule:
     """Impacts on consecutive windows [t_j, t_{j+1}), one segment each.
 
     Subclasses set ``_segment_type``, the impacts type every segment must
-    be an instance of.  Schedules compare and hash by identity, as traces do.
+    be an instance of, and are frozen dataclasses themselves, so that none
+    of their attributes can be rebound.  ``breakpoints`` is a read-only
+    view, as a trace's arrays are.  Schedules compare and hash by
+    identity, as traces do.
     """
 
-    breakpoints: np.ndarray
+    _breakpoints: array
     segments: tuple
 
     _segment_type: ClassVar[type]
 
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
+    def __init__(self, breakpoints, segments):
+        segments = tuple(segments)
         kind = self._segment_type
         for seg in segments:
             if not isinstance(seg, kind):
                 raise DomainError(f"segments must be {kind.__name__} instances")
-        pts = _sample_axis(self.breakpoints, "breakpoints")
-        if pts.size != len(segments) + 1:
+        pts = _sample_axis(breakpoints, "breakpoints")
+        if len(pts) != len(segments) + 1:
             raise DomainError(
-                f"expected {pts.size - 1} segments for {pts.size} breakpoints, "
+                f"expected {len(pts) - 1} segments for {len(pts)} breakpoints, "
                 f"got {len(segments)}"
             )
-        object.__setattr__(self, "breakpoints", pts)
+        object.__setattr__(self, "_breakpoints", pts)
+        object.__setattr__(self, "segments", segments)
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        return _readonly(self._breakpoints)
 
     @property
     def start_time(self) -> float:
-        return float(self.breakpoints[0])
+        return self._breakpoints[0]
 
     @property
     def end_time(self) -> float:
-        return float(self.breakpoints[-1])
+        return self._breakpoints[-1]
 
     def segment_index(self, t: float) -> int:
         """Index of the window owning time t; the final right endpoint
         belongs to the last window."""
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
+        idx = bisect_right(self._breakpoints, t) - 1
         return min(max(idx, 0), len(self.segments) - 1)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class PiecewiseConstantSchedule(_PiecewiseSchedule):
     """Constant impacts on consecutive windows [t_j, t_{j+1})."""
 
@@ -251,10 +311,29 @@ class LinearImpacts:
                 )
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class PiecewiseLinearSchedule(_PiecewiseSchedule):
     """Linearly varying impacts on consecutive windows, local time per window."""
 
     _segment_type = LinearImpacts
+
+
+def _pairwise_sum(terms, lo: int, n: int) -> float:
+    """The sum of ``terms[lo:lo + n]`` as numpy's pairwise summation adds
+    float64s: a plain loop below 8 terms; up to 128, eight strided running
+    sums combined as a tree, then the rest in order; above 128, the sums of
+    two halves split at a multiple of 8."""
+    if n < 8:
+        return reduce(operator.add, terms[lo:lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(operator.add, terms[i:end:8]) for i in range(lo, lo + 8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(operator.add, terms[end:lo + n], res)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(terms, lo, half)
+            + _pairwise_sum(terms, lo + half, n - half))
 
 
 def accomplishment(trace: FunctionalityTrace) -> float:
@@ -263,9 +342,17 @@ def accomplishment(trace: FunctionalityTrace) -> float:
     Uses trapezoidal quadrature on the trace's own grid, so the metric is
     first-order correct on irregular grids.  An integral that overflows
     a float raises DomainError.
+
+    The terms (t[i+1] - t[i]) * (v[i+1] + v[i]) / 2 and their pairwise sum,
+    added to 0.0 as numpy's reduction adds it, are those of
+    ``np.trapezoid(values, times)``, so the result has its bits.
     """
-    with np.errstate(over="ignore"):
-        total = float(np.trapezoid(trace.values, trace.times))
+    t, v = trace._times, trace._values
+    terms = array("d", map(operator.truediv,
+                           map(operator.mul, map(operator.sub, t[1:], t),
+                               map(operator.add, v[1:], v)),
+                           repeat(2.0)))
+    total = 0.0 + _pairwise_sum(terms, 0, len(terms))
     if not math.isfinite(total):
         raise DomainError(f"accomplishment must be finite, got {total}")
     return total
@@ -287,6 +374,8 @@ def auc_resilience(trace: FunctionalityTrace) -> float:
 
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:
     """Clip roundoff-level excursions; anything larger is a genuine bug."""
+    import numpy as np
+
     lo = float(values.min())
     hi = float(values.max())
     if lo < -BOUND_SLACK or hi > f0 + BOUND_SLACK:
@@ -304,7 +393,9 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
     than RK4_MAX_STEP, so results are bit-reproducible.  Sampling a
     negative impact rate raises DomainError.
     """
-    g = _sample_axis(grid, "grid")
+    import numpy as np
+
+    g = _readonly(_sample_axis(grid, "grid"))
     _check_level("f_init", f0, f_init)
 
     def rates(t: float) -> tuple[float, float]:
@@ -384,7 +475,7 @@ def write_trace_csv(trace: FunctionalityTrace, path) -> None:
     Numbers carry 17 significant digits so a read-back reproduces the
     exact float values.  UTF-8, LF line endings.
     """
-    rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(trace.times, trace.values))
+    rows = (f"{t:.17g},{v:.17g}\n" for t, v in zip(trace._times, trace._values))
     _write_text(path, chain((f"# f0={trace.f0:.17g}\n{TRACE_CSV_HEADER}\n",),
                             rows))
 
@@ -402,11 +493,13 @@ def read_trace_csv(path) -> FunctionalityTrace:
     there is one; a compressed file is not decompressed, and a file that
     is not UTF-8 raises InvalidTraceError.
 
-    Sample lines are parsed in blocks by numpy; a block that holds
-    anything but plain numbers is read line by line, so every refused
-    line is reported as ``path:lineno``.  A refusal of the samples as a
-    whole (out of order, outside [0, f0], fewer than two) and of the
-    file's encoding is reported as ``path``.
+    A file whose samples are longer than one block of ``_BLOCK_CHARS``
+    characters is parsed in blocks by numpy, and a block that holds
+    anything but plain numbers is read line by line; a shorter file is
+    read line by line without loading numpy.  Every refused line is
+    reported as ``path:lineno``.  A refusal of the samples as a whole (out
+    of order, outside [0, f0], fewer than two) and of the file's encoding
+    is reported as ``path``.
     """
     # The parser is its own module, so a command that reads no trace does
     # not compile it.

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from .core import (
     ConstantImpacts,
@@ -115,21 +116,27 @@ def detect_switch_time(trace: FunctionalityTrace) -> float:
     the plateau.  A minimum touching either end of the trace means the
     trend never reversed, which raises :class:`NoSwitchError`.
     """
-    values = trace.values
-    i_min = int(np.argmin(values))
-    v_min = float(values[i_min])
-    in_window = values <= v_min + MIN_WINDOW_TOL
+    return _switch(trace)[0]
+
+
+def _switch(trace: FunctionalityTrace) -> tuple[float, float]:
+    """The switching time of :func:`detect_switch_time`, and the minimum
+    whose window it is the midpoint of."""
+    values = trace._values
+    v_min = min(values)
+    i_min = values.index(v_min)
+    top = v_min + MIN_WINDOW_TOL
     left = i_min
-    while left - 1 >= 0 and in_window[left - 1]:
+    while left - 1 >= 0 and values[left - 1] <= top:
         left -= 1
     right = i_min
-    while right + 1 < values.size and in_window[right + 1]:
+    while right + 1 < len(values) and values[right + 1] <= top:
         right += 1
-    if left == 0 or right == values.size - 1:
+    if left == 0 or right == len(values) - 1:
         raise NoSwitchError(
             "the minimum sits on the trace boundary; no switching time exists"
         )
-    return float(0.5 * (trace.times[left] + trace.times[right]))
+    return 0.5 * (trace._times[left] + trace._times[right]), v_min
 
 
 def count_activities(trace: FunctionalityTrace, switch_time: float,
@@ -153,19 +160,30 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
         )
     if not math.isfinite(count_end):
         raise DomainError(f"count_end must be finite, got {count_end}")
-    diffs = np.diff(trace.values)
-    ends = trace.times[1:]
-    down = diffs < -EVENT_TOL
-    up = diffs > EVENT_TOL
-    phase1 = ends <= switch_time
-    phase2 = (ends > switch_time) & (ends <= count_end)
+    # Move j ends at sample j + 1; the times are sorted, so each phase's
+    # moves are one run of indices.
+    values, times = trace._values, trace._times
+    split = bisect_right(times, switch_time) - 1
+    stop = bisect_right(times, count_end) - 1
+
+    def counts(lo: int, hi: int) -> tuple[int, int]:
+        """Down and up moves among moves ``lo`` to ``hi - 1``."""
+        # Most steps do not move, and a move of 0 is no event, so the
+        # zeros are dropped before the moves are compared.
+        moves = list(filter(None, map(operator.sub, values[lo + 1:hi + 1],
+                                      values[lo:hi])))
+        return (sum(map(operator.lt, moves, repeat(-EVENT_TOL))),
+                sum(map(operator.gt, moves, repeat(EVENT_TOL))))
+
+    down1, up1 = counts(0, split)
+    down2, up2 = counts(split, stop)
     dur1 = switch_time - t0
     dur2 = count_end - switch_time
     return ActivityRates(
-        malware_phase1=float(np.count_nonzero(down & phase1)) / dur1,
-        bonware_phase1=float(np.count_nonzero(up & phase1)) / dur1,
-        malware_phase2=float(np.count_nonzero(down & phase2)) / dur2,
-        bonware_phase2=float(np.count_nonzero(up & phase2)) / dur2,
+        malware_phase1=down1 / dur1,
+        bonware_phase1=up1 / dur1,
+        malware_phase2=down2 / dur2,
+        bonware_phase2=up2 / dur2,
     )
 
 
@@ -194,6 +212,9 @@ def _solve_phase(phase: str, start: float, end: float, level: float,
     )
     norm = math.hypot(*residuals)
     if not norm <= RESIDUAL_TOL * f0 or m < 0.0 or b < 0.0:
+        # Only a refusal loads numpy, for its residuals array.
+        import numpy as np
+
         raise FitFailureError(
             f"{phase}-phase system unsolved (residual {norm:.3g}, "
             f"rates m={m}, b={b})",
@@ -305,7 +326,7 @@ def fit_piecewise(trace: FunctionalityTrace,
     DomainError names the field.
     """
     cfg = config or FitConfig()
-    switch_time = detect_switch_time(trace)
+    switch_time, min_value = _switch(trace)
     for name in ("activity_count_end", "recovery_fit_end"):
         end = getattr(cfg, name)
         if end > trace.end_time:
@@ -317,9 +338,8 @@ def fit_piecewise(trace: FunctionalityTrace,
             f"activity_count_end {cfg.activity_count_end} must exceed "
             f"switch_time {switch_time}"
         )
-    min_value = float(trace.values.min())
     rates = count_activities(trace, switch_time, cfg.activity_count_end)
-    f_init = float(trace.values[0])
+    f_init = trace._values[0]
     impacts1, res1 = fit_phase1(
         min_value, switch_time - trace.start_time, f_init, trace.f0, cfg
     )
@@ -329,7 +349,7 @@ def fit_piecewise(trace: FunctionalityTrace,
     phase2 = _phase_estimate(impacts2, rates.malware_phase2,
                              rates.bonware_phase2)
     schedule = PiecewiseConstantSchedule(
-        breakpoints=np.array([trace.start_time, switch_time, trace.end_time]),
+        breakpoints=[trace.start_time, switch_time, trace.end_time],
         segments=(impacts1, impacts2),
     )
     return FitResult(
@@ -375,7 +395,7 @@ def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
         "phase1": phase(result.phase1),
         "phase2": phase(result.phase2),
         "schedule": {
-            "breakpoints": [float(t) for t in result.schedule.breakpoints],
+            "breakpoints": result.schedule._breakpoints.tolist(),
             "segments": [
                 {
                     "malware_impact": seg.malware_impact,

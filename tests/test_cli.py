@@ -407,6 +407,25 @@ def file_argv(command, path, out):
      "f0 must be positive and finite, got 0.0"),
     ("metrics", TRACE_HEAD + b"-1e308,0.5\n1e308,0.5\n",
      "times must be of finite span (last - first)"),
+    # A NaN is reported wherever it sits, and before an infinity.
+    ("metrics", TRACE_HEAD + b"0,nan\n1,0.5\n2,0.5\n",
+     "values must lie in [0, f0], got nan"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n1,nan\n2,0.5\n",
+     "values must lie in [0, f0], got nan"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n1,0.5\n2,nan\n",
+     "values must lie in [0, f0], got nan"),
+    ("metrics", TRACE_HEAD + b"0,-inf\n1,nan\n2,inf\n",
+     "values must lie in [0, f0], got nan"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n1,-inf\n2,0.5\n",
+     "values must lie in [0, f0], got -inf"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n1,inf\n2,0.5\n",
+     "values must lie in [0, f0], got inf"),
+    ("metrics", TRACE_HEAD + b"0,0.5\n1,0.5\ninf,0.5\n",
+     "times must be finite and strictly increasing"),
+    ("metrics", TRACE_HEAD + b"-inf,0.5\n1,0.5\n2,0.5\n",
+     "times must be finite and strictly increasing"),
+    ("metrics", TRACE_HEAD + b"0,0.5\nnan,0.5\n2,0.5\n",
+     "times must be finite and strictly increasing"),
     ("metrics", b"# f0=1e300\ntime,functionality\n0,1e300\n1e10,1e300\n",
      "accomplishment must be finite, got inf"),
     ("metrics", b"# f0=0.5\ntime,functionality\n0,0.5\n5e-324,0.5\n",
@@ -423,7 +442,9 @@ def file_argv(command, path, out):
      "to increase the limit)"),
 ], ids=["trace-not-utf8", "solve-config-not-utf8", "fit-config-not-utf8",
         "value-above-f0", "one-sample", "no-header", "times-out-of-order", "zero-f0",
-        "span-overflows", "accomplishment-overflows", "duration-underflows",
+        "span-overflows", "nan-first", "nan-inside", "nan-last",
+        "nan-among-infinities", "minus-inf-value", "inf-value", "inf-time",
+        "minus-inf-time", "nan-time", "accomplishment-overflows", "duration-underflows",
         "config-array", "config-invalid-json", "config-nested-too-deep",
         "config-integer-too-long"])
 def test_bad_input_file_names_it_once(tmp_path, capsys, command, contents,
@@ -866,7 +887,7 @@ def test_output_to_pipe_is_streamed(tmp_path):
 
 # Runs ``python -m resdyn ARGS`` in-process, or with ``--import MODULE`` only
 # imports MODULE, then writes the resdyn, scipy and numpy.random modules
-# loaded to stderr.
+# loaded, and numpy itself, to stderr.
 FOOTPRINT = """
 import json, runpy, sys
 if sys.argv[1] == "--import":
@@ -879,7 +900,7 @@ else:
             raise
 print(json.dumps([m for m in sys.modules
                   if m.partition(".")[0] in ("resdyn", "scipy")
-                  or m.startswith("numpy.random")]),
+                  or m == "numpy" or m.startswith("numpy.random")]),
       file=sys.stderr)
 """
 
@@ -911,7 +932,8 @@ def test_import_footprint(tmp_path, argv, config, layers):
     # Each command loads only the layers it runs (the linear solver's erfcx
     # table only when it solves a linear window, the Philox port only for
     # one realization) and none loads scipy.  Only an ensemble draws from
-    # numpy.random.
+    # numpy.random, and only the commands that compute on arrays (solve,
+    # simulate and the likelihood grid) load numpy at all.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
     argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
@@ -924,6 +946,8 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     ensemble = argv[0] == "simulate" and config["params"]["n"] > 1
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
+    arrays = argv[0] in ("solve", "simulate") or "--mle" in argv
+    assert ("numpy" in loaded) == arrays
 
 
 # Runs resdyn to its exit the way ``python -m resdyn ARGS`` does (entry

@@ -1,6 +1,11 @@
 """Domain types, metrics, reference integrator, and trace CSV I/O."""
 
+import dataclasses
 import math
+import re
+import subprocess
+import sys
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -28,6 +33,7 @@ from resdyn import (
     solve_piecewise_constant,
     write_trace_csv,
 )
+from resdyn.core import TRACE_CSV_HEADER, _pairwise_sum
 
 
 def flat_trace(level, f0=1.0, end=10.0, n=11):
@@ -67,11 +73,60 @@ class TestFunctionalityTrace:
                                np.array([0.0, 0.0]), 0.0)
 
     def test_arrays_are_readonly(self):
-        trace = flat_trace(0.5)
-        with pytest.raises(ValueError):
-            trace.values[0] = 0.9
-        with pytest.raises(ValueError):
-            trace.times[0] = -1.0
+        # Each array is read-only, is the same object on every access, and
+        # cannot be rebound, however the samples were given.
+        schedule = PiecewiseConstantSchedule([0.0, 1.0],
+                                             (ConstantImpacts(0.1, 0.2),))
+        for trace in (flat_trace(0.5),
+                      FunctionalityTrace([0.0, 1.0, 2.0], [1.0, 0.5, 1.0])):
+            for record, name in [(trace, "times"), (trace, "values"),
+                                 (schedule, "breakpoints")]:
+                arr = getattr(record, name)
+                assert type(arr) is np.ndarray and arr.dtype == np.float64
+                assert getattr(record, name) is arr
+                with pytest.raises(ValueError):
+                    arr[0] = 0.25
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, np.zeros(2))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+                assert getattr(record, name) is arr
+
+    def test_inputs_are_copied(self):
+        times, values = array("d", [0.0, 1.0]), np.array([1.0, 0.5])
+        trace = FunctionalityTrace(times, values)
+        times[0], values[0] = -1.0, 0.0
+        assert list(trace.times) == [0.0, 1.0]
+        assert list(trace.values) == [1.0, 0.5]
+
+    # Wherever a NaN sits, and whatever infinities share the trace with it,
+    # it is the level reported, as numpy's min reports it.
+    @pytest.mark.parametrize("values, got", [
+        ([math.nan, 0.5, 0.5], "nan"),
+        ([0.5, math.nan, 0.5], "nan"),
+        ([0.5, 0.5, math.nan], "nan"),
+        ([-math.inf, math.nan, math.inf], "nan"),
+        ([math.inf, 0.5, math.nan], "nan"),
+        ([0.5, -math.inf, 0.5], "-inf"),
+        ([0.5, 0.5, math.inf], "inf"),
+        ([-0.5, 0.5, 1.5], "-0.5"),
+        ([0.5, 1.5, 0.5], "1.5"),
+    ])
+    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    def test_level_refusal_names_nan_first(self, make, values, got):
+        with pytest.raises(InvalidTraceError,
+                           match=rf"^values must lie in \[0, f0\], got {got}$"):
+            FunctionalityTrace(make([0.0, 1.0, 2.0]), make(values))
+
+    @pytest.mark.parametrize("values, shape", [
+        ([[0.5], [0.5]], "(2, 1)"), (0.5, "()"), ([0.5], "(1,)")])
+    @pytest.mark.parametrize("make", [lambda x: x, np.array],
+                             ids=["python", "array"])
+    def test_values_shape_refused(self, make, values, shape):
+        with pytest.raises(InvalidTraceError, match=(
+                rf"^times and values differ in shape: \(2,\) vs "
+                rf"{re.escape(shape)}$")):
+            FunctionalityTrace(make([0.0, 1.0]), make(values))
 
 
 def test_array_records_compare_and_hash_by_identity():
@@ -197,6 +252,92 @@ class TestAccomplishment:
         with pytest.raises(DomainError,
                            match=r"^accomplishment must be finite, got inf$"):
             accomplishment(trace)
+
+    @pytest.mark.parametrize("trace", [
+        flat_trace(1e300, f0=1e300, end=1e10, n=300),
+        # Every term is finite; their sum is not.
+        flat_trace(8e307, f0=1e308, end=3.0, n=4),
+        flat_trace(8e307, f0=1e308, end=299.0, n=300),
+    ], ids=["terms", "sum-of-3", "pairwise-sum"])
+    def test_overflowing_sum_refused(self, trace):
+        with pytest.raises(DomainError,
+                           match=r"^accomplishment must be finite, got inf$"):
+            accomplishment(trace)
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 129, 1000])
+    def test_negative_zero_trace_accomplishes_positive_zero(self, n):
+        # numpy's reduction adds the pairwise sum to 0.0, so a trace held
+        # at -0.0 accomplishes +0.0 (a sum kept apart from that 0.0 would
+        # give -0.0 from 8 terms on).
+        trace = FunctionalityTrace(np.arange(n, dtype=float), np.full(n, -0.0))
+        assert math.copysign(1.0, accomplishment(trace)) == 1.0
+        assert math.copysign(1.0, auc_resilience(trace)) == 1.0
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+# Terms sized below 8 (a plain loop), 8 to 128 (eight running sums) and
+# above 128 (split in two), drawn by a seeded generator across many binary
+# orders of magnitude, with drawn values overwriting some of them: signed
+# zeros, subnormals, and any finite float.
+SUM_SIZES = st.one_of(st.integers(1, 7), st.integers(8, 128),
+                      st.integers(129, 3000))
+SPECIAL_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1.5e-310, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def assert_pairwise_sum_is_add_reduce(terms):
+    got = 0.0 + _pairwise_sum(array("d", terms.tobytes()), 0, terms.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.add.reduce(terms)
+    assert (math.isnan(got) and math.isnan(want)) or (
+        float_bits(got) == float_bits(want))
+
+
+@given(n=SUM_SIZES, seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, 10**6), SPECIAL_TERMS),
+                         max_size=12),
+       low=st.sampled_from([-1074, -60, 0]), high=st.sampled_from([1, 60, 1000]))
+def test_pairwise_sum_is_numpy_add_reduce(n, seed, specials, low, high):
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        terms = rng.standard_normal(n) * np.exp2(rng.integers(low, high, n))
+    for i, v in specials:
+        terms[i % n] = v
+    assert_pairwise_sum_is_add_reduce(terms)
+
+
+@pytest.mark.parametrize("n", [4095, 8192, 20000, 100001])
+def test_pairwise_sum_is_numpy_add_reduce_at_volume(n):
+    rng = np.random.default_rng(n)
+    assert_pairwise_sum_is_add_reduce(rng.standard_normal(n))
+    assert_pairwise_sum_is_add_reduce(rng.uniform(0.0, 1.0, n) * 1e-310)
+
+
+@given(n=SUM_SIZES, seed=st.integers(0, 2**32 - 1),
+       zeros=st.lists(st.tuples(st.integers(0, 10**6),
+                                st.sampled_from([0.0, -0.0, 5e-324,
+                                                 1e-310])), max_size=12),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e5, 1e300]),
+       f0=st.sampled_from([1.0, 1e-300, 1e300]))
+def test_accomplishment_is_numpy_trapezoid(n, seed, zeros, scale, f0):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.5, 2.0, n + 1) * scale)
+    values = rng.uniform(0.0, 1.0, n + 1) * f0
+    for i, v in zeros:
+        values[i % (n + 1)] = v
+    trace = FunctionalityTrace(times, values, f0)
+    with np.errstate(over="ignore"):
+        want = float(np.trapezoid(values, times))
+    if not math.isfinite(want):
+        with pytest.raises(DomainError):
+            accomplishment(trace)
+    else:
+        assert float_bits(accomplishment(trace)) == float_bits(want)
 
 
 class TestAucResilience:
@@ -498,9 +639,30 @@ def trace_files(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+def chars_after_header(path):
+    """How many characters the reader's text stream holds after the header
+    line, or None when the first line that is neither blank nor a comment
+    is not the header."""
+    with open(path, encoding="utf-8-sig") as fh:
+        while line := fh.readline():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                return len(fh.read()) if line == TRACE_CSV_HEADER else None
+    return None
+
+
+def spy_read_bulk():
+    """A patch that records the calls of the reader's numpy block parser."""
+    lines = resdyn._trace_read._TraceLines
+    return mock.patch.object(lines, "read_bulk", autospec=True,
+                             side_effect=lines.read_bulk)
+
+
 # A small block size makes a file span many blocks, some of them parsed by
-# numpy and some line by line.
-@pytest.mark.parametrize("block_chars", [None, 24])
+# numpy and some line by line.  At the edge, the block size is set so that
+# the samples just fill one block (read line by line) or just overfill it
+# (parsed by numpy where they are plain numbers).
+@pytest.mark.parametrize("block_chars", [None, 24, "edge-line", "edge-bulk"])
 @settings(max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=trace_files())
@@ -508,6 +670,52 @@ def test_read_matches_line_reference(tmp_path, block_chars, text):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8", newline="")
     chunk = block_chars or resdyn._trace_read._BLOCK_CHARS
-    with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", chunk):
+    samples = chars_after_header(path)
+    if block_chars in ("edge-line", "edge-bulk"):
+        # A block holds exactly the samples, or one character less.
+        chunk = (samples or 2) - (block_chars == "edge-bulk")
+    with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", chunk), \
+            spy_read_bulk() as read_bulk:
         got = read_outcome(read_trace_csv, path)
     assert got == read_outcome(reference_read_trace_csv, path)
+    if samples is not None and samples >= 2 and isinstance(got[0], bytes):
+        assert read_bulk.called == (samples > chunk)
+
+
+def sample_rows(chars):
+    """Sample lines of increasing times and varied number forms, exactly
+    ``chars`` characters long (at least 60)."""
+    rng = np.random.default_rng(chars)
+    rows, size, t = [], 0, 0.0
+    while True:
+        t += float(rng.uniform(0.001, 2.0))
+        row = f"{t!r},{float(rng.uniform(0.0, 1.0)):.{rng.integers(1, 18)}g}\n"
+        if size + len(row) > chars - 30:
+            break
+        rows.append(row)
+        size += len(row)
+    last = f"{t + 1.0!r},0.5"
+    return "".join(rows) + last + " " * (chars - size - len(last) - 1) + "\n"
+
+
+@pytest.mark.parametrize("extra, bulk", [(0, False), (1, True)],
+                         ids=["one-full-block", "over-one-block"])
+def test_reader_loads_numpy_only_past_one_block(tmp_path, extra, bulk):
+    # Samples that fit in one _BLOCK_CHARS block are read line by line,
+    # without numpy; one character more and the blocks are parsed by numpy.
+    # Either way the trace has the line reference's bits.
+    path = tmp_path / "trace.csv"
+    body = sample_rows(resdyn._trace_read._BLOCK_CHARS + extra)
+    path.write_text("# f0=1\ntime,functionality\n" + body, newline="")
+    assert chars_after_header(path) == resdyn._trace_read._BLOCK_CHARS + extra
+    with spy_read_bulk() as read_bulk:
+        got = read_outcome(read_trace_csv, path)
+    assert read_bulk.called == bulk
+    assert got == read_outcome(reference_read_trace_csv, path)
+    assert isinstance(got[0], bytes)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, resdyn; resdyn.read_trace_csv(sys.argv[1]); "
+         "print('numpy' in sys.modules)", str(path)],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{bulk}\n"

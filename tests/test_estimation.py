@@ -163,6 +163,17 @@ class TestFitPhase1:
             with pytest.raises(DomainError, match="switch_elapsed"):
                 fit_phase1(0.27, horizon, 1.0, 1.0)
 
+    def test_unsolved_system_carries_residual_array(self):
+        # A subnormal horizon makes the combined rate infinite, so the
+        # system is refused with both residuals as a float array.
+        with pytest.raises(FitFailureError, match="^decay-phase system "
+                           r"unsolved \(residual nan") as caught:
+            fit_phase1(0.3, 5e-324, 0.9, 1.0)
+        residuals = caught.value.residuals
+        assert type(residuals) is np.ndarray
+        assert residuals.dtype == np.float64 and residuals.shape == (2,)
+        assert np.isnan(residuals).all()
+
 
 class TestFitPhase2:
     def test_asymptote_identity(self):

@@ -77,10 +77,15 @@ def refusal(site, error, arg):
     ([[0.0, 1.0], [2.0, 3.0]], "one-dimensional with at least two points"),
     ([-1e308, 1e308], "of finite span (last - first)"),
     ([-1e308, 0.0, 1e308], "of finite span (last - first)"),
+    ([-math.inf, 1.0, 2.0], "finite and strictly increasing"),
+    ([[0.0], [1.0]], "one-dimensional with at least two points"),
+    (0.0, "one-dimensional with at least two points"),
 ])
 def test_sample_axis_refused_alike(site, axis, requirement):
+    # An array and a Python list are refused alike.
     call, error, name = AXIS_SITES[site]
     assert refusal(call, error, np.array(axis)) == f"{name} must be {requirement}"
+    assert refusal(call, error, axis) == f"{name} must be {requirement}"
 
 
 def unit_grid(**axes):

@@ -6,9 +6,9 @@ both-agents-fired case.  ``step_log_density`` scores one transition;
 ``grid_mle`` maximizes the summed log density over an explicit parameter
 grid.  With the effectivenesses fixed, that sum splits into a function of
 the malware activity plus one of the bonware activity, so the whole grid
-is ranked from one-dimensional sums; the cells that can reach the top are
-then scored exactly, transition by transition, and reported with a
-lexicographic tie-break.
+is ranked from one-dimensional sums; the cells that can reach its maximum
+are then scored exactly, transition by transition, and the best of them
+is reported, with a lexicographic tie-break.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_fields, _check_level
 from .errors import DomainError
-from .stochastic import SdeParams, _check_range, _is_integer
+from .stochastic import SdeParams, _check_range
 
 # Increments at most this close to zero are scored against the atom of
 # the transition mixture.
@@ -180,7 +180,8 @@ class MleGrid:
 
 @dataclass(frozen=True)
 class MleResult:
-    """Grid maximum-likelihood estimate with the best-scoring cells.
+    """Grid maximum-likelihood estimate: the best cell and its exact
+    log likelihood, over a grid of ``n_cells`` cells.
 
     ``n_infeasible_cells`` counts the cells scoring -inf, where some
     transition lies outside the support of the step density.
@@ -192,7 +193,6 @@ class MleResult:
 
     params: SdeParams
     log_likelihood: float
-    top_cells: tuple[tuple[float, SdeParams], ...]
     n_cells: int
     n_infeasible_cells: int
     on_grid_edge: tuple[bool, bool, bool, bool]
@@ -342,8 +342,7 @@ def _separable_surface(steps, axes):
     return surface, margin
 
 
-def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
-             top_k: int = 5) -> MleResult:
+def grid_mle(trace: FunctionalityTrace, grid: MleGrid) -> MleResult:
     """Grid maximum of the step-transition log likelihood.
 
     Cells are scored by the summed log density of consecutive-sample
@@ -352,20 +351,17 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
     :func:`_separable_surface`, which needs one-dimensional sums per
     effectiveness pair instead of a pass over the trace per cell.  Every
     cell whose surface value lies within twice the surface's rounding
-    bound of the ``top_k``-th best is then scored exactly, one transition
-    at a time (in blocks, with one sum over all terms), and only those
-    exact values are reported: the exact
-    ``top_k`` always lie among them, since no value moves by more than
-    the bound.  Ties, including all-(-inf) surfaces, resolve to the
-    lexicographically smallest cell in (malware_activity,
+    bound of the surface maximum is then scored exactly, one transition
+    at a time (in blocks, with one sum over all terms), and the exact
+    maximum is reported: no value moves by more than the bound, so every
+    cell that can reach or tie it is among those scored.  Ties resolve to
+    the lexicographically smallest cell in (malware_activity,
     bonware_activity, malware_effectiveness, bonware_effectiveness)
     order, so the result is independent of enumeration or scheduling
-    order.  Inputs outside the range the bound assumes are scored
-    exhaustively, with the same result.  The grid may hold at most
-    ``MAX_GRID_POINTS`` cells.
+    order; when every cell scores -inf, that is the first cell.  Inputs
+    outside the range the bound assumes are scored exhaustively, with the
+    same result.  The grid may hold at most ``MAX_GRID_POINTS`` cells.
     """
-    if not (_is_integer(top_k) and top_k >= 1):
-        raise DomainError(f"top_k must be an integer >= 1, got {top_k!r}")
     axes = grid.axes()
     shape = tuple(axis.size for axis in axes)
     n_cells = math.prod(shape)
@@ -396,24 +392,19 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid,
         ranked = surface, 0.0
     surface, margin = ranked
     flat = surface.ravel()
-    k = min(top_k, n_cells)
-    kth = np.partition(flat, n_cells - k)[n_cells - k]
-    infeasible = np.flatnonzero(flat == -np.inf)
-    if kth == -np.inf:
-        candidates = np.concatenate((np.flatnonzero(flat > -np.inf),
-                                     infeasible))[:k]
+    top = flat.max()
+    if top == -np.inf:
+        best_ll, best = -np.inf, 0
     else:
-        candidates = np.flatnonzero(flat >= kth - 2.0 * margin)
-    scored = sorted(((exact(i), i) for i in candidates.tolist()),
-                    key=lambda item: (-item[0], item[1]))[:k]
-
-    best_ll, best = scored[0]
+        best_ll, best = min(
+            ((exact(i), i) for i in
+             np.flatnonzero(flat >= top - 2.0 * margin).tolist()),
+            key=lambda item: (-item[0], item[1]))
     return MleResult(
         params=SdeParams(*cell(best)),
         log_likelihood=best_ll,
-        top_cells=tuple((ll, SdeParams(*cell(i))) for ll, i in scored),
         n_cells=n_cells,
-        n_infeasible_cells=int(infeasible.size),
+        n_infeasible_cells=int(np.count_nonzero(flat == -np.inf)),
         on_grid_edge=tuple(bool(i in (0, size - 1)) for i, size in
                            zip(np.unravel_index(best, shape), shape)),
     )

@@ -158,13 +158,13 @@ def reference_transition_log_density(f_now, f_next, malware_activity,
     return np.where(is_atom, log_atom, log_dens)
 
 
-def reference_grid_mle(trace, grid, top_k=5):
+def reference_grid_mle(trace, grid):
     """Exhaustive grid search, as ``grid_mle`` ran before its surface.
 
     Scores every cell with :func:`reference_transition_log_density`, in
-    ``itertools.product`` order, and sorts all of them by
-    (-log likelihood, enumeration index).  Returns
-    ``(params, log_likelihood, top_cells, n_cells)``.
+    ``itertools.product`` order, and returns all of them as
+    ``(log_likelihood, enumeration index, params)``, sorted by
+    (-log likelihood, enumeration index): the first is the estimate.
     """
     act_m, act_b, eff_m, eff_b = grid.axes()
     f_now = trace.values[:-1]
@@ -177,8 +177,7 @@ def reference_grid_mle(trace, grid, top_k=5):
         params = SdeParams(float(tm), float(tb), float(gm), float(gb))
         scored.append((ll, order, params))
     scored.sort(key=lambda item: (-item[0], item[1]))
-    top = tuple((ll, params) for ll, _, params in scored[:max(1, top_k)])
-    return scored[0][2], scored[0][0], top, len(scored)
+    return scored
 
 
 def reference_read_trace_csv(path):

@@ -3,6 +3,7 @@
 import ast
 import copy
 import gc
+import hashlib
 import json
 import math
 import os
@@ -678,6 +679,28 @@ FIT_MLE_CONFIG = {
            for name in ("malware_effectiveness", "bonware_effectiveness")},
     },
 }
+
+
+# SHA-256 of the `fit --mle` output file on the notional trace: how
+# grid_mle searches its grid must not move a byte of the estimate.
+@pytest.mark.parametrize("config, digest", [
+    (FIT_MLE_CONFIG,
+     "d90154eee69828ed60796abaade832b9d8356c1c67ada008bb0ece4b2c2ca1a5"),
+    ({"mle_grid": {
+        **{name: {"start": 0.05, "stop": 0.15, "step": 0.05}
+           for name in ("malware_activity", "bonware_activity")},
+        **{name: {"start": 0.3, "stop": 0.5, "step": 0.1}
+           for name in ("malware_effectiveness", "bonware_effectiveness")},
+    }},
+     "5501eb5359935b7acbafd6a30c716972ad57a9975d5e0c4438b1e71831329787"),
+], ids=["2x2x2x2", "3x3x3x3"])
+def test_fit_mle_output_bytes(tmp_path, config, digest):
+    cfg = write_config(tmp_path, "fit.json", config)
+    out = tmp_path / "fit_out.json"
+    assert main(["fit", str(NOTIONAL_CSV), "--config", cfg,
+                 "--out", str(out), "--mle"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 PIECEWISE_CONFIG = {
     "kind": "piecewise-constant", "f0": 1.0, "f_init": 1.0,

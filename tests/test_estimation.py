@@ -409,11 +409,13 @@ class TestGridMle:
             malware_effectiveness=GridAxis(0.2, 0.4, 0.1),
             bonware_effectiveness=GridAxis(0.2, 0.4, 0.1),
         )
-        result = grid_mle(trace, grid)
+        result, scored = grid_mle_scoring(trace, grid)
         assert result.params.malware_activity == pytest.approx(0.05)
         assert result.params.bonware_activity == pytest.approx(0.05)
-        # Effectiveness is irrelevant on a flat trace; the tie breaks to
-        # the lexicographically smallest cell.
+        # Effectiveness is irrelevant on a flat trace: all 3 x 3 pairs tie
+        # at the least activities, each is scored exactly, and the tie
+        # breaks to the lexicographically smallest cell.
+        assert scored == 9
         assert result.params.malware_effectiveness == pytest.approx(0.2)
         assert result.params.bonware_effectiveness == pytest.approx(0.2)
         # Only atoms: every cell is feasible, and the estimate sits on the
@@ -439,13 +441,26 @@ class TestGridMle:
         assert result.n_cells == 3 * 3 * 3 * 3
         assert abs(result.params.malware_activity - 0.08) <= 0.04 + 1e-12
         assert abs(result.params.bonware_activity - 0.12) <= 0.04 + 1e-12
-        assert result.top_cells[0][0] == result.log_likelihood
-        lls = [ll for ll, _ in result.top_cells]
-        assert lls == sorted(lls, reverse=True)
         # The generator sits inside the grid; low effectivenesses cannot
         # reach the trace's largest steps.
         assert result.on_grid_edge == (False, False, False, False)
-        assert result.n_infeasible_cells == infeasible_cells(trace, grid) == 45
+        assert result.n_infeasible_cells == infeasible_cells(
+            reference_grid_mle(trace, grid)) == 45
+
+    def test_scores_only_the_cells_that_can_win(self):
+        # On a trace of the generator and the acceptance grid, one cell
+        # lies within twice the surface's rounding bound of its maximum;
+        # only that one is scored exactly.
+        trace = simulate(SdeParams(*TRUTH), 1.0, 1.0, steps=5000, seed=31415)
+        grid = MleGrid(
+            malware_activity=GridAxis(0.04, 0.12, 0.02),
+            bonware_activity=GridAxis(0.08, 0.16, 0.02),
+            malware_effectiveness=GridAxis(0.28, 0.40, 0.02),
+            bonware_effectiveness=GridAxis(0.65, 0.77, 0.02),
+        )
+        result, scored = grid_mle_scoring(trace, grid)
+        assert result.n_cells == 1225
+        assert scored == 1
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(DomainError):
@@ -541,30 +556,50 @@ MLE_GRIDS = st.builds(MleGrid, grid_axes(ACTIVITY_STARTS),
                       grid_axes(EFFECTIVENESS_STARTS))
 
 
-def infeasible_cells(trace, grid):
-    """Cells the exhaustive search scores -inf."""
-    _, _, cells, _ = reference_grid_mle(trace, grid, top_k=MAX_GRID_POINTS)
-    return sum(ll == -math.inf for ll, _ in cells)
+def infeasible_cells(scored):
+    """Cells of :func:`reference_grid_mle`'s result that score -inf."""
+    return sum(ll == -math.inf for ll, _, _ in scored)
 
 
-def assert_matches_reference(trace, grid, top_k, exact_block=None):
+def grid_mle_scoring(trace, grid):
+    """``grid_mle``'s result and the number of cells it scored exactly."""
+    calls = []
+    original = likelihood._transition_log_density
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(likelihood, "_transition_log_density", counting)
+        result = grid_mle(trace, grid)
+    blocks = math.ceil((trace.values.size - 1) / likelihood._EXACT_BLOCK)
+    assert len(calls) % blocks == 0
+    return result, len(calls) // blocks
+
+
+def assert_matches_reference(trace, grid, exact_block=None):
     with pytest.MonkeyPatch.context() as mp:
         if exact_block is not None:
             mp.setattr(likelihood, "_EXACT_BLOCK", exact_block)
-        result = grid_mle(trace, grid, top_k)
-    expected = reference_grid_mle(trace, grid, top_k)
-    assert (result.params, result.log_likelihood, result.top_cells,
-            result.n_cells) == expected
+        result = grid_mle(trace, grid)
+    scored = reference_grid_mle(trace, grid)
+    best_ll, _, best = scored[0]
+    on_edge = tuple(value in (axis[0], axis[-1]) for value, axis in zip(
+        (best.malware_activity, best.bonware_activity,
+         best.malware_effectiveness, best.bonware_effectiveness),
+        grid.axes()))
+    assert (result.params, result.log_likelihood, result.n_cells,
+            result.n_infeasible_cells, result.on_grid_edge) == (
+        best, best_ll, len(scored), infeasible_cells(scored), on_edge)
     return result
 
 
 @given(trace=mle_traces(), grid=MLE_GRIDS, data=st.data())
 def test_grid_mle_matches_exhaustive_search(trace, grid, data):
-    n_cells = math.prod(axis.size for axis in grid.axes())
-    top_k = data.draw(st.integers(1, n_cells + 2))
     # Small blocks split the exact re-score of a trace into many calls.
     exact_block = data.draw(st.integers(1, 8))
-    assert_matches_reference(trace, grid, top_k, exact_block)
+    assert_matches_reference(trace, grid, exact_block)
 
 
 @given(trace=mle_traces(), grid=MLE_GRIDS)
@@ -639,8 +674,11 @@ PINNED_GRID = MleGrid(
 )
 
 
+ALL_INFEASIBLE = [1.0, 0.2, 0.2]     # a drop no effectiveness reaches
+
+
 @pytest.mark.parametrize("values", [
-    [1.0, 0.2, 0.2],                    # a drop no effectiveness reaches
+    ALL_INFEASIBLE,
     [0.0, 0.0, 0.05, 0.1, 0.1, 0.12],   # no decreases, from F = 0
     [1.0, 1.0, 0.9, 0.85, 0.85, 0.8],   # no increases, from F = f0
     [0.5, 0.45, 0.5, 0.46, 0.49],       # no atoms
@@ -648,24 +686,15 @@ PINNED_GRID = MleGrid(
     [0.5, 0.5],                         # a single atom
 ], ids=["all-infeasible", "no-decrease", "no-increase", "no-atom",
         "one-step", "one-atom"])
-@pytest.mark.parametrize("top_k", [1, 5, 200, pytest.param(np.int64(2),
-                                                             id="numpy-2")])
-def test_grid_mle_pinned_cases(values, top_k):
+def test_grid_mle_pinned_cases(values):
     trace = FunctionalityTrace(np.arange(float(len(values))),
                                np.array(values), 1.0)
-    result = assert_matches_reference(trace, PINNED_GRID, top_k)
-    assert result.n_infeasible_cells == infeasible_cells(trace, PINNED_GRID)
-
-
-@pytest.mark.parametrize("top_k", [0, -1, 2.5, True, "3", np.float64(2.0)],
-                         ids=["zero", "negative", "float", "bool", "str",
-                              "numpy-float"])
-def test_grid_mle_refuses_top_k(top_k):
-    trace = FunctionalityTrace(np.arange(3.0), np.array([0.5, 0.45, 0.5]),
-                               1.0)
-    with pytest.raises(DomainError) as caught:
-        grid_mle(trace, PINNED_GRID, top_k)
-    assert str(caught.value) == f"top_k must be an integer >= 1, got {top_k!r}"
+    result = assert_matches_reference(trace, PINNED_GRID)
+    if values == ALL_INFEASIBLE:
+        # Every cell scores -inf: the estimate is the first cell.
+        assert result.n_infeasible_cells == result.n_cells
+        assert result.params == SdeParams(0.0, 0.0, 0.1, 0.25)
+        assert result.log_likelihood == -math.inf
 
 
 def test_outside_separable_range_scored_exhaustively():
@@ -675,10 +704,9 @@ def test_outside_separable_range_scored_exhaustively():
     axes = PINNED_GRID.axes()
     assert _separable_surface(_transitions(values[:-1], values[1:], 1.0),
                               axes) is None
-    result = assert_matches_reference(trace, PINNED_GRID, 5)
+    result = assert_matches_reference(trace, PINNED_GRID)
     assert result.log_likelihood > -math.inf
-    assert 0 < result.n_infeasible_cells == infeasible_cells(
-        trace, PINNED_GRID) < result.n_cells
+    assert 0 < result.n_infeasible_cells < result.n_cells
 
 
 @pytest.mark.filterwarnings("error")
@@ -699,7 +727,7 @@ def test_subnormal_level_scored_without_warnings():
             for a, b in zip(f_now, f_next)] == exact.tolist()
     grid = MleGrid(GridAxis(0.0, 1.0, 0.25), GridAxis(0.0, 1.0, 0.5),
                    GridAxis(0.75, 1.0, 0.25), GridAxis(0.75, 1.0, 0.25))
-    assert_matches_reference(trace, grid, 5)
+    assert_matches_reference(trace, grid)
 
 
 @pytest.mark.filterwarnings("error")

@@ -686,10 +686,14 @@ ALL_INFEASIBLE = [1.0, 0.2, 0.2]     # a drop no effectiveness reaches
     [0.5, 0.5],                         # a single atom
 ], ids=["all-infeasible", "no-decrease", "no-increase", "no-atom",
         "one-step", "one-atom"])
-def test_grid_mle_pinned_cases(values):
+# Exact re-scoring one transition at a time, in blocks that split or hold
+# the whole trace, and with a numpy-integer block size.
+@pytest.mark.parametrize("exact_block", [1, 5, 200, pytest.param(
+    np.int64(2), id="numpy-2")])
+def test_grid_mle_pinned_cases(values, exact_block):
     trace = FunctionalityTrace(np.arange(float(len(values))),
                                np.array(values), 1.0)
-    result = assert_matches_reference(trace, PINNED_GRID)
+    result = assert_matches_reference(trace, PINNED_GRID, exact_block)
     if values == ALL_INFEASIBLE:
         # Every cell scores -inf: the estimate is the first cell.
         assert result.n_infeasible_cells == result.n_cells

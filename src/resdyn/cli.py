@@ -25,6 +25,7 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .core import (
     MAX_GRID_POINTS,
     ConstantImpacts,
@@ -42,32 +43,33 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _deferred(module: str, name: str):
-    """A stand-in for ``module.name`` that imports ``module`` when called.
+def _deferred(name: str):
+    """A stand-in for the public ``name`` that imports its module when called.
 
-    Each command then loads only the layers it runs.  The stand-in is
-    bound under the same name in this module, and the handlers look the
-    name up at call time, so rebinding it (as tracing tools do) still
-    takes effect.
+    The module is the one ``resdyn._EXPORTS`` maps ``name`` to.  Each
+    command then loads only the layers it runs.  The stand-in is bound
+    under the same name in this module, and the handlers look the name up
+    at call time, so rebinding it (as tracing tools do) still takes effect.
     """
+    module = f".{_EXPORTS[name]}"
 
     def stand_in(*args, **kwargs):
-        return getattr(import_module(f".{module}", __package__), name)(
+        return getattr(import_module(module, __package__), name)(
             *args, **kwargs)
 
     return stand_in
 
 
-solve_constant = _deferred("closed_form", "solve_constant")
-solve_linear = _deferred("closed_form", "solve_linear")
-solve_piecewise_constant = _deferred("closed_form", "solve_piecewise_constant")
-solve_piecewise_linear = _deferred("closed_form", "solve_piecewise_linear")
-simulate = _deferred("stochastic", "simulate")
-ensemble_average = _deferred("stochastic", "ensemble_average")
-write_ensemble_csv = _deferred("stochastic", "write_ensemble_csv")
-fit_piecewise = _deferred("estimation", "fit_piecewise")
-write_fit_result_json = _deferred("estimation", "write_fit_result_json")
-grid_mle = _deferred("likelihood", "grid_mle")
+solve_constant = _deferred("solve_constant")
+solve_linear = _deferred("solve_linear")
+solve_piecewise_constant = _deferred("solve_piecewise_constant")
+solve_piecewise_linear = _deferred("solve_piecewise_linear")
+simulate = _deferred("simulate")
+ensemble_average = _deferred("ensemble_average")
+write_ensemble_csv = _deferred("write_ensemble_csv")
+fit_piecewise = _deferred("fit_piecewise")
+write_fit_result_json = _deferred("write_fit_result_json")
+grid_mle = _deferred("grid_mle")
 
 MODEL_KINDS = (
     "constant",
@@ -255,7 +257,8 @@ def _run_solve(config: dict):
 
 
 def _run_simulate(config: dict, seed_override: int | None):
-    from .stochastic import SdeParams, _check_run
+    from . import SdeParams
+    from .stochastic import _check_run
 
     kind, f0, f_init = _scenario_common(config)
     if kind != "sde":
@@ -278,7 +281,7 @@ def _run_simulate(config: dict, seed_override: int | None):
 
 
 def _mle_grid(doc: dict) -> MleGrid:
-    from .likelihood import GridAxis, MleGrid
+    from . import GridAxis, MleGrid
 
     section = _get(doc, "mle_grid", "", dict)
     names = [field.name for field in dataclasses.fields(MleGrid)]
@@ -305,7 +308,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .estimation import FitConfig
+    from . import FitConfig
 
     trace = read_trace_csv(args.trace)
     doc = _load_json(args.config) if args.config else {}

@@ -30,6 +30,7 @@ from .core import (
     _clamp_to_bounds,
     _readonly,
     _sample_axis,
+    _steady_level,
 )
 from .errors import DomainError, UndefinedSteadyStateError
 
@@ -57,8 +58,10 @@ def erf(x: float) -> float:
 
 
 def steady_state(impacts: ConstantImpacts, f0: float) -> SteadyState:
-    """Limit of the constant model: F_inf = f0*b/(m+b).
+    """Limit of the constant model: F_inf = f0*b/(m+b), never above f0.
 
+    F_inf is evaluated as f0 * (b/(m+b)), the level the constant-rate
+    solutions approach; the fraction rounds to at most 1.
     ``relative_decrease`` is the fraction of normal functionality lost,
     (f0 - F_inf)/f0 = m/(m+b).  Raises if both rates are zero, in which
     case the dynamics preserve the initial value instead of forgetting it.
@@ -70,7 +73,7 @@ def steady_state(impacts: ConstantImpacts, f0: float) -> SteadyState:
             "m = b = 0 preserves the initial value; no unique steady state"
         )
     return SteadyState(
-        f_infinity=f0 * impacts.bonware_impact / q,
+        f_infinity=_steady_level(f0, impacts.bonware_impact, q),
         relative_decrease=impacts.malware_impact / q,
     )
 
@@ -81,7 +84,7 @@ def _constant_values(impacts: ConstantImpacts, f_start: float, f0: float,
     q = impacts.total_impact
     if q == 0.0:
         return np.full(tau.shape, f_start)
-    level = f0 * impacts.bonware_impact / q
+    level = _steady_level(f0, impacts.bonware_impact, q)
     return (f_start - level) * np.exp(-q * tau) + level
 
 

@@ -103,6 +103,16 @@ def _check_level(name: str, f0: float, *levels: float,
             raise error(f"{name} must lie in [0, f0], got {v}")
 
 
+def _steady_level(f0: float, bonware: float, total: float) -> float:
+    """The level f0*b/(m+b) that constant rates approach, ``total`` = m + b.
+
+    The fraction is divided out first: with nonnegative rates b/(m+b)
+    rounds to at most 1, so the level never exceeds f0.  Multiplying by
+    f0 first can round one ulp above f0 when f0 != 1.
+    """
+    return f0 * (bonware / total)
+
+
 def _extremes(samples) -> tuple[float, float]:
     """The least and greatest of ``samples``, both NaN when one is NaN, as
     numpy's ``min`` and ``max`` give them (``min`` alone would skip a NaN

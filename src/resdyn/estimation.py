@@ -31,6 +31,7 @@ from .core import (
     PiecewiseConstantSchedule,
     _check_f0,
     _check_fields,
+    _steady_level,
     _write_text,
 )
 from .errors import DomainError, FitFailureError, NoSwitchError
@@ -147,7 +148,8 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
     assigned to the time of its later sample; phase 1 covers events up to
     ``switch_time`` inclusive, phase 2 events up to ``count_end``
     inclusive.  Rates divide by the phase durations
-    (switch_time - t0) and (count_end - switch_time).
+    (switch_time - t0) and (count_end - switch_time), so ``count_end``
+    may not lie past the trace end, where no event can be seen.
     """
     t0 = trace.start_time
     if not t0 < switch_time < trace.end_time:
@@ -160,6 +162,10 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
         )
     if not math.isfinite(count_end):
         raise DomainError(f"count_end must be finite, got {count_end}")
+    if count_end > trace.end_time:
+        raise DomainError(
+            f"count_end {count_end} lies past the trace end {trace.end_time}"
+        )
     # Move j ends at sample j + 1; the times are sorted, so each phase's
     # moves are one run of indices.
     values, times = trace._values, trace._times
@@ -204,7 +210,7 @@ def _solve_phase(phase: str, start: float, end: float, level: float,
     m = q0 - b
     # The check evaluates the rates as returned, so q is rebuilt from them.
     q = m + b
-    fitted_level = f0 * b / q
+    fitted_level = _steady_level(f0, b, q)
     decay = math.exp(-q * horizon)
     residuals = (
         fitted_level - level,

@@ -39,6 +39,7 @@ from .core import (
     _check_fields,
     _check_level,
     _readonly,
+    _steady_level,
     _write_text,
 )
 from .errors import DomainError, InvalidTraceError
@@ -405,7 +406,7 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
     if q == 0.0:
         values = np.full(steps + 1, float(f_init))
     else:
-        level = f0 * bonware_impact / q
+        level = _steady_level(f0, bonware_impact, q)
         values = (f_init - level) * (1.0 - q) ** k + level
     return FunctionalityTrace(k, values, f0)
 

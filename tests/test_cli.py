@@ -77,6 +77,16 @@ class TestSolve:
         assert trace.values == pytest.approx(np.exp(-0.1 * trace.times),
                                              rel=1e-12)
 
+    def test_recovery_reaches_a_large_f0_exactly(self, tmp_path):
+        # Here f0 * b / (m + b), multiplied first, rounds one ulp above f0,
+        # which the solver would refuse.
+        config = dict(constant_config(0.0, 0.7, end=100.0, step=1.0),
+                      f0=1e6, f_init=5e5)
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert read_trace_csv(out).values.max() == 1e6
+
     def test_two_phase_schedule_bottoms_at_switch(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", {
             "kind": "piecewise-constant",

@@ -16,6 +16,7 @@ from resdyn import (
     PiecewiseLinearSchedule,
     UndefinedSteadyStateError,
     erf,
+    expectation_recursion,
     integrate_reference,
     solve_constant,
     solve_linear,
@@ -90,6 +91,28 @@ class TestSteadyState:
     def test_undefined_without_agents(self):
         with pytest.raises(UndefinedSteadyStateError):
             steady_state(ConstantImpacts(0.0, 0.0), 1.0)
+
+
+@st.composite
+def constant_rate_problems(draw):
+    """Impacts, f_init and f0 with f0 log-uniform in [1e-3, 1e12] and no
+    malware half the time."""
+    f0 = 10.0 ** draw(st.floats(-3.0, 12.0))
+    malware = draw(st.just(0.0) if draw(st.booleans())
+                   else st.floats(0.0, 0.05))
+    bonware = draw(st.floats(1e-3, 0.2))
+    return ConstantImpacts(malware, bonware), draw(st.floats(0.0, f0)), f0
+
+
+@given(problem=constant_rate_problems())
+def test_constant_rate_producers_stay_within_f0(problem):
+    # Each producer refuses a value outside [0, f0], so returning a trace
+    # is the check; the steady level must not round above f0 either.
+    impacts, f_init, f0 = problem
+    assert steady_state(impacts, f0).f_infinity <= f0
+    solve_constant(impacts, f_init, f0, np.linspace(0.0, 2000.0, 2001))
+    expectation_recursion(impacts.malware_impact, impacts.bonware_impact,
+                          f_init, f0, steps=2000)
 
 
 INCIDENT_SCHEDULE = PiecewiseConstantSchedule(

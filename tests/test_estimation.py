@@ -122,6 +122,15 @@ class TestCountActivities:
                 rf"^count_end must be finite, got {count_end}$")):
             count_activities(notional_trace, 69.5, count_end)
 
+    def test_count_end_past_trace_end_names_field(self, notional_trace):
+        # Phase 2 would be divided by seconds the trace never covers.
+        end = notional_trace.end_time
+        with pytest.raises(DomainError, match=(
+                rf"^count_end 1000000\.0 lies past the trace end {end}$")):
+            count_activities(notional_trace, 69.5, 1e6)
+        rates = count_activities(notional_trace, 69.5, end)
+        assert rates.malware_phase2 == pytest.approx(1 / (end - 69.5))
+
 
 class TestFitPhase1:
     def test_reference_incident_values(self):
@@ -616,6 +625,27 @@ def test_separable_surface_within_its_margin(trace, grid):
     assert np.array_equal(surface == -np.inf, exact == -np.inf)
     feasible = exact > -np.inf
     assert np.all(np.abs(surface[feasible] - exact[feasible]) <= margin)
+
+
+@pytest.mark.parametrize("log_block", [1, 7])
+def test_separable_surface_blocks_do_not_move_bits(monkeypatch, log_block):
+    # The trace has 2 decreases and 4 increases, none from 0 or f0, so a
+    # block of 7 logs holds 3 of the 5 bonware activities and 1 malware
+    # activity, and a block of 1 holds one activity on each side; the
+    # default holds a whole axis.
+    trace = simulate(SdeParams(0.08, 0.12, 0.34, 0.71), 0.9, 1.0, 40, seed=0)
+    steps = _transitions(trace.values[:-1], trace.values[1:], trace.f0)
+    f_now, gap, _, _, dec, inc = steps
+    assert (int((dec & (gap > 0.0)).sum()),
+            int((inc & (f_now > 0.0)).sum())) == (2, 4)
+    axes = MleGrid(GridAxis(0.04, 0.12, 0.02), GridAxis(0.08, 0.16, 0.02),
+                   GridAxis(0.28, 0.40, 0.04),
+                   GridAxis(0.65, 0.77, 0.04)).axes()
+    surface, margin = _separable_surface(steps, axes)
+    assert np.isfinite(surface).all()
+    monkeypatch.setattr(likelihood, "_LOG_BLOCK", log_block)
+    blocked, blocked_margin = _separable_surface(steps, axes)
+    assert (blocked.tobytes(), blocked_margin) == (surface.tobytes(), margin)
 
 
 def test_separable_margin_covers_mixture_logs():

@@ -190,7 +190,12 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
     # window, so nothing here overflows.
     inv_omega = np.exp(-(lam * tau - 0.5 * om * tau * tau))
     coef = (alpha * om - beta * lam) * math.sqrt(math.pi / 2.0) / om ** 1.5
-    bracket = erfcx(big_lam - x) - erfcx(big_lam) * inv_omega
+    # big_lam - x is the combined rate at tau over sqrt(2*om), >= 0 on a
+    # valid window; it dips below 0 only by roundoff, or at a grid time
+    # within the 1e-9 * span tolerance past the last window, where the
+    # rates are extrapolated.
+    bracket = (erfcx(np.maximum(big_lam - x, 0.0))
+               - erfcx(big_lam) * inv_omega)
     ratio = (
         (f_start / f0) * inv_omega
         + (beta / om) * (1.0 - inv_omega)

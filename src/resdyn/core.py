@@ -371,15 +371,16 @@ def accomplishment(trace: FunctionalityTrace) -> float:
 def auc_resilience(trace: FunctionalityTrace) -> float:
     """Average functionality over the mission divided by the normal level.
 
-    Dimensionless, in [0, 1]; 1.0 means no functionality was lost.  A
-    product ``f0 * duration`` that underflows to 0 or overflows raises
-    DomainError.
+    Dimensionless, in [0, 1]; 1.0 means no functionality was lost.  Values
+    at most f0 bound the exact ratio by 1, so a quadrature roundoff above
+    it reads 1.0.  A product ``f0 * duration`` that underflows to 0 or
+    overflows raises DomainError.
     """
     scale = trace.f0 * trace.duration
     if not (0.0 < scale < math.inf):
         raise DomainError(
             f"f0 * duration must be positive and finite, got {scale}")
-    return accomplishment(trace) / scale
+    return min(1.0, accomplishment(trace) / scale)
 
 
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:

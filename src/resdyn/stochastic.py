@@ -329,7 +329,11 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     added one after another in index order (not pairwise), as reducing a
     C-order ``(n, steps + 1)`` stack over axis 0 adds them, and the squared
     deviations are added in the same order, so the result does not depend
-    on the block size.  With n = 1 the standard error is reported as zero.
+    on the block size.  Each step's mean is clipped into its realizations'
+    range, where the exact mean lies, so the sum's roundoff cannot take it
+    out of [0, f0], and a value every realization shares is the mean bit
+    for bit, with zero spread.  With n = 1 the standard error is reported
+    as zero.
     """
     steps, n = _check_run(steps, dt, n)
     _check_level("f_init", f0, f_init)
@@ -356,10 +360,11 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
 
     # The bounds check simulate's trace makes, once for every row.
     _check_level("values", f0, low.min(), high.max(), error=InvalidTraceError)
-    mean = total / n
+    # -0.0 shared by every realization is kept, though the sum gives 0.0.
+    mean = np.clip(total / n, low, high)
     stderr = np.zeros(steps + 1)
     if n > 1:
-        # stack.std(axis=0, ddof=1), one block at a time.
+        # The squared deviations about the mean, one block at a time.
         squares = np.zeros(steps + 1)
         for lo, changes in zip(range(0, n, rows), store):
             block = buf[1:min(rows, n - lo) + 1]
@@ -369,13 +374,6 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
             block *= block
             np.add.reduce(buf[:len(block) + 1], axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
-    # Steps where every realization agrees (all of them when n = 1) have
-    # that shared value, low (f_init at step 0), as their exact mean and
-    # zero spread; keep them free of summation roundoff and of the sum's
-    # 0.0 + -0.0 = 0.0.
-    agree = high == low
-    mean[agree] = low[agree]
-    stderr[agree] = 0.0
     mean_trace = FunctionalityTrace(dt * np.arange(steps + 1), mean, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
                           n=n, master_seed=master_seed)

@@ -79,19 +79,19 @@ def reference_piecewise(schedule, f_init, f0, grid):
 def reference_ensemble(params, f_init, f0, steps, dt=1.0, n=1, master_seed=0):
     """Ensemble mean and standard error from one ``simulate`` per realization.
 
-    Stacks the ``n`` traces and reduces the stack with numpy, as
-    ``ensemble_average`` did before it stepped realizations in blocks.
+    Stacks the ``n`` traces and reduces the dense stack with numpy: the
+    mean over axis 0, clipped into each step's min/max, and the squared
+    deviations about that mean summed over axis 0.
     """
     stack = np.empty((n, steps + 1))
     for i in range(n):
         stack[i] = simulate(params, f_init, f0, steps, dt,
                             seed=split_seed(master_seed, i)).values
-    mean = stack.mean(axis=0)
+    mean = np.clip(stack.mean(axis=0), stack.min(axis=0), stack.max(axis=0))
     if n > 1:
-        stderr = stack.std(axis=0, ddof=1) / math.sqrt(n)
-        agree = np.ptp(stack, axis=0) == 0.0
-        mean[agree] = stack[0, agree]
-        stderr[agree] = 0.0
+        deviations = stack - mean
+        squares = (deviations * deviations).sum(axis=0)
+        stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
     else:
         stderr = np.zeros(steps + 1)
     return mean, stderr

@@ -223,6 +223,20 @@ class TestSimulate:
         expected = expectation_recursion(m, b, 1.0, 1.0, steps=125)
         assert np.abs(means - expected.values).max() <= 0.02
 
+    def test_ensemble_recovering_to_f0_below_one(self, tmp_path):
+        # The mean of 100 realizations recovered to 0.7 sums to above 0.7.
+        config = sde_config(n=100, seed=1, steps=200, extra={
+            "malware_activity": 0.05, "bonware_activity": 0.5,
+            "malware_effectiveness": 0.5, "bonware_effectiveness": 0.9,
+            "interaction_cutoff": 50.0})
+        config.update(f0=0.7, f_init=0.7)
+        cfg = write_config(tmp_path, "e.json", config)
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert max(float(mean) for _, mean, _ in rows) == 0.7
+        assert rows[-1][1:] == ["0.69999999999999996", "0"]
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_negative_steps_rejected(self, tmp_path, capsys, n):
         cfg = write_config(tmp_path, "s.json", sde_config(n=n, steps=-3))

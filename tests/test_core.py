@@ -33,7 +33,12 @@ from resdyn import (
     solve_piecewise_constant,
     write_trace_csv,
 )
-from resdyn.core import TRACE_CSV_HEADER, _pairwise_sum
+from resdyn.core import (
+    BOUND_SLACK,
+    TRACE_CSV_HEADER,
+    _clamp_to_bounds,
+    _pairwise_sum,
+)
 
 
 def flat_trace(level, f0=1.0, end=10.0, n=11):
@@ -176,6 +181,14 @@ class TestImpactTypes:
             PiecewiseConstantSchedule(
                 breakpoints=np.array([0.0, 0.0]),
                 segments=(ConstantImpacts(0.1, 0.0),),
+            )
+
+    def test_schedule_refuses_other_segment_type(self):
+        with pytest.raises(DomainError, match=(
+                "^segments must be ConstantImpacts instances$")):
+            PiecewiseConstantSchedule(
+                breakpoints=np.array([0.0, 1.0]),
+                segments=(LinearImpacts(0.1, 0.0, 0.1, 0.0),),
             )
 
     def test_segment_index_convention(self):
@@ -364,6 +377,21 @@ class TestAucResilience:
                 auc_resilience(base), rel=1e-12
             )
 
+    def test_held_at_normal_reads_at_most_one(self):
+        # The trapezoid sum of this grid rounds above f0 * duration.
+        trace = FunctionalityTrace([0.82, 0.95, 1.01, 3.45, 6.19],
+                                   [1.0] * 5, 1.0)
+        assert accomplishment(trace) > trace.f0 * trace.duration
+        assert auc_resilience(trace) == 1.0
+
+    @given(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=30,
+                    unique=True),
+           st.floats(1e-3, 1e3))
+    def test_never_above_one(self, times, f0):
+        times = sorted(times)
+        trace = FunctionalityTrace(times, [f0] * len(times), f0)
+        assert auc_resilience(trace) <= 1.0
+
     # f0 * duration overflows (the quotient was a silent 0.0) or
     # underflows to 0 (a ZeroDivisionError).
     @pytest.mark.parametrize("f0, end, scale", [(1e300, 1e10, "inf"),
@@ -373,6 +401,15 @@ class TestAucResilience:
         with pytest.raises(DomainError, match=(
                 rf"^f0 \* duration must be positive and finite, got {scale}$")):
             auc_resilience(trace)
+
+
+@pytest.mark.parametrize("excursion", [-2 * BOUND_SLACK,
+                                       1.0 + 2 * BOUND_SLACK])
+def test_clamp_refuses_excursion_beyond_slack(excursion):
+    values = np.array([0.5, excursion])
+    with pytest.raises(DomainError,
+                       match=r"^solution left \[0, f0\] by more than 1e-12"):
+        _clamp_to_bounds(values, 1.0)
 
 
 class TestIntegrateReference:
@@ -400,6 +437,10 @@ class TestIntegrateReference:
         with pytest.raises(DomainError, match="malware"):
             integrate_reference(lambda t: 0.0, lambda t: 0.01 - 0.1 * t,
                                 1.0, 1.0, grid)
+        with pytest.raises(DomainError, match=(
+                r"^bonware impact is negative at t=0\.0: -0\.1$")):
+            integrate_reference(lambda t: -0.1, lambda t: 0.0,
+                                0.5, 1.0, grid)
 
     def test_monotone_without_opponent(self):
         grid = np.linspace(0.0, 50.0, 501)

@@ -62,6 +62,13 @@ class TestDetectSwitchTime:
         trace = FunctionalityTrace(times, values, 1.0)
         assert detect_switch_time(trace) == 15.0
 
+    def test_plateau_extends_left_of_first_minimum(self):
+        # Samples within MIN_WINDOW_TOL of the minimum join its plateau on
+        # either side.
+        values = [1.0, 0.5 + 5e-10, 0.5, 0.5, 0.5 + 2e-10, 0.9]
+        trace = FunctionalityTrace(np.arange(6.0), values, 1.0)
+        assert detect_switch_time(trace) == 2.5
+
     def test_boundary_minimum_rejected(self):
         times = np.arange(0.0, 20.0)
         trace = FunctionalityTrace(times, 1.0 - times * 0.04, 1.0)
@@ -221,6 +228,19 @@ class TestFitPhase2:
                 r"^recovery target at recovery_fit_end \(0\.475\) does not "
                 r"exceed the data minimum 0\.5$")):
             fit_phase2(0.5, 69.5, 1.0, cfg)
+
+    @pytest.mark.parametrize("min_value", [0.0, 1.0, -0.1])
+    def test_minimum_outside_open_range_rejected(self, min_value):
+        with pytest.raises(DomainError, match=(
+                rf"^min_value must lie in \(0, f0\), got {min_value}$")):
+            fit_phase2(min_value, 69.5, 1.0)
+
+    @pytest.mark.parametrize("switch_time", [125.0, 130.0])
+    def test_fit_end_not_after_switch_rejected(self, switch_time):
+        with pytest.raises(DomainError, match=(
+                rf"^recovery_fit_end 125\.0 must exceed the switch time "
+                rf"{switch_time}$")):
+            fit_phase2(0.27, switch_time, 1.0)
 
     def test_non_finite_horizon_rejected(self):
         for switch_time in (-math.inf, math.nan):
@@ -390,6 +410,18 @@ class TestStepLogDensity:
             f_now = rng.uniform(0.05, 0.95)
             p = SdeParams(tm, tb, gm, gb)
             assert total_measure(p, f_now) == pytest.approx(1.0, abs=1e-6)
+
+    # Widths are 0 (F at a bound, where components join the atom) or at
+    # least 1e-7, far above ATOM_TOL, so the quadrature's nodes stay clear
+    # of the increments within ATOM_TOL of 0, which score the atom's mass.
+    @given(st.tuples(*[st.floats(0.0, 1.0)] * 2,
+                     *[st.floats(0.01, 1.0)] * 2),
+           st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
+    def test_unit_mass(self, rates, f0, fraction):
+        f_now = fraction * f0
+        total = total_measure(SdeParams(*rates), f_now, f0)
+        assert abs(total - 1.0) <= 1e-9
 
     def test_out_of_range_state_rejected(self):
         p = SdeParams(0.5, 0.5, 0.5, 0.5)

@@ -372,6 +372,43 @@ def test_block_engine_matches_per_realization_loop(params, f0, fraction, dt,
     assert np.array_equal(result.per_step_stderr, stderr)
 
 
+def test_ensemble_at_f0_below_one_stays_in_range():
+    # Recovered realizations sit at f0 = 0.7, and the sum of 100 of them
+    # over 100 rounds above it.
+    result = ensemble_average(SdeParams(0.05, 0.5, 0.5, 0.9,
+                                        interaction_cutoff=50.0),
+                              0.7, 0.7, 200, n=100, master_seed=1)
+    assert result.mean_trace.values.max() == 0.7
+    assert result.per_step_stderr[-1] == 0.0
+
+
+@given(
+    params=st.builds(SdeParams, PROBABILITY, st.floats(0.3, 1.0),
+                     EFFECTIVENESS, st.floats(0.5, 1.0),
+                     interaction_cutoff=st.floats(0.0, 20.0)),
+    f0=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    fraction=st.floats(0.0, 1.0),
+    n=st.integers(50, 200),
+    steps=st.integers(60, 150),
+    master_seed=st.integers(0, 2**64 - 1),
+)
+def test_ensemble_mean_within_realizations(params, f0, fraction, n, steps,
+                                           master_seed):
+    # Malware is cut off well before the last step, so by then most
+    # realizations sit at f0 or a few ulps below it, where the roundoff
+    # of a sum of many of them can leave their range.
+    f_init = fraction * f0
+    result = ensemble_average(params, f_init, f0, steps, n=n,
+                              master_seed=master_seed)
+    stack = np.array([simulate(params, f_init, f0, steps,
+                               seed=split_seed(master_seed, i)).values
+                      for i in range(n)])
+    mean = result.mean_trace.values
+    assert (stack.min(axis=0) <= mean).all()
+    assert (mean <= stack.max(axis=0)).all()
+    assert 0.0 <= mean.min() and mean.max() <= f0
+
+
 class TestExpectationRecursion:
     def test_starts_at_initial_value(self):
         trace = expectation_recursion(0.01, 0.02, 0.7, 1.0, steps=5)

@@ -15,22 +15,24 @@ Randomness comes from a Philox4x64-10 counter-based generator keyed
 directly with a 64-bit seed, and ensembles derive per-realization seeds
 from a master seed with the splitmix64 mix, so any run is reproducible bit
 for bit regardless of evaluation order.  :func:`simulate` computes its
-stream itself (``resdyn._philox``, in numpy ``uint64`` arithmetic): step k
+stream itself (``resdyn._philox``, in packed Python integers): step k
 takes the four 64-bit words of the block at counter k + 1 as its four
 draws, in the order its docstring gives, each word x as the double
 (x >> 11) * 2**-53.  That is the stream ``numpy.random.Philox(key=seed)``
 feeds ``Generator.random``, and :func:`ensemble_average` draws it from
 there: numpy's C computes the millions of blocks an ensemble needs about
-six times faster.  So only ensembles import ``numpy.random``.
+twenty times faster.  So one realization runs without numpy, which only
+the ensemble, :func:`split_seed` and :func:`expectation_recursion` import.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     MAX_GRID_POINTS,
@@ -44,7 +46,12 @@ from .core import (
 )
 from .errors import DomainError, InvalidTraceError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _MASK64 = (1 << 64) - 1
+# A Philox word's top 53 bits times this are its uniform double.
+_UNIT = 2.0**-53
 _GOLDEN = 0x9E3779B97F4A7C15
 # Scratch budget of one ensemble block, steps * 32 bytes a realization: its
 # steps * 2 effect factors and steps + 1 levels take 3/4 of that, and its
@@ -71,6 +78,8 @@ def split_seed(master_seed: int, index: int) -> int:
 
 def _split_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     """``split_seed(master_seed, i)`` for i in [lo, hi), in uint64 arithmetic."""
+    import numpy as np
+
     z = np.arange(hi - lo, dtype=np.uint64)
     z += np.uint64((lo + 1) & _MASK64)
     z *= np.uint64(_GOLDEN)
@@ -122,13 +131,16 @@ class SdeParams:
         _check_fields(self, timed, math.isfinite, "be finite")
 
 
-def _live(params: SdeParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether malware and bonware act at times ``t``: malware from its
-    onset until the interaction cutoff, bonware from its onset."""
-    malware = t >= params.malware_onset
+def _live(params: SdeParams, times) -> tuple[range, range]:
+    """The indices of the nondecreasing ``times`` at which malware and
+    bonware act: malware from its onset until the interaction cutoff,
+    bonware from its onset."""
+    start = bisect_left(times, params.malware_onset)
+    stop = len(times)
     if params.interaction_cutoff is not None:
-        malware &= t < params.interaction_cutoff
-    return malware, t >= params.bonware_onset
+        stop = max(start, bisect_left(times, params.interaction_cutoff))
+    return range(start, stop), range(bisect_left(times, params.bonware_onset),
+                                     len(times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +159,14 @@ class EnsembleResult:
 
 
 def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether ``value`` is an int or another ``numbers.Integral``, such as
+    a numpy integer; a bool is not, and numpy's bool is no Integral."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    # Loaded already wherever a numpy integer exists: numpy imports it.
+    import numbers
+
+    return isinstance(value, numbers.Integral)
 
 
 def _seed_key(name: str, seed) -> int:
@@ -186,6 +204,14 @@ def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
     return steps, n
 
 
+def _roll_bound(activity: float) -> int:
+    """The least word whose roll misses at ``activity``: a word w draws
+    the double (w >> 11) * 2**-53, which is below ``activity`` exactly
+    when w >> 11 is below ceil(activity * 2**53), that is, when w is below
+    ceil(activity * 2**53) << 11.  Scaling by 2**53 is exact."""
+    return math.ceil(activity * 2.0**53) << 11
+
+
 def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
              dt: float = 1.0, seed: int = 0) -> FunctionalityTrace:
     """One realization of the stochastic model, ``steps`` transitions long.
@@ -203,34 +229,41 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     each word x taken as the double (x >> 11) * 2**-53.  That is row k of
     numpy's ``Generator(Philox(key=seed)).random((steps, 4))``, the stream
     :func:`ensemble_average` draws; here it is computed a fixed chunk of
-    steps at a time, without importing ``numpy.random``.
+    steps at a time, without importing numpy.  An activity draw is compared
+    as its word (see :func:`_roll_bound`), and an effect word becomes a
+    double only when its agent hits.
 
     Identical (params, seed) give bit-identical traces.  ``steps + 1`` may
     not exceed ``MAX_GRID_POINTS``, and ``dt * steps`` must be finite.
     """
     # Imported only on this path: ensembles draw from numpy's C Philox.
-    from ._philox import uniforms
+    from ._philox import words
 
     steps, _ = _check_run(steps, dt)
     _check_level("f_init", f0, f_init)
-    # Each chunk's draws as Python floats, row by row: scalar arithmetic on
-    # floats gives the same bits as on numpy scalars, and is faster.
-    chunks = uniforms(_seed_key("seed", seed), steps)
-    rows = chain.from_iterable(zip(*draws.T.tolist()) for draws in chunks)
-
-    times = dt * np.arange(steps + 1)
-    malware_on, bonware_on = (live.tolist() for live in _live(params, times[:-1]))
-    values = np.empty(steps + 1)
+    rows = words(_seed_key("seed", seed), steps)
+    dt = float(dt)
+    times = array("d", [dt * k for k in range(steps + 1)])
+    # Per step, the bound under which each agent's roll word hits; 0, which
+    # no word is under, where the agent is off.
+    m_bounds, b_bounds = (
+        [0] * live.start + [_roll_bound(activity)] * len(live)
+        + [0] * (steps - live.stop)
+        for live, activity in zip(_live(params, times[:-1]),
+                                  (params.malware_activity,
+                                   params.bonware_activity)))
+    e_m, e_b = params.malware_effectiveness, params.bonware_effectiveness
     f = float(f_init)
-    values[0] = f
-    for k, (m_roll, m_effect, b_roll, b_effect) in enumerate(rows):
+    values = array("d", [f])
+    for m_bound, b_bound, (m_roll, m_effect, b_roll, b_effect) in zip(
+            m_bounds, b_bounds, rows):
         delta = 0.0
-        if malware_on[k] and m_roll < params.malware_activity:
-            delta -= m_effect * params.malware_effectiveness * f
-        if bonware_on[k] and b_roll < params.bonware_activity:
-            delta += b_effect * params.bonware_effectiveness * (f0 - f)
+        if m_roll < m_bound:
+            delta -= (m_effect >> 11) * _UNIT * e_m * f
+        if b_roll < b_bound:
+            delta += (b_effect >> 11) * _UNIT * e_b * (f0 - f)
         f += delta
-        values[k + 1] = f
+        values.append(f)
 
     return FunctionalityTrace(times, values, f0)
 
@@ -239,6 +272,8 @@ def _step_blocks(params: SdeParams, f_init: float, f0: float, dt: float,
                  master_seed: int, n: int, steps: int, rows: int):
     """Step the ``n`` realizations on from ``f_init``, ``rows`` at a time;
     yield each block's levels at steps 1 to ``steps``, time-major."""
+    import numpy as np
+
     live = _live(params, dt * np.arange(steps))
     rng = np.random.Generator(np.random.Philox(key=0))
     state = rng.bit_generator.state
@@ -264,7 +299,8 @@ def _step_blocks(params: SdeParams, f_init: float, f0: float, dt: float,
                 rng.random(out=row)
             for kick, col, live, activity, effectiveness in agents:
                 mask = np.less(block[:, :, col], activity, out=hit[:len(block)])
-                mask &= live
+                mask[:, :live.start] = False
+                mask[:, live.stop:] = False
                 effect = block[:, :, col + 1]
                 effect *= effectiveness
                 effect *= mask  # x * 1.0 == x, x * 0.0 == +0.0 for x >= 0
@@ -287,6 +323,8 @@ def _changes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``block``'s entries, in C order, as runs: a packed bit per entry, set
     where its bits differ from the entry before's (and for the first), and
     the entries at the set bits."""
+    import numpy as np
+
     flat = block.reshape(-1)
     bits = flat.view(np.uint64)  # so -0.0 and 0.0 differ
     changed = np.empty(flat.size, dtype=bool)
@@ -297,6 +335,8 @@ def _changes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _expand(changed: np.ndarray, values: np.ndarray, block: np.ndarray) -> None:
     """Write the entries :func:`_changes` took from ``block`` back into it."""
+    import numpy as np
+
     flat = block.reshape(-1)
     # Entry j holds the value of the last change at or before it.
     runs = np.unpackbits(changed, count=flat.size).astype(np.intp)
@@ -335,6 +375,8 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     for bit, with zero spread.  With n = 1 the standard error is reported
     as zero.
     """
+    import numpy as np
+
     steps, n = _check_run(steps, dt, n)
     _check_level("f_init", f0, f_init)
     master_seed = _seed_key("master_seed", master_seed)
@@ -395,6 +437,8 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
     at time k (one step per second), and ``steps`` is refused as
     :func:`simulate` refuses it.
     """
+    import numpy as np
+
     q = ConstantImpacts(malware_impact, bonware_impact).total_impact
     if q >= 1.0:
         raise DomainError(f"combined per-step impact must be < 1, got {q}")

@@ -968,19 +968,23 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
      LINEAR_CONFIG, ("closed_form", "_faddeeva")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
      sde_config(), ("stochastic", "_philox")),
+    (["simulate", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
+     sde_config(), ("stochastic", "_philox")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
      sde_config(n=3, steps=5), ("stochastic",)),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
      FIT_MLE_CONFIG, ("_trace_read", "estimation", "likelihood",
                       "stochastic")),
 ], ids=["import", "import-cli", "help", "metrics", "fit", "solve",
-        "solve-linear", "simulate", "simulate-ensemble", "fit-mle"])
+        "solve-linear", "simulate", "simulate-seed", "simulate-ensemble",
+        "fit-mle"])
 def test_import_footprint(tmp_path, argv, config, layers):
     # Each command loads only the layers it runs (the linear solver's erfcx
     # table only when it solves a linear window, the Philox port only for
     # one realization) and none loads scipy.  Only an ensemble draws from
     # numpy.random, and only the commands that compute on arrays (solve,
-    # simulate and the likelihood grid) load numpy at all.
+    # the ensemble and the likelihood grid) load numpy at all: one
+    # realization, seeded or not, runs on Python ints and floats.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
     argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
@@ -993,7 +997,7 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     ensemble = argv[0] == "simulate" and config["params"]["n"] > 1
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
-    arrays = argv[0] in ("solve", "simulate") or "--mle" in argv
+    arrays = argv[0] == "solve" or ensemble or "--mle" in argv
     assert ("numpy" in loaded) == arrays
 
 

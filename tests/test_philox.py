@@ -1,8 +1,9 @@
-"""The Philox4x64-10 port against numpy's, bit for bit.
+"""The packed Philox4x64-10 against numpy's, bit for bit.
 
-``resdyn._philox.uniforms`` computes the stream that ``simulate`` draws, and
+``resdyn._philox.words`` computes the stream that ``simulate`` draws, and
 ``ensemble_average`` draws the same stream from ``numpy.random``, so every
-comparison here is of the bytes, with no tolerance.
+comparison here is of the words, and of the doubles ``Generator.random``
+makes of them, with no tolerance.
 """
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resdyn import split_seed
-from resdyn._philox import _CHUNK, uniforms
+from resdyn._philox import _CHUNK, words
 
-STEPS = [1, 2, 125, _CHUNK - 1, _CHUNK, _CHUNK + 1, 20_000]
+# 2**14 is a whole number of chunks, so its neighbours are chunk edges too.
+STEPS = [1, 2, 125, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+         2**14 - 1, 2**14, 2**14 + 1, 20_000]
 KEYS = [0, 1, 2**63, 2**64 - 1,
         # The keys of the bench's mle trace, of an ensemble's first
         # realizations, and of a master seed that wraps.
@@ -22,10 +25,14 @@ KEYS = [0, 1, 2**63, 2**64 - 1,
 
 
 def assert_numpy_stream(key, steps):
-    chunks = list(uniforms(key, steps))
-    assert all(len(chunk) == _CHUNK for chunk in chunks[:-1])
+    blocks = list(words(key, steps))
+    raw = np.random.Philox(key=key).random_raw(4 * steps)
+    assert blocks == [tuple(row) for row in raw.reshape(steps, 4).tolist()]
+    # The doubles simulate makes of the words, as Generator.random does.
+    doubles = np.array([(w >> 11) * 2.0**-53 for block in blocks
+                        for w in block])
     want = np.random.Generator(np.random.Philox(key=key)).random((steps, 4))
-    assert np.concatenate(chunks).tobytes() == want.tobytes()
+    assert doubles.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("steps", STEPS)

@@ -216,7 +216,8 @@ def test_agents_act_exactly_while_live(dt, malware_onset, bonware_onset,
                                     (1, (0.0, 1.0), 1.0)):
         params = SdeParams(*activities, 0.5, 0.5, malware_onset,
                            bonware_onset, cutoff)
-        live = stochastic._live(params, dt * np.arange(steps))[agent]
+        indices = stochastic._live(params, dt * np.arange(steps))[agent]
+        live = np.array([k in indices for k in range(steps)])
         assert live.tolist() == [step[agent] for step in rule]
         for trace in (simulate(params, 0.5, 1.0, steps, dt, seed=4),
                       ensemble_average(params, 0.5, 1.0, steps, dt,

@@ -30,7 +30,7 @@ BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
                  malware_effectiveness=0.34, bonware_effectiveness=0.71)
 # The cutoff falls in the second chunk of simulate's draws.
 ONSET_CUTOFF = SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
-                         bonware_onset=3.0, interaction_cutoff=30000.0)
+                         bonware_onset=3.0, interaction_cutoff=1.5 * _CHUNK)
 
 
 class TestSdeParams:
@@ -83,6 +83,7 @@ class TestSplitSeed:
     (np.float64(3.0), None), (7, 7), (np.int64(7), 7), (np.uint8(7), 7),
     (np.uint64(2**64 - 1), 2**64 - 1), (-3, 2**64 - 3),
     (np.int32(-3), 2**64 - 3), (2**64 + 5, 5), (2**70 + 3, 3),
+    (np.True_, None),
 ])
 def test_seeds_follow_one_integer_rule(seed, key):
     # A seed, master seed or index that is not an int or numpy integer is
@@ -135,6 +136,25 @@ class TestSimulate:
             0.9697448853994035,
         ])
         assert trace.values == pytest.approx(expected, abs=0.0)
+
+    @given(data=st.data())
+    def test_roll_word_hits_as_its_double(self, data):
+        # simulate compares an activity roll's word with _roll_bound; the
+        # roll hits when the word's double (w >> 11) * 2**-53 is below the
+        # activity.  Activities on and next to the k * 2**-53 boundaries,
+        # words on either side of the bound.
+        k = data.draw(st.integers(0, 2**53))
+        activity = min(1.0, max(0.0, math.nextafter(
+            k * 2.0**-53, data.draw(st.sampled_from([0.0, 1.0, k * 2.0**-53])))))
+        bound = stochastic._roll_bound(activity)
+        word = data.draw(st.integers(max(0, bound - 2**12),
+                                     min(2**64 - 1, bound + 2**12)))
+        assert (word < bound) == ((word >> 11) * 2.0**-53 < activity)
+
+    def test_roll_bound_at_no_and_full_activity(self):
+        # No word hits at activity 0 and every word hits at 1.
+        assert stochastic._roll_bound(0.0) == 0
+        assert stochastic._roll_bound(1.0) == 2**64
 
     def test_unused_effect_draws_keep_stream_aligned(self):
         # With bonware silent, its effectiveness bound must not matter:

@@ -1,4 +1,9 @@
-"""The trace CSV parser behind :func:`resdyn.core.read_trace_csv`."""
+"""The trace CSV parser behind :func:`resdyn.core.read_trace_csv`.
+
+It runs on the standard library alone and never loads numpy.  Samples are read
+in blocks: a block of plain ``number,number`` lines is parsed in one pass,
+and any other block is read line by line.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +27,9 @@ class _TraceLines:
     Holds what earlier lines set: the ``f0`` metadata, whether the header
     was seen, and the samples read so far, as ``times`` and ``values``
     columns.  :meth:`read` reads lines in file order and raises
-    InvalidTraceError naming ``path:lineno`` at the first bad one.
+    InvalidTraceError naming ``path:lineno`` at the first bad one;
+    :meth:`read_block` reads the sample lines after the header a block at
+    a time, to the same effect.
     """
 
     def __init__(self, path):
@@ -72,40 +79,37 @@ class _TraceLines:
             self.times.append(t)
             self.values.append(v)
 
-    def read_bulk(self, lines) -> bool:
-        """Add the samples in ``lines`` from one numpy parse, and say so;
-        or add nothing and return False when the lines need the line
-        grammar: a comment, a whitespace-only line, a character outside
-        ``_BULK_CHARS``, or a row numpy refuses."""
+    def read_block(self, lines, first: int) -> None:
+        """Add the samples in ``lines``, the first of which is line
+        ``first``, as :meth:`read` would: in one pass of :func:`float` when
+        every line is ``number,number``, else through :meth:`read`.  The
+        header must have been read, since the one pass takes every line
+        for a sample.
+
+        The one pass takes only ASCII lines without ``_`` that hold exactly
+        one comma each, and :func:`float` then refuses any field that is
+        not a number between spaces it strips (a comment, for one), so it
+        accepts a subset of the lines :meth:`read` accepts, with the same
+        values.  A block it declines goes through :meth:`read`, which
+        names the bad line, if there is one.
+        """
         text = "".join(lines)
-        if (not text.isascii() or not text.strip()
-                or text.encode("ascii").translate(None, _BULK_CHARS)):
-            return False
-        import numpy as np
-
-        try:
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return False
-        if rows.shape[1] != 2:
-            return False
-        self.times.frombytes(rows[:, 0].tobytes())
-        self.values.frombytes(rows[:, 1].tobytes())
-        return True
+        if (text.isascii() and "_" not in text
+                and text.count(",") == len(lines)
+                and all("," in line for line in lines)):
+            try:
+                fields = array("d", map(float, ",".join(lines).split(",")))
+            except ValueError:
+                pass
+            else:
+                self.times += fields[0::2]
+                self.values += fields[1::2]
+                return
+        self.read(lines, first)
 
 
-# Sample lines are read in blocks of about this many characters.  A file
-# whose first block of samples is longer than this has its blocks parsed
-# by numpy (:meth:`_TraceLines.read_bulk`); a shorter one holds all of its
-# samples, and the line grammar reads them without loading numpy.
+# Sample lines are read in blocks of about this many characters.
 _BLOCK_CHARS = 1 << 16
-
-# Over lines made only of these characters, numpy's loadtxt and the line
-# grammar accept the same rows and read the same bits: both strip spaces
-# and tabs around a field and parse it with the same correctly rounded
-# conversion.  Outside them they differ (loadtxt strips a no-break space,
-# for one), so such lines go through the line grammar.
-_BULK_CHARS = b"0123456789+-.eE, \t\n"
 
 
 def read_trace(path) -> FunctionalityTrace:
@@ -121,15 +125,9 @@ def read_trace(path) -> FunctionalityTrace:
                         f"{path}: missing {TRACE_CSV_HEADER!r} header")
                 lineno += 1
                 reader.read((raw,), lineno)
-            chunk = fh.readlines(_BLOCK_CHARS)
-            # readlines stops once a block is longer than the hint, so a
-            # shorter first block is the whole rest of the file.
-            bulk = sum(map(len, chunk)) > _BLOCK_CHARS
-            while chunk:
-                if not (bulk and reader.read_bulk(chunk)):
-                    reader.read(chunk, lineno + 1)
+            while chunk := fh.readlines(_BLOCK_CHARS):
+                reader.read_block(chunk, lineno + 1)
                 lineno += len(chunk)
-                chunk = fh.readlines(_BLOCK_CHARS)
     except UnicodeDecodeError as exc:
         raise InvalidTraceError(
             f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -504,13 +504,9 @@ def read_trace_csv(path) -> FunctionalityTrace:
     there is one; a compressed file is not decompressed, and a file that
     is not UTF-8 raises InvalidTraceError.
 
-    A file whose samples are longer than one block of ``_BLOCK_CHARS``
-    characters is parsed in blocks by numpy, and a block that holds
-    anything but plain numbers is read line by line; a shorter file is
-    read line by line without loading numpy.  Every refused line is
-    reported as ``path:lineno``.  A refusal of the samples as a whole (out
-    of order, outside [0, f0], fewer than two) and of the file's encoding
-    is reported as ``path``.
+    Every refused line is reported as ``path:lineno``.  A refusal of the
+    samples as a whole (out of order, outside [0, f0], fewer than two) and
+    of the file's encoding is reported as ``path``.
     """
     # The parser is its own module, so a command that reads no trace does
     # not compile it.

@@ -39,9 +39,9 @@ from .errors import DomainError, FitFailureError, NoSwitchError
 if TYPE_CHECKING:
     from .likelihood import MleResult
 
-# Samples within this absolute tolerance of the minimum belong to the
-# minimum plateau; consecutive samples closer than this do not count as
-# up/down events.
+# Samples within this tolerance of the minimum, relative to f0, belong to
+# the minimum plateau; consecutive samples closer than this do not count
+# as up/down events.
 MIN_WINDOW_TOL = 1e-9
 EVENT_TOL = 1e-9
 
@@ -113,9 +113,9 @@ class FitResult:
 def detect_switch_time(trace: FunctionalityTrace) -> float:
     """Midpoint of the maximal contiguous window attaining the minimum.
 
-    Samples within MIN_WINDOW_TOL of the global minimum count as part of
-    the plateau.  A minimum touching either end of the trace means the
-    trend never reversed, which raises :class:`NoSwitchError`.
+    Samples within MIN_WINDOW_TOL * f0 of the global minimum count as
+    part of the plateau.  A minimum touching either end of the trace
+    means the trend never reversed, which raises :class:`NoSwitchError`.
     """
     return _switch(trace)[0]
 
@@ -126,7 +126,7 @@ def _switch(trace: FunctionalityTrace) -> tuple[float, float]:
     values = trace._values
     v_min = min(values)
     i_min = values.index(v_min)
-    top = v_min + MIN_WINDOW_TOL
+    top = v_min + MIN_WINDOW_TOL * trace.f0
     left = i_min
     while left - 1 >= 0 and values[left - 1] <= top:
         left -= 1
@@ -144,7 +144,7 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
                      count_end: float) -> ActivityRates:
     """Strict up/down event counts per second, split at the switching time.
 
-    An event is a consecutive-sample move larger than EVENT_TOL and is
+    An event is a consecutive-sample move larger than EVENT_TOL * f0 and is
     assigned to the time of its later sample; phase 1 covers events up to
     ``switch_time`` inclusive, phase 2 events up to ``count_end``
     inclusive.  Rates divide by the phase durations
@@ -169,6 +169,7 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
     # Move j ends at sample j + 1; the times are sorted, so each phase's
     # moves are one run of indices.
     values, times = trace._values, trace._times
+    tol = EVENT_TOL * trace.f0
     split = bisect_right(times, switch_time) - 1
     stop = bisect_right(times, count_end) - 1
 
@@ -178,8 +179,8 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
         # zeros are dropped before the moves are compared.
         moves = list(filter(None, map(operator.sub, values[lo + 1:hi + 1],
                                       values[lo:hi])))
-        return (sum(map(operator.lt, moves, repeat(-EVENT_TOL))),
-                sum(map(operator.gt, moves, repeat(EVENT_TOL))))
+        return (sum(map(operator.lt, moves, repeat(-tol))),
+                sum(map(operator.gt, moves, repeat(tol))))
 
     down1, up1 = counts(0, split)
     down2, up2 = counts(split, stop)

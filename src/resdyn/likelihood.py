@@ -22,19 +22,19 @@ from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_fields, _check_lev
 from .errors import DomainError
 from .stochastic import SdeParams, _check_range
 
-# Increments at most this close to zero are scored against the atom of
-# the transition mixture.
+# Increments at most this close to zero, relative to f0, are scored
+# against the atom of the transition mixture.
 ATOM_TOL = 1e-12
 
 
 def _transitions(f_now, f_next, f0):
     """Each transition F -> F' as ``(F, f0 - F, F' - F, atom, decrease,
-    increase)``: an increment within ATOM_TOL of zero is an atom, any
+    increase)``: an increment within ATOM_TOL * f0 of zero is an atom, any
     other a decrease or an increase by its sign."""
     f_now = np.asarray(f_now, dtype=float)
     f_next = np.asarray(f_next, dtype=float)
     delta = f_next - f_now
-    atom = np.abs(delta) <= ATOM_TOL
+    atom = np.abs(delta) <= ATOM_TOL * f0
     return (f_now, f0 - f_now, delta, atom, ~atom & (delta < 0.0),
             ~atom & (delta > 0.0))
 

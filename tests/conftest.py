@@ -151,7 +151,7 @@ def reference_transition_log_density(f_now, f_next, malware_activity,
             0.0,
         )
 
-    is_atom = np.abs(delta) <= ATOM_TOL
+    is_atom = np.abs(delta) <= ATOM_TOL * f0
     with np.errstate(divide="ignore"):
         log_atom = np.log(atom)
         log_dens = np.log(dens)

@@ -960,6 +960,7 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["--import", "resdyn.cli"], None, ()),
     (["--help"], None, ()),
     (["metrics", str(NOTIONAL_CSV)], None, ("_trace_read",)),
+    (["metrics", "{trace}"], None, ("_trace_read",)),
     (["fit", str(NOTIONAL_CSV), "--out", "{out}"], None,
      ("_trace_read", "estimation")),
     (["solve", "--config", "{cfg}", "--out", "{out}"],
@@ -975,18 +976,23 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
      FIT_MLE_CONFIG, ("_trace_read", "estimation", "likelihood",
                       "stochastic")),
-], ids=["import", "import-cli", "help", "metrics", "fit", "solve",
-        "solve-linear", "simulate", "simulate-seed", "simulate-ensemble",
-        "fit-mle"])
+], ids=["import", "import-cli", "help", "metrics", "metrics-long", "fit",
+        "solve", "solve-linear", "simulate", "simulate-seed",
+        "simulate-ensemble", "fit-mle"])
 def test_import_footprint(tmp_path, argv, config, layers):
     # Each command loads only the layers it runs (the linear solver's erfcx
     # table only when it solves a linear window, the Philox port only for
     # one realization) and none loads scipy.  Only an ensemble draws from
     # numpy.random, and only the commands that compute on arrays (solve,
     # the ensemble and the likelihood grid) load numpy at all: one
-    # realization, seeded or not, runs on Python ints and floats.
+    # realization, seeded or not, runs on Python ints and floats, and the
+    # trace reader reads a trace of many blocks ("{trace}") without numpy.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
-    argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
+    trace = tmp_path / "long.csv"
+    trace.write_text("time,functionality\n"
+                     + "".join(f"{i},0.5\n" for i in range(20001)))
+    argv = [arg.format(cfg=cfg, out=tmp_path / "out", trace=trace)
+            for arg in argv]
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

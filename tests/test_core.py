@@ -35,7 +35,6 @@ from resdyn import (
 )
 from resdyn.core import (
     BOUND_SLACK,
-    TRACE_CSV_HEADER,
     _clamp_to_bounds,
     _pairwise_sum,
 )
@@ -495,6 +494,8 @@ class TestTraceCsv:
     def test_malformed_row_rejected(self, tmp_path):
         # float() alone would read all but the first: 1_0 as 10, a
         # fullwidth digit as its ASCII value, a no-break space as a space.
+        # A block's comma count alone would pass the last: its lines hold
+        # two numbers each, but not one comma each.
         path = tmp_path / "bad.csv"
         for text, where in [
             ("time,functionality\n0,1\noops\n", ":3: "),
@@ -504,6 +505,8 @@ class TestTraceCsv:
             ("time,functionality\n0,1\n1,0.5\u00a0\n", ":3: non-numeric sample"),
             ("# f0=1_0\ntime,functionality\n0,1\n1,0.5\n",
              ":1: bad f0 metadata"),
+            ("time,functionality\n0,1\n1,0.5,2\n0.5\n",
+             ":3: expected two fields"),
         ]:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(InvalidTraceError, match=f"bad.csv{where}"):
@@ -680,30 +683,10 @@ def trace_files(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
-def chars_after_header(path):
-    """How many characters the reader's text stream holds after the header
-    line, or None when the first line that is neither blank nor a comment
-    is not the header."""
-    with open(path, encoding="utf-8-sig") as fh:
-        while line := fh.readline():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                return len(fh.read()) if line == TRACE_CSV_HEADER else None
-    return None
-
-
-def spy_read_bulk():
-    """A patch that records the calls of the reader's numpy block parser."""
-    lines = resdyn._trace_read._TraceLines
-    return mock.patch.object(lines, "read_bulk", autospec=True,
-                             side_effect=lines.read_bulk)
-
-
-# A small block size makes a file span many blocks, some of them parsed by
-# numpy and some line by line.  At the edge, the block size is set so that
-# the samples just fill one block (read line by line) or just overfill it
-# (parsed by numpy where they are plain numbers).
-@pytest.mark.parametrize("block_chars", [None, 24, "edge-line", "edge-bulk"])
+# One block holds the whole of most generated files; blocks of 24
+# characters hold a line or two each, so plain blocks, parsed in one pass,
+# alternate with blocks read line by line.
+@pytest.mark.parametrize("block_chars", [None, 24])
 @settings(max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=trace_files())
@@ -711,16 +694,9 @@ def test_read_matches_line_reference(tmp_path, block_chars, text):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8", newline="")
     chunk = block_chars or resdyn._trace_read._BLOCK_CHARS
-    samples = chars_after_header(path)
-    if block_chars in ("edge-line", "edge-bulk"):
-        # A block holds exactly the samples, or one character less.
-        chunk = (samples or 2) - (block_chars == "edge-bulk")
-    with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", chunk), \
-            spy_read_bulk() as read_bulk:
+    with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", chunk):
         got = read_outcome(read_trace_csv, path)
     assert got == read_outcome(reference_read_trace_csv, path)
-    if samples is not None and samples >= 2 and isinstance(got[0], bytes):
-        assert read_bulk.called == (samples > chunk)
 
 
 def sample_rows(chars):
@@ -739,19 +715,14 @@ def sample_rows(chars):
     return "".join(rows) + last + " " * (chars - size - len(last) - 1) + "\n"
 
 
-@pytest.mark.parametrize("extra, bulk", [(0, False), (1, True)],
-                         ids=["one-full-block", "over-one-block"])
-def test_reader_loads_numpy_only_past_one_block(tmp_path, extra, bulk):
-    # Samples that fit in one _BLOCK_CHARS block are read line by line,
-    # without numpy; one character more and the blocks are parsed by numpy.
-    # Either way the trace has the line reference's bits.
+def test_reader_past_one_block_loads_no_numpy(tmp_path):
+    # Samples one character longer than a _BLOCK_CHARS block are read with
+    # the line reference's bits, and without loading numpy.
     path = tmp_path / "trace.csv"
-    body = sample_rows(resdyn._trace_read._BLOCK_CHARS + extra)
+    body = sample_rows(resdyn._trace_read._BLOCK_CHARS + 1)
+    assert len(body) == resdyn._trace_read._BLOCK_CHARS + 1
     path.write_text("# f0=1\ntime,functionality\n" + body, newline="")
-    assert chars_after_header(path) == resdyn._trace_read._BLOCK_CHARS + extra
-    with spy_read_bulk() as read_bulk:
-        got = read_outcome(read_trace_csv, path)
-    assert read_bulk.called == bulk
+    got = read_outcome(read_trace_csv, path)
     assert got == read_outcome(reference_read_trace_csv, path)
     assert isinstance(got[0], bytes)
     proc = subprocess.run(
@@ -759,4 +730,4 @@ def test_reader_loads_numpy_only_past_one_block(tmp_path, extra, bulk):
          "import sys, resdyn; resdyn.read_trace_csv(sys.argv[1]); "
          "print('numpy' in sys.modules)", str(path)],
         capture_output=True, text=True, check=True)
-    assert proc.stdout == f"{bulk}\n"
+    assert proc.stdout == "False\n"

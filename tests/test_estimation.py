@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -23,6 +23,7 @@ from resdyn import (
     NoSwitchError,
     PiecewiseConstantSchedule,
     SdeParams,
+    auc_resilience,
     count_activities,
     detect_switch_time,
     fit_phase1,
@@ -412,8 +413,9 @@ class TestStepLogDensity:
             assert total_measure(p, f_now) == pytest.approx(1.0, abs=1e-6)
 
     # Widths are 0 (F at a bound, where components join the atom) or at
-    # least 1e-7, far above ATOM_TOL, so the quadrature's nodes stay clear
-    # of the increments within ATOM_TOL of 0, which score the atom's mass.
+    # least 1e-4 f0, far above ATOM_TOL * f0, so the quadrature's nodes
+    # stay clear of the increments within ATOM_TOL * f0 of 0, which score
+    # the atom's mass.
     @given(st.tuples(*[st.floats(0.0, 1.0)] * 2,
                      *[st.floats(0.01, 1.0)] * 2),
            st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
@@ -700,11 +702,12 @@ def test_separable_margin_covers_mixture_logs():
 @st.composite
 def scored_transitions(draw):
     """Levels at 0, at f0, subnormal or anywhere in [0, f0], each followed
-    by another such level or by a move of at most a few ``ATOM_TOL``."""
+    by another such level or by a move of a few ``ATOM_TOL * f0`` at most."""
     f0 = draw(st.sampled_from([1.0, 0.75, 3.0]))
     level = st.sampled_from([0.0, f0, 5e-324, 1e-310]) | st.floats(0.0, f0)
     move = st.sampled_from([0.0, ATOM_TOL, -ATOM_TOL, ATOM_TOL / 2,
-                            -ATOM_TOL / 2, 2 * ATOM_TOL, -2 * ATOM_TOL])
+                            -ATOM_TOL / 2, 2 * ATOM_TOL, -2 * ATOM_TOL]
+                           ).map(lambda m: m * f0)
     n = draw(st.integers(1, 16))
     f_now = np.array(draw(st.lists(level, min_size=n, max_size=n)))
     f_next = np.array([
@@ -810,6 +813,48 @@ def test_tiny_level_increase_density(f_now):
     for f_next in (f_now, 0.0):
         assert step_log_density(f_now, f_next, params, 1.0) == math.log(
             (1.0 - 0.3) * (1.0 - 0.4))
+
+
+def scaled(trace, c):
+    """``trace`` with its levels and f0 multiplied by ``c``."""
+    return FunctionalityTrace(trace.times, trace.values * c, trace.f0 * c)
+
+
+# The model is homogeneous in f0: c F solves it with c f0 and the same
+# rates, and every level, gap, width and move scales by c.  So the fit,
+# the AUC resilience and the MLE cell do not move; each scored move's
+# density divides by c, which shifts the log likelihood by -N_moves log c.
+@example(exponent=-9.0)
+@example(exponent=9.0)
+@given(exponent=st.floats(-9.0, 9.0))
+def test_estimates_are_invariant_to_f0_scale(notional_trace, exponent):
+    c = 10.0 ** exponent
+    base, got = fit_piecewise(notional_trace), fit_piecewise(
+        scaled(notional_trace, c))
+    assert got.switch_time == base.switch_time
+    for phase, want in ((got.phase1, base.phase1), (got.phase2, base.phase2)):
+        assert (phase.malware_activity, phase.bonware_activity) == (
+            want.malware_activity, want.bonware_activity)
+        assert phase.impacts.malware_impact == pytest.approx(
+            want.impacts.malware_impact, rel=1e-12)
+        assert phase.impacts.bonware_impact == pytest.approx(
+            want.impacts.bonware_impact, rel=1e-12)
+
+    trace = simulate(SdeParams(*TRUTH), 1.0, 1.0, steps=2000, seed=1618)
+    grid = MleGrid(GridAxis(0.04, 0.12, 0.04), GridAxis(0.08, 0.16, 0.04),
+                   GridAxis(0.26, 0.42, 0.08), GridAxis(0.63, 0.79, 0.08))
+    for t in (notional_trace, trace):
+        assert auc_resilience(scaled(t, c)) == pytest.approx(
+            auc_resilience(t), rel=1e-12)
+    rescaled = scaled(trace, c)
+    base, got = grid_mle(trace, grid), grid_mle(rescaled, grid)
+    assert got.params == base.params
+    n_moves = np.count_nonzero(np.abs(np.diff(trace.values)) > ATOM_TOL)
+    steps = _transitions(rescaled.values[:-1], rescaled.values[1:],
+                         rescaled.f0)
+    _, margin = _separable_surface(steps, grid.axes())
+    assert abs(got.log_likelihood + n_moves * math.log(c)
+               - base.log_likelihood) <= margin
 
 
 class TestFitResultSerialization:

@@ -17,7 +17,6 @@ status 0 means the outputs were fully written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -153,18 +152,18 @@ def _at(path: str, build, /, *args, **kwargs):
 
 
 def _from_json(cls, obj: dict, path: str):
-    """Build dataclass ``cls`` from the JSON object ``obj`` at ``path``.
+    """Build the record ``cls`` from the JSON object ``obj`` at ``path``.
 
     A field without a default is a required number; any other field is an
     optional number, and an absent one keeps its default.  Errors from
     ``cls`` carry ``path``, as :func:`_at` words them.
     """
     kwargs = {}
-    for field in dataclasses.fields(cls):
-        value = _get(obj, field.name, path, float,
-                     required=field.default is dataclasses.MISSING)
+    for name in cls._fields:
+        value = _get(obj, name, path, float,
+                     required=name not in cls._defaults)
         if value is not None:
-            kwargs[field.name] = value
+            kwargs[name] = value
     return _at(path, cls, **kwargs)
 
 
@@ -284,11 +283,10 @@ def _mle_grid(doc: dict) -> MleGrid:
     from . import GridAxis, MleGrid
 
     section = _get(doc, "mle_grid", "", dict)
-    names = [field.name for field in dataclasses.fields(MleGrid)]
     return _at("mle_grid", MleGrid, **{
         name: _from_json(GridAxis, _get(section, name, "mle_grid.", dict),
                          f"mle_grid.{name}.")
-        for name in names
+        for name in MleGrid._fields
     })
 
 

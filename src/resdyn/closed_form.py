@@ -15,7 +15,6 @@ RK4 oracle in :mod:`resdyn.core`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .core import (
     _check_level,
     _clamp_to_bounds,
     _readonly,
+    _Record,
     _sample_axis,
     _steady_level,
 )
@@ -40,8 +40,7 @@ from .errors import DomainError, UndefinedSteadyStateError
 OMEGA_MIN = 1e-10
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(_Record):
     """Long-run functionality level and the relative loss to malware."""
 
     f_infinity: float

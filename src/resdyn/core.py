@@ -21,7 +21,6 @@ import os
 import stat
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, ClassVar
@@ -74,7 +73,7 @@ def _floats(x) -> tuple[array | None, tuple[int, ...]]:
 
 
 def _check_fields(obj, names, ok, requirement: str) -> None:
-    """Store each named field of a frozen dataclass as a float.
+    """Store each named field of a frozen record as a float.
 
     A value failing ``ok`` raises DomainError
     ``"<name> must <requirement>, got <value>"``; fields are checked in
@@ -141,8 +140,104 @@ def _sample_axis(x, name: str, error: type = DomainError) -> array:
     return axis
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class FunctionalityTrace:
+class _Record:
+    """Base of the frozen value types: what ``@dataclass(frozen=True)``
+    gives a class, without importing ``dataclasses`` (which imports
+    ``inspect``) or compiling methods with ``exec``.
+
+    A subclass's fields are its bases' fields, then its own annotated
+    class attributes other than ``ClassVar``s; a class attribute of the
+    same name is the field's default.  ``_fields`` holds the names in
+    order, and ``_defaults`` the default of each optional field.
+    ``__init__`` takes the fields by position or keyword, refuses a call
+    with the ``TypeError`` a ``def`` with those parameters raises, stores
+    them and runs ``__post_init__`` last; a subclass may define its own
+    ``__init__`` instead.  ``repr`` is the dataclass one.  Records compare
+    and hash as the tuple of their fields, within one class, unless the
+    class is declared with ``eq=False``, which keeps identity.  Setting or
+    deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _defaults: ClassVar[dict[str, object]] = {}
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        own = [name for name, kind in body.get("__annotations__", {}).items()
+               if not str(kind).startswith(("ClassVar", "typing.ClassVar"))]
+        cls._fields += tuple(name for name in own if name not in cls._fields)
+        cls._defaults = {**cls._defaults,
+                         **{name: body[name] for name in own if name in body}}
+        cls.__match_args__ = cls._fields
+        kind = _Record if eq else object
+        cls.__eq__, cls.__hash__ = kind.__eq__, kind.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names, defaults = self._fields, self._defaults
+        given = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise self._misuse(
+                    f"got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise self._misuse(
+                    f"got multiple values for argument {name!r}")
+            given[name] = value
+        if len(args) > len(names):
+            most = len(names) + 1
+            least = most - len(defaults)
+            takes = f"from {least} to {most}" if least < most else most
+            raise self._misuse(f"takes {takes} positional arguments "
+                               f"but {len(args) + 1} were given")
+        missing = [repr(name) for name in names
+                   if name not in given and name not in defaults]
+        if missing:
+            *head, last = missing
+            listed = (f"{', '.join(head)}{',' * (len(head) > 1)} and {last}"
+                      if head else last)
+            raise self._misuse(
+                f"missing {len(missing)} required positional "
+                f"argument{'s' * (len(missing) > 1)}: {listed}")
+        values = {**defaults, **given}
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def _misuse(self, problem: str) -> TypeError:
+        return TypeError(f"{type(self).__qualname__}.__init__() {problem}")
+
+    def __post_init__(self) -> None:
+        """Check the stored fields; a subclass with checks overrides it."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FunctionalityTrace(_Record, eq=False):
     """A time-ordered sampling of functionality, with its normal level.
 
     ``times`` must be strictly increasing with at least two samples and
@@ -160,6 +255,19 @@ class FunctionalityTrace:
 
     def __init__(self, times, values, f0: float = 1.0):
         times = _sample_axis(times, "times", InvalidTraceError)
+        self._store(times, values, f0)
+
+    @classmethod
+    def _on_axis(cls, times: array, values, f0: float) -> FunctionalityTrace:
+        """A trace on ``times``, an ``array('d')`` that its caller built to
+        be a sample axis (see :func:`_sample_axis`) and hands over: it is
+        neither copied nor checked again.  ``values`` and ``f0`` are
+        checked as the constructor checks them."""
+        trace = cls.__new__(cls)
+        trace._store(times, values, f0)
+        return trace
+
+    def _store(self, times: array, values, f0) -> None:
         values, shape = _floats(values)
         f0 = float(f0)
         if shape != (len(times),):
@@ -192,8 +300,7 @@ class FunctionalityTrace:
         return self._times[-1] - self._times[0]
 
 
-@dataclass(frozen=True)
-class ConstantImpacts:
+class ConstantImpacts(_Record):
     """Constant per-second impact rates of malware and bonware."""
 
     malware_impact: float
@@ -210,13 +317,12 @@ class ConstantImpacts:
         return self.malware_impact + self.bonware_impact
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class _PiecewiseSchedule:
+class _PiecewiseSchedule(_Record, eq=False):
     """Impacts on consecutive windows [t_j, t_{j+1}), one segment each.
 
     Subclasses set ``_segment_type``, the impacts type every segment must
-    be an instance of, and are frozen dataclasses themselves, so that none
-    of their attributes can be rebound.  ``breakpoints`` is a read-only
+    be an instance of.  They inherit the record's frozen attributes, so
+    none of their attributes can be rebound.  ``breakpoints`` is a read-only
     view, as a trace's arrays are.  Schedules compare and hash by
     identity, as traces do.
     """
@@ -260,15 +366,13 @@ class _PiecewiseSchedule:
         return min(max(idx, 0), len(self.segments) - 1)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PiecewiseConstantSchedule(_PiecewiseSchedule):
+class PiecewiseConstantSchedule(_PiecewiseSchedule, eq=False):
     """Constant impacts on consecutive windows [t_j, t_{j+1})."""
 
     _segment_type = ConstantImpacts
 
 
-@dataclass(frozen=True)
-class LinearImpacts:
+class LinearImpacts(_Record):
     """Impact rates that change linearly over a window.
 
     Rates are functions of window-local time tau (seconds since the
@@ -321,8 +425,7 @@ class LinearImpacts:
                 )
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PiecewiseLinearSchedule(_PiecewiseSchedule):
+class PiecewiseLinearSchedule(_PiecewiseSchedule, eq=False):
     """Linearly varying impacts on consecutive windows, local time per window."""
 
     _segment_type = LinearImpacts

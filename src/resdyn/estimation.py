@@ -21,7 +21,6 @@ import json
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -31,6 +30,7 @@ from .core import (
     PiecewiseConstantSchedule,
     _check_f0,
     _check_fields,
+    _Record,
     _steady_level,
     _write_text,
 )
@@ -50,8 +50,7 @@ EVENT_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FitConfig:
+class FitConfig(_Record):
     """Hyperparameters of the two-phase fitting recipe.
 
     ``decay_asymptote_fraction`` pins the phase-1 asymptote at that
@@ -87,8 +86,7 @@ class ActivityRates(NamedTuple):
     bonware_phase2: float
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
+class PhaseEstimate(_Record):
     """Fitted impacts of one phase with their activity/effectiveness split."""
 
     impacts: ConstantImpacts
@@ -98,8 +96,7 @@ class PhaseEstimate:
     bonware_effectiveness: float
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Record):
     """Two-phase fit: switching time, per-phase estimates, and residuals."""
 
     switch_time: float

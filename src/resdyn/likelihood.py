@@ -14,11 +14,16 @@ is reported, with a lexicographic tie-break.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_POINTS, FunctionalityTrace, _check_fields, _check_level
+from .core import (
+    MAX_GRID_POINTS,
+    FunctionalityTrace,
+    _check_fields,
+    _check_level,
+    _Record,
+)
 from .errors import DomainError
 from .stochastic import SdeParams, _check_range
 
@@ -116,8 +121,7 @@ def step_log_density(f_now: float, f_next: float, params: SdeParams,
     )[0])
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class GridAxis(_Record):
     """Inclusive arithmetic range start, start+step, ..., stop."""
 
     start: float
@@ -151,8 +155,7 @@ class GridAxis:
         return self.start + self.step * np.arange(self._last_index() + 1)
 
 
-@dataclass(frozen=True)
-class MleGrid:
+class MleGrid(_Record):
     """Search ranges for the four stochastic parameters: each axis stays
     in its parameter's range, and the grid holds at most
     ``MAX_GRID_POINTS`` cells."""
@@ -178,8 +181,7 @@ class MleGrid:
         return tuple(axis.values() for axis in vars(self).values())
 
 
-@dataclass(frozen=True)
-class MleResult:
+class MleResult(_Record):
     """Grid maximum-likelihood estimate: the best cell and its exact
     log likelihood, over a grid of ``n_cells`` cells.
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -41,6 +40,7 @@ from .core import (
     _check_fields,
     _check_level,
     _readonly,
+    _Record,
     _steady_level,
     _write_text,
 )
@@ -102,8 +102,7 @@ def _check_range(name: str, *values: float) -> None:
             raise DomainError(f"{name} must lie in {interval}, got {v}")
 
 
-@dataclass(frozen=True)
-class SdeParams:
+class SdeParams(_Record):
     """Parameters of the stochastic step model.
 
     Activities are per-step success probabilities in [0, 1]; effectiveness
@@ -143,8 +142,7 @@ def _live(params: SdeParams, times) -> tuple[range, range]:
                                      len(times))
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
+class EnsembleResult(_Record, eq=False):
     """Per-step mean and standard error over seeded realizations; results
     compare and hash by identity, as traces do."""
 
@@ -193,7 +191,7 @@ def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
             f"steps must be <= {MAX_GRID_POINTS - 1}, got {steps}")
     if not math.isfinite(dt) or dt <= 0.0:
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(dt * steps):
+    if not math.isfinite(float(dt) * steps):
         raise DomainError(f"dt must keep the horizon dt * steps finite, "
                           f"got {dt!r} * {steps}")
     if n < 1:
@@ -202,6 +200,24 @@ def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
         raise DomainError(f"n must keep n * (steps + 1) <= {MAX_GRID_POINTS}, "
                           f"got {n} * {steps + 1}")
     return steps, n
+
+
+def _clock(dt: float, steps: int) -> array:
+    """The sample times ``dt * k``, k = 0..steps, of a run that
+    :func:`_check_run` accepts, as an ``array('d')``: a sample axis (see
+    ``core._sample_axis``) by construction, which a trace takes unchecked.
+
+    There are steps + 1 >= 2 times, from 0 to ``dt * steps``, which
+    ``_check_run`` found finite.  Each k is exact as a float, since
+    steps < MAX_GRID_POINTS < 2**24, and rounding is monotone, so no time
+    is past the last.  Before rounding, neighbours lie dt apart.  A product
+    below 2**-1022 is a multiple of 2**-1074, the subnormal spacing, and so
+    is exact; a larger one rounds by at most 2**-53 of itself, and it is
+    below dt * 2**24, so by less than dt * 2**-29.  So neighbours stay more
+    than dt * (1 - 2**-28) > 0 apart: the times strictly increase.
+    """
+    dt = float(dt)
+    return array("d", [dt * k for k in range(steps + 1)])
 
 
 def _roll_bound(activity: float) -> int:
@@ -242,8 +258,7 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     steps, _ = _check_run(steps, dt)
     _check_level("f_init", f0, f_init)
     rows = words(_seed_key("seed", seed), steps)
-    dt = float(dt)
-    times = array("d", [dt * k for k in range(steps + 1)])
+    times = _clock(dt, steps)
     # Per step, the bound under which each agent's roll word hits; 0, which
     # no word is under, where the agent is off.
     m_bounds, b_bounds = (
@@ -265,16 +280,17 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
         f += delta
         values.append(f)
 
-    return FunctionalityTrace(times, values, f0)
+    return FunctionalityTrace._on_axis(times, values, f0)
 
 
-def _step_blocks(params: SdeParams, f_init: float, f0: float, dt: float,
+def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
                  master_seed: int, n: int, steps: int, rows: int):
-    """Step the ``n`` realizations on from ``f_init``, ``rows`` at a time;
-    yield each block's levels at steps 1 to ``steps``, time-major."""
+    """Step the ``n`` realizations on from ``f_init`` over the sample
+    ``times``, ``rows`` at a time; yield each block's levels at steps 1 to
+    ``steps``, time-major."""
     import numpy as np
 
-    live = _live(params, dt * np.arange(steps))
+    live = _live(params, times[:-1])
     rng = np.random.Generator(np.random.Philox(key=0))
     state = rng.bit_generator.state
     key = state["state"]["key"]
@@ -381,6 +397,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     _check_level("f_init", f0, f_init)
     master_seed = _seed_key("master_seed", master_seed)
     f_init, f0 = float(f_init), float(f0)
+    times = _clock(dt, steps)
     rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
     # A block of realizations below a row that carries the running sum into
     # each block's axis-0 reduce, so the rows are added in index order, as
@@ -390,8 +407,8 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     total = np.zeros(steps + 1)
     low, high = np.full(steps + 1, np.inf), np.full(steps + 1, -np.inf)
     store = []
-    for levels in _step_blocks(params, f_init, f0, dt, master_seed, n, steps,
-                               rows):
+    for levels in _step_blocks(params, f_init, f0, times, master_seed, n,
+                               steps, rows):
         block = buf[1:levels.shape[1] + 1]
         block[:, 1:] = levels.T
         np.minimum(low, block.min(axis=0), out=low)
@@ -416,7 +433,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
             block *= block
             np.add.reduce(buf[:len(block) + 1], axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
-    mean_trace = FunctionalityTrace(dt * np.arange(steps + 1), mean, f0)
+    mean_trace = FunctionalityTrace._on_axis(times, mean, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
                           n=n, master_seed=master_seed)
 

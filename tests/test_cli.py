@@ -934,7 +934,7 @@ def test_output_to_pipe_is_streamed(tmp_path):
 
 # Runs ``python -m resdyn ARGS`` in-process, or with ``--import MODULE`` only
 # imports MODULE, then writes the resdyn, scipy and numpy.random modules
-# loaded, and numpy itself, to stderr.
+# loaded, and numpy, dataclasses and inspect themselves, to stderr.
 FOOTPRINT = """
 import json, runpy, sys
 if sys.argv[1] == "--import":
@@ -947,7 +947,8 @@ else:
             raise
 print(json.dumps([m for m in sys.modules
                   if m.partition(".")[0] in ("resdyn", "scipy")
-                  or m == "numpy" or m.startswith("numpy.random")]),
+                  or m in ("numpy", "dataclasses", "inspect")
+                  or m.startswith("numpy.random")]),
       file=sys.stderr)
 """
 
@@ -987,6 +988,8 @@ def test_import_footprint(tmp_path, argv, config, layers):
     # the ensemble and the likelihood grid) load numpy at all: one
     # realization, seeded or not, runs on Python ints and floats, and the
     # trace reader reads a trace of many blocks ("{trace}") without numpy.
+    # The records are not dataclasses, so a command without numpy (which
+    # imports inspect itself) loads neither dataclasses nor inspect.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
     trace = tmp_path / "long.csv"
     trace.write_text("time,functionality\n"
@@ -1005,6 +1008,8 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
     arrays = argv[0] == "solve" or ensemble or "--mle" in argv
     assert ("numpy" in loaded) == arrays
+    if not arrays:
+        assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 # Runs resdyn to its exit the way ``python -m resdyn ARGS`` does (entry

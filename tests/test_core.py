@@ -18,6 +18,7 @@ from conftest import NOTIONAL_CSV, reference_read_trace_csv
 from resdyn import (
     ConstantImpacts,
     DomainError,
+    FitConfig,
     FunctionalityTrace,
     GridAxis,
     InvalidTraceError,
@@ -95,6 +96,29 @@ class TestFunctionalityTrace:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(record, name)
                 assert getattr(record, name) is arr
+
+    @pytest.mark.parametrize("record", [
+        ConstantImpacts(0.1, 0.2), SdeParams(0.1, 0.2, 0.3, 0.4),
+        FitConfig(), GridAxis(0.1, 0.3, 0.1),
+    ], ids=lambda record: type(record).__name__)
+    def test_scalar_records_are_frozen(self, record):
+        # No field of a scalar record can be rebound or deleted either.
+        for name in type(record)._fields:
+            value = getattr(record, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0.5)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+
+    def test_axis_handed_over_still_checks_values(self):
+        # The private constructor trusts only the axis it is handed.
+        axis = array("d", [0.0, 1.0])
+        trace = FunctionalityTrace._on_axis(axis, [1.0, 0.5], 2.0)
+        assert trace._times is axis and list(trace.values) == [1.0, 0.5]
+        for values, f0 in [([0.5, 1.5], 1.0), ([0.5], 1.0), ([0.5, 0.5], 0.0)]:
+            with pytest.raises(InvalidTraceError):
+                FunctionalityTrace._on_axis(axis, values, f0)
 
     def test_inputs_are_copied(self):
         times, values = array("d", [0.0, 1.0]), np.array([1.0, 0.5])

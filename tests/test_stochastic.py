@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from resdyn import (
     write_ensemble_csv,
 )
 from resdyn._philox import _CHUNK
-from resdyn.core import MAX_GRID_POINTS, ConstantImpacts
+from resdyn.core import MAX_GRID_POINTS, ConstantImpacts, _sample_axis
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
                  malware_effectiveness=0.34, bonware_effectiveness=0.71)
@@ -223,7 +224,47 @@ class TestSimulate:
             ensemble_average(BASE, 1.0, 1.0, steps=10, dt=1e308, n=4)
 
 
+def largest_dt(steps):
+    """The largest dt whose horizon dt * steps is a finite float."""
+    dt = sys.float_info.max / steps
+    while not math.isfinite(dt * steps):
+        dt = math.nextafter(dt, 0.0)
+    while math.isfinite(math.nextafter(dt, math.inf) * steps):
+        dt = math.nextafter(dt, math.inf)
+    return dt
+
+
+# At _check_run's extremes, from the least subnormal dt to horizons at the
+# largest float, the clock that simulate and ensemble_average build is a
+# sample axis, as FunctionalityTrace._on_axis takes it on trust, and has
+# the bits of the numpy grid dt * arange(steps + 1).
+@pytest.mark.parametrize("dt, steps", [
+    (5e-324, 1),
+    (5e-324, 2**16),
+    (2.0**-1035, 2**16),  # from subnormal products to normal ones
+    (sys.float_info.max, 1),
+    (largest_dt(3), 3),
+    (largest_dt(2**20), 2**20),
+])
+def test_clock_is_a_sample_axis(dt, steps):
+    assert stochastic._check_run(steps, dt) == (steps, 1)
+    times = stochastic._clock(dt, steps)
+    assert _sample_axis(times, "times") == times
+    assert times.tobytes() == (dt * np.arange(steps + 1)).tobytes()
+
+
 class TestEnsembleAverage:
+    def test_integer_dt_is_a_float_step(self):
+        # dt * k is taken in floats, so an integer dt whose horizon passes
+        # 2**63 neither wraps the grid nor moves an onset.
+        params = SdeParams(0.5, 0.5, 0.5, 0.5, malware_onset=3e18)
+        result = ensemble_average(params, 1.0, 1.0, steps=10, dt=2 * 10**18,
+                                  n=1, master_seed=4)
+        want = simulate(params, 1.0, 1.0, steps=10, dt=2e18,
+                        seed=split_seed(4, 0))
+        assert result.mean_trace.times.tolist() == want.times.tolist()
+        assert result.mean_trace.values.tolist() == want.values.tolist()
+
     def test_single_realization_equals_simulate(self):
         # Bit for bit, so a level of -0.0 keeps its sign.  simulate computes
         # its draws a chunk of steps at a time and the ensemble takes them

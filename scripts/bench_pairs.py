@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent and a change, and whether a gain holds.
+
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --seeds A-B [--seconds S]
+
+Both directories are checkouts of this repository.  For each seed from A
+to B the script runs ``perfbench/run.py --workload W --seed N --seconds S``
+in both, one after the other, the parent first for the first seed and the
+change first for the next, alternating, and reads each run's result from
+the last line of its standard output.  A run that reports ``correct:
+false`` or any failed command stops the script: its timings are of
+outputs that were wrong.
+
+For each end-to-end metric of ``BENCHMARK.json`` it then prints both
+sides' medians and quartiles, how many pairs the change won, and whether
+a claim of a gain on that metric holds: the change wins at least nine of
+every ten pairs (a tie counts for neither side), and its median is better
+than the parent's by more than the parent's interquartile range.  Which
+way is better comes from ``BENCHMARK.json``, which this script only reads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> range:
+    """The seeds of ``A-B`` (both included) or of a single ``A``."""
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of ``values``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def check_correct(result: dict, side: str) -> None:
+    """Raise ValueError if the run ``result`` of ``side`` reports
+    ``correct: false`` or a failed command."""
+    if not result.get("correct") or result.get("failed"):
+        raise ValueError(
+            f"a {side} run is not correct ({result.get('failed')} of "
+            f"{result.get('attempted')} commands failed); its timings are "
+            "not summarized")
+
+
+def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
+    """One row per metric of ``end_to_end`` (``BENCHMARK.json``'s entries)
+    over ``pairs`` of (parent, change) run results, each the JSON object a
+    ``perfbench/run.py`` run prints last.  Raises ValueError if any run is
+    not correct (see :func:`check_correct`)."""
+    for pair in pairs:
+        for side, result in zip(("parent", "change"), pair):
+            check_correct(result, side)
+    rows = []
+    for spec in end_to_end:
+        name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
+        parent, change = ([run["metrics"][name]["value"] for run in side]
+                          for side in zip(*pairs))
+        wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        gap = sign * (p_med - c_med)  # positive when the change is better
+        rows.append({
+            "metric": name, "better": spec["better"],
+            "parent": (p_q1, p_med, p_q3), "change": (c_q1, c_med, c_q3),
+            "pairs": len(pairs), "wins": wins, "gap": gap,
+            "parent_iqr": p_q3 - p_q1,
+            "claim_holds": 10 * wins >= 9 * len(pairs) and gap > p_q3 - p_q1,
+        })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    """``rows`` as a table: medians [q1, q3], wins, and the median gap
+    (positive when the change is better) against the parent's IQR."""
+    lines = [f"{'metric':<13} {'better':<6} {'parent median [q1, q3]':<29} "
+             f"{'change median [q1, q3]':<29} {'wins':>5} {'gap':>10} "
+             f"{'IQR':>10}  claim"]
+    for row in rows:
+        parent, change = ("{1:.5g} [{0:.5g}, {2:.5g}]".format(*row[side])
+                          for side in ("parent", "change"))
+        lines.append(
+            f"{row['metric']:<13} {row['better']:<6} {parent:<29} "
+            f"{change:<29} {row['wins']:>2}/{row['pairs']:<2} "
+            f"{row['gap']:>+10.4g} {row['parent_iqr']:>10.4g}  "
+            f"{'holds' if row['claim_holds'] else 'fails'}")
+    return "\n".join(lines)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``; its last output line."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited "
+                         f"{proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True,
+                    help="seeds A-B, both included")
+    ap.add_argument("--seconds", type=float, default=25.0)
+    args = ap.parse_args(argv)
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        result = {}
+        for side in order:
+            result[side] = run_bench(getattr(args, side), args.workload, seed,
+                                     args.seconds)
+            print(f"seed {seed} {side}: " + json.dumps(
+                {name: m["value"] for name, m in result[side]["metrics"].items()}),
+                file=sys.stderr, flush=True)
+            try:
+                check_correct(result[side], side)
+            except ValueError as exc:
+                print(f"error: seed {seed}: {exc}", file=sys.stderr)
+                return 2
+        pairs.append((result["parent"], result["change"]))
+    rows = summarize(pairs, spec["end_to_end"])
+    print(f"workload {args.workload}, seeds {args.seeds.start}-"
+          f"{args.seeds.stop - 1}, {len(pairs)} pairs")
+    print(format_rows(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

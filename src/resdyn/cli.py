@@ -311,7 +311,10 @@ def cmd_fit(args) -> int:
     trace = read_trace_csv(args.trace)
     doc = _load_json(args.config) if args.config else {}
     result = fit_piecewise(trace, _from_json(FitConfig, doc, ""))
-    mle = grid_mle(trace, _mle_grid(doc)) if args.mle else None
+    try:
+        mle = grid_mle(trace, _mle_grid(doc)) if args.mle else None
+    except DomainError as exc:  # the grid's errors are ConfigErrors
+        raise InvalidTraceError(f"{args.trace}: {exc}") from exc
     write_fit_result_json(result, args.out, mle)
     return 0
 

@@ -344,11 +344,53 @@ def _separable_surface(steps, axes):
     return surface, margin
 
 
+# Sample spacings that differ by at most this fraction of the trace's
+# largest time magnitude count as one step (see _check_spacing).
+_SPACING_TOL = 2.0**-44
+
+
+def _check_spacing(times: np.ndarray) -> None:
+    """Refuse sample ``times`` that are not uniformly spaced, since each
+    transition is scored as one simulator step.
+
+    Spacings count as one step when the largest and the smallest differ
+    by at most ``_SPACING_TOL * T``, T the larger of the first and last
+    times' magnitudes.  That holds for the times t0 + k*h of a uniform
+    grid however they were rounded.  With u = 2**-53 the unit roundoff
+    (below 2**-1022 the times are multiples of 2**-1074, and what follows
+    is exact), a time is off by at most:
+
+    * 4uT when computed as t0 + k*h, as ``simulate`` (t0 = 0) and
+      ``np.arange`` compute it: |k*h| <= 2T, so the product errs by at
+      most 2uT and the sum by uT more;
+    * 5e-15 T + uT when written as a decimal with 15 or more significant
+      digits and read back (17 digits, as ``write_trace_csv`` writes, are
+      a lossless round trip);
+    * the sum of these when computed and then written.
+
+    A time summed one step at a time is instead off by uT per step, but
+    each of its spacings is within uT of h.  So each spacing is within
+    2 * (5e-15 + 5u) T of h, and the float difference of two neighbours
+    rounds by at most 2uT more: the spread is below 2.3e-14 T, and
+    2**-44 T is 5.7e-14 T.  The spread itself is exact (two nearby
+    spacings subtract exactly), and so is the scaling by a power of two.
+    In a trace of 2**24 steps from time 0, spacings that differ by more
+    than 2**-20 of the step are refused; so is one 0.5 s interval among
+    1 s intervals.
+    """
+    gaps = np.diff(times)
+    low, high = gaps.min().item(), gaps.max().item()
+    if high - low > _SPACING_TOL * max(abs(times[0]), abs(times[-1])):
+        raise DomainError("sample spacing must be uniform, one simulator step "
+                          f"per transition, but it runs from {low!r} to {high!r}")
+
+
 def grid_mle(trace: FunctionalityTrace, grid: MleGrid) -> MleResult:
     """Grid maximum of the step-transition log likelihood.
 
     Cells are scored by the summed log density of consecutive-sample
-    transitions (the trace must be sampled at the simulator's step).  The
+    transitions, each one simulator step, so a trace whose sample spacing
+    is not uniform is refused (see :func:`_check_spacing`).  The
     grid is ranked with the separable surface of
     :func:`_separable_surface`, which needs one-dimensional sums per
     effectiveness pair instead of a pass over the trace per cell.  Every
@@ -364,6 +406,7 @@ def grid_mle(trace: FunctionalityTrace, grid: MleGrid) -> MleResult:
     outside the range the bound assumes are scored exhaustively, with the
     same result.  The grid may hold at most ``MAX_GRID_POINTS`` cells.
     """
+    _check_spacing(trace.times)
     axes = grid.axes()
     shape = tuple(axis.size for axis in axes)
     n_cells = math.prod(shape)

@@ -283,6 +283,26 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     return FunctionalityTrace._on_axis(times, values, f0)
 
 
+def _rekeyable():
+    """A ``numpy.random.Philox``, a state for it and that state's key list:
+    once ``key[0] = k``, setting ``bitgen.state = state`` makes the bit
+    generator draw the stream of ``Philox(key=k)`` from its start, whatever
+    it drew before.  The state is the one ``Philox(key=0)`` has before its
+    first draw, counter 0 with an empty buffer and no spare 32-bit word,
+    with its arrays as lists of Python ints: numpy's setter reads the
+    entries of what it is given one by one, which takes more than twice
+    as long from uint64 arrays as from lists."""
+    import numpy as np
+
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    inner = state["state"]
+    inner["counter"], inner["key"] = (inner["counter"].tolist(),
+                                      inner["key"].tolist())
+    state["buffer"] = state["buffer"].tolist()
+    return bitgen, state, inner["key"]
+
+
 def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
                  master_seed: int, n: int, steps: int, rows: int):
     """Step the ``n`` realizations on from ``f_init`` over the sample
@@ -291,11 +311,11 @@ def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
     import numpy as np
 
     live = _live(params, times[:-1])
-    rng = np.random.Generator(np.random.Philox(key=0))
-    state = rng.bit_generator.state
-    key = state["state"]["key"]
+    bitgen, state, key = _rekeyable()
+    random = np.random.Generator(bitgen).random
     half = min((rows + 1) // 2, _DRAW_ROWS)
     draws = np.empty((half, steps, 4))
+    draw_rows = list(draws)
     hit = np.empty((half, steps), dtype=bool)
     # Time-major effect factors, zero where the agent misses or is off.
     kicks = np.empty((2, steps, rows))
@@ -308,11 +328,11 @@ def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
         seeds = _split_seeds(master_seed, lo, lo + m)
         for h in range(0, m, half):
             block = draws[:min(half, m - h)]
-            for row, seed in zip(block, seeds[h:h + half]):
+            for row, seed in zip(draw_rows, seeds[h:h + half].tolist()):
                 # Key split_seed(...) at counter 0 is Philox(key=split_seed(...)).
                 key[0] = seed
-                rng.bit_generator.state = state
-                rng.random(out=row)
+                bitgen.state = state
+                random(out=row)
             for kick, col, live, activity, effectiveness in agents:
                 mask = np.less(block[:, :, col], activity, out=hit[:len(block)])
                 mask[:, :live.start] = False

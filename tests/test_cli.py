@@ -354,6 +354,25 @@ class TestFit:
             "error: none of the 16 grid cells can produce the trace\n")
         assert not out.exists()
 
+    def test_mle_refuses_uneven_spacing(self, tmp_path, capsys):
+        # The notional trace with its sample at t = 30 moved to t = 30.5:
+        # the two-phase fit still runs, the likelihood cannot.
+        notional = read_trace_csv(NOTIONAL_CSV)
+        times = notional.times.copy()
+        times[30] += 0.5
+        csv = tmp_path / "uneven.csv"
+        write_trace_csv(FunctionalityTrace(times, notional.values, 1.0), csv)
+        cfg = write_config(tmp_path, "fit.json", FIT_MLE_CONFIG)
+        assert main(["fit", str(csv), "--config", cfg,
+                     "--out", str(tmp_path / "plain.json")]) == 0
+        out = tmp_path / "fit_out.json"
+        assert main(["fit", str(csv), "--config", cfg, "--out", str(out),
+                     "--mle"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: sample spacing must be uniform, one simulator "
+            "step per transition, but it runs from 0.5 to 1.5\n")
+        assert not out.exists()
+
     def test_mle_without_grid_fails(self, tmp_path, capsys):
         out = tmp_path / "fit.json"
         assert main(["fit", str(NOTIONAL_CSV), "--out", str(out),

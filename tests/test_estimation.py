@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,15 +32,19 @@ from resdyn import (
     fit_piecewise,
     fit_result_to_dict,
     grid_mle,
+    read_trace_csv,
     simulate,
     solve_piecewise_constant,
     step_log_density,
+    stochastic,
     write_fit_result_json,
+    write_trace_csv,
 )
 from resdyn import likelihood
 from resdyn.core import MAX_GRID_POINTS
 from resdyn.likelihood import (
     ATOM_TOL,
+    _check_spacing,
     _separable_surface,
     _transition_log_density,
     _transitions,
@@ -750,6 +755,60 @@ def test_grid_mle_pinned_cases(values, exact_block):
         assert result.n_infeasible_cells == result.n_cells
         assert result.params == SdeParams(0.0, 0.0, 0.1, 0.25)
         assert result.log_likelihood == -math.inf
+
+
+def test_grid_mle_refuses_uneven_spacing():
+    # One 0.5 s interval among 1 s intervals.
+    trace = FunctionalityTrace(np.array([0.0, 1.0, 2.0, 2.5, 3.5]),
+                               np.array([0.5, 0.45, 0.5, 0.46, 0.49]), 1.0)
+    with pytest.raises(DomainError, match=re.escape(
+            "sample spacing must be uniform, one simulator step per "
+            "transition, but it runs from 0.5 to 1.0")):
+        grid_mle(trace, PINNED_GRID)
+
+
+@pytest.mark.parametrize("shift, uniform", [
+    (0.25, True), (-0.25, True), (1.0, False), (-1.0, False)])
+def test_spacing_tolerance_scale(shift, uniform):
+    # Moving one time by d changes its two spacings by d and -d, a spread
+    # of 2|d|: 2**-43 T is refused, 2**-45 T accepted, T the last time.
+    times = np.arange(1001.0) * 0.1
+    times[500] += shift * 2.0**-44 * times[-1]
+    if uniform:
+        _check_spacing(times)
+    else:
+        with pytest.raises(DomainError, match="sample spacing must be uniform"):
+            _check_spacing(times)
+
+
+@pytest.mark.parametrize("dt", [0.1, 1 / 3, 7.77e-4, 1e290])
+def test_spacing_of_longest_clock_accepted(dt):
+    # simulate's times are the products dt * k, as numpy computes them,
+    # here up to the step cap.
+    assert np.array_equal(np.arange(1001.0) * dt, stochastic._clock(dt, 1000))
+    times = np.arange(float(MAX_GRID_POINTS))
+    times *= dt
+    _check_spacing(times)
+
+
+@given(dt=st.sampled_from([5e-324, 1e-310, 1.0]) | st.floats(1e-300, 1e300),
+       offset=st.sampled_from([0.0]) | st.floats(-1e6, 1e6),
+       steps=st.integers(1, 300))
+def test_spacing_of_simulated_and_written_traces_accepted(
+        tmp_path_factory, dt, offset, steps):
+    trace = simulate(SdeParams(0.08, 0.12, 0.34, 0.71), 1.0, 1.0, steps, dt,
+                     seed=steps)
+    path = tmp_path_factory.mktemp("spacing") / "trace.csv"
+    write_trace_csv(trace, path)
+    assert read_trace_csv(path).times.tobytes() == trace.times.tobytes()
+    # The grid moved to start at offset, summed one step at a time from
+    # there, and the moved grid written with 15 significant digits.
+    grids = [trace.times, offset + trace.times,
+             np.add.accumulate(np.r_[offset, np.full(steps, dt)])]
+    grids.append(np.array([float(f"{t:.15g}") for t in grids[1]]))
+    for times in grids:
+        if np.all(np.diff(times) > 0.0):  # a sample axis
+            _check_spacing(times)
 
 
 def test_outside_separable_range_scored_exhaustively():

@@ -1,14 +1,25 @@
 """The checked-in files that ``scripts/`` regenerate match what the
-scripts regenerate today."""
+scripts regenerate today, and the paired-bench summary applies its rule."""
 
 import importlib.util
+import statistics
 import subprocess
 import sys
+
+import pytest
 
 from conftest import NOTIONAL_CSV, REPO_ROOT
 from resdyn.core import write_trace_csv
 
 SCRIPTS = REPO_ROOT / "scripts"
+
+
+def load_script(name):
+    """The module ``scripts/<name>.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_faddeeva_table_matches_scipy():
@@ -24,13 +35,70 @@ def test_faddeeva_table_matches_scipy():
 def test_notional_fixture_regenerates_byte_for_byte(tmp_path, monkeypatch):
     # The script puts the checkout's src on sys.path when imported.
     monkeypatch.setattr(sys, "path", list(sys.path))
-    path = SCRIPTS / "generate_notional_fixture.py"
-    spec = importlib.util.spec_from_file_location("generate_notional_fixture",
-                                                  path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("generate_notional_fixture")
     trace = script.build_trace()
     script.verify(trace)
     out = tmp_path / "notional.csv"
     write_trace_csv(trace, out)
     assert out.read_bytes() == NOTIONAL_CSV.read_bytes()
+
+
+def bench_result(p50, rate, correct=True, failed=0):
+    """The last output line of a ``perfbench/run.py`` run, as parsed."""
+    return {"correct": correct, "attempted": 40, "failed": failed,
+            "metrics": {"cmd_p50_s": {"value": p50, "unit": "s"},
+                        "cmds_per_s": {"value": rate, "unit": "1/s"}}}
+
+
+END_TO_END = [{"name": "cmd_p50_s", "better": "lower"},
+              {"name": "cmds_per_s", "better": "higher"}]
+
+
+def test_bench_pairs_claim_rule():
+    bench_pairs = load_script("bench_pairs")
+    # Ten pairs: the change is faster by 0.02 s in nine and tied in one;
+    # its rate is higher in eight and lower in two.
+    parent = [0.50 + 0.001 * i for i in range(10)]
+    change = [p - 0.02 for p in parent[:9]] + [parent[9]]
+    rates = [5.0 + 0.01 * i for i in range(10)]
+    new_rates = [r + (0.5 if i < 8 else -0.1) for i, r in enumerate(rates)]
+    pairs = [(bench_result(p, r), bench_result(c, n))
+             for p, c, r, n in zip(parent, change, rates, new_rates)]
+    p50, rate = bench_pairs.summarize(pairs, END_TO_END)
+    assert (p50["metric"], p50["wins"], p50["pairs"]) == ("cmd_p50_s", 9, 10)
+    q1, median, q3 = p50["parent"]
+    assert (q1, median, q3) == pytest.approx((0.50175, 0.5045, 0.50725))
+    assert p50["parent_iqr"] == pytest.approx(0.0055)
+    assert p50["gap"] == pytest.approx(0.02)
+    assert p50["claim_holds"]
+    assert (rate["wins"], rate["claim_holds"]) == (8, False)
+    assert rate["gap"] == pytest.approx(-(statistics.median(rates)
+                                          - statistics.median(new_rates)))
+    # A gap inside the parent's IQR does not hold, however many pairs win.
+    close = [(bench_result(p, 5.0), bench_result(p - 0.001, 5.0))
+             for p in parent]
+    p50, rate = bench_pairs.summarize(close, END_TO_END)
+    assert (p50["wins"], p50["claim_holds"]) == (10, False)
+    assert (rate["wins"], rate["claim_holds"]) == (0, False)
+    table = bench_pairs.format_rows(bench_pairs.summarize(pairs, END_TO_END))
+    assert [line.split()[-1] for line in table.splitlines()] == [
+        "claim", "holds", "fails"]
+
+
+@pytest.mark.parametrize("bad", [bench_result(0.4, 5.0, correct=False),
+                                 bench_result(0.4, 5.0, failed=1)],
+                         ids=["incorrect", "failed-command"])
+def test_bench_pairs_refuses_failed_runs(bad):
+    bench_pairs = load_script("bench_pairs")
+    pairs = [(bench_result(0.5, 5.0), bench_result(0.4, 5.0))] * 9
+    with pytest.raises(ValueError, match="not correct"):
+        bench_pairs.summarize(pairs + [(bench_result(0.5, 5.0), bad)],
+                              END_TO_END)
+    with pytest.raises(ValueError, match="a parent run is not correct"):
+        bench_pairs.summarize([(bad, bench_result(0.4, 5.0))], END_TO_END)
+
+
+def test_bench_pairs_seed_ranges():
+    bench_pairs = load_script("bench_pairs")
+    assert bench_pairs.parse_seeds("3201-3210") == range(3201, 3211)
+    assert bench_pairs.parse_seeds("7") == range(7, 8)

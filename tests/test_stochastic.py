@@ -346,6 +346,22 @@ class TestEnsembleAverage:
         assert float(stderr) == 0.0
 
 
+@pytest.mark.parametrize("key", [0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+def test_rekey_restarts_philox_stream(key):
+    # The ensemble's reset, after draws that leave the generator inside a
+    # block with a spare 32-bit word, draws Philox(key=key) from its start.
+    bitgen, state, keys = stochastic._rekeyable()
+    rng = np.random.Generator(bitgen)
+    rng.integers(0, 10, dtype=np.uint32)
+    rng.random(2)
+    drawn = bitgen.state
+    assert (drawn["buffer_pos"], drawn["has_uint32"]) == (3, 1)
+    keys[0] = key
+    bitgen.state = state
+    want = np.random.Generator(np.random.Philox(key=key)).random((5, 4))
+    assert rng.random((5, 4)).tobytes() == want.tobytes()
+
+
 # Default block size: 600 rows of 250 steps are one full block and one
 # partial one.
 @pytest.mark.parametrize("params, f_init, master_seed", [

@@ -13,11 +13,20 @@ false`` or any failed command stops the script: its timings are of
 outputs that were wrong.
 
 For each end-to-end metric of ``BENCHMARK.json`` it then prints both
-sides' medians and quartiles, how many pairs the change won, and whether
-a claim of a gain on that metric holds: the change wins at least nine of
-every ten pairs (a tie counts for neither side), and its median is better
-than the parent's by more than the parent's interquartile range.  Which
-way is better comes from ``BENCHMARK.json``, which this script only reads.
+sides' medians and quartiles, how many pairs the change won, whether the
+change regressed, and whether a claim of a gain on that metric holds.
+
+- No regression: the change's median is worse than the parent's by at
+  most the metric's relative ``bound`` ("within"), else "worse".  When the
+  parent's interquartile range over its median is wider than the bound,
+  the runs cannot tell, and the metric reads "unresolved" unless every
+  run of the change beats every run of the parent.
+- A gain: the change wins at least nine of every ten pairs (a tie counts
+  for neither side), and its median is better than the parent's by more
+  than the parent's interquartile range.
+
+Which way is better, and each bound, come from ``BENCHMARK.json``, which
+this script only reads.
 """
 
 from __future__ import annotations
@@ -59,6 +68,21 @@ def check_correct(result: dict, side: str) -> None:
             "not summarized")
 
 
+def regression(parent: list[float], change: list[float], sign: float,
+               bound: float) -> str:
+    """Whether the ``change`` runs regressed against the ``parent`` runs on
+    a metric that is better lower (``sign`` 1) or higher (-1): "within" or
+    "worse" the relative ``bound`` in the median, or "unresolved" when the
+    parent's IQR exceeds ``bound`` of its median and some change run does
+    not beat every parent run."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if p_q3 - p_q1 > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    worse_by = sign * (statistics.median(change) - p_med)
+    return "within" if worse_by <= bound * abs(p_med) else "worse"
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per metric of ``end_to_end`` (``BENCHMARK.json``'s entries)
     over ``pairs`` of (parent, change) run results, each the JSON object a
@@ -80,25 +104,28 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
             "metric": name, "better": spec["better"],
             "parent": (p_q1, p_med, p_q3), "change": (c_q1, c_med, c_q3),
             "pairs": len(pairs), "wins": wins, "gap": gap,
-            "parent_iqr": p_q3 - p_q1,
+            "parent_iqr": p_q3 - p_q1, "bound": spec["bound"],
+            "regression": regression(parent, change, sign, spec["bound"]),
             "claim_holds": 10 * wins >= 9 * len(pairs) and gap > p_q3 - p_q1,
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
-    """``rows`` as a table: medians [q1, q3], wins, and the median gap
-    (positive when the change is better) against the parent's IQR."""
+    """``rows`` as a table: medians [q1, q3], wins, the median gap
+    (positive when the change is better) against the parent's IQR, the
+    bound and whether the change stayed within it, and the claim."""
     lines = [f"{'metric':<13} {'better':<6} {'parent median [q1, q3]':<29} "
              f"{'change median [q1, q3]':<29} {'wins':>5} {'gap':>10} "
-             f"{'IQR':>10}  claim"]
+             f"{'IQR':>10} {'bound':>5}  {'regression':<10}  claim"]
     for row in rows:
         parent, change = ("{1:.5g} [{0:.5g}, {2:.5g}]".format(*row[side])
                           for side in ("parent", "change"))
         lines.append(
             f"{row['metric']:<13} {row['better']:<6} {parent:<29} "
             f"{change:<29} {row['wins']:>2}/{row['pairs']:<2} "
-            f"{row['gap']:>+10.4g} {row['parent_iqr']:>10.4g}  "
+            f"{row['gap']:>+10.4g} {row['parent_iqr']:>10.4g} "
+            f"{row['bound']:>5.0%}  {row['regression']:<10}  "
             f"{'holds' if row['claim_holds'] else 'fails'}")
     return "\n".join(lines)
 

@@ -96,9 +96,9 @@ def solve_constant(impacts: ConstantImpacts, f_init: float, f0: float,
     one-window case of :func:`solve_piecewise_constant`, the window being
     the grid's span.
     """
-    g = _readonly(_sample_axis(grid, "grid"))
-    schedule = PiecewiseConstantSchedule(g[[0, -1]], (impacts,))
-    return solve_piecewise_constant(schedule, f_init, f0, g)
+    axis = _sample_axis(grid, "grid")
+    schedule = PiecewiseConstantSchedule((axis[0], axis[-1]), (impacts,))
+    return solve_piecewise_constant(schedule, f_init, f0, axis)
 
 
 def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
@@ -111,7 +111,8 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
     is continuous across breakpoints by construction.  The grid must lie
     inside the schedule's span.
     """
-    g = _readonly(_sample_axis(grid, "grid"))
+    axis = _sample_axis(grid, "grid")
+    g = _readonly(axis)
     _check_level("f_init", f0, f_init)
     span = max(1.0, abs(schedule.start_time), abs(schedule.end_time))
     tol = 1e-9 * span
@@ -133,7 +134,7 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
         window = window_values(seg, f_start, f0, tau)
         values[lo:hi] = window[:-1]
         f_start = float(window[-1])
-    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+    return FunctionalityTrace(axis, _clamp_to_bounds(values, f0), f0)
 
 
 def _require_schedule(schedule, kind: type) -> None:
@@ -211,9 +212,9 @@ def solve_linear(impacts: LinearImpacts, f_init: float, f0: float,
     window being the grid's span, so window-local time starts at
     ``grid[0]`` and the window's checks apply to segment 0.
     """
-    g = _readonly(_sample_axis(grid, "grid"))
-    schedule = PiecewiseLinearSchedule(g[[0, -1]], (impacts,))
-    return solve_piecewise_linear(schedule, f_init, f0, g)
+    axis = _sample_axis(grid, "grid")
+    schedule = PiecewiseLinearSchedule((axis[0], axis[-1]), (impacts,))
+    return solve_piecewise_linear(schedule, f_init, f0, axis)
 
 
 def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,

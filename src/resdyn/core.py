@@ -86,6 +86,15 @@ def _check_fields(obj, names, ok, requirement: str) -> None:
             raise DomainError(f"{name} must {requirement}, got {v}")
 
 
+def _check_sum(obj, total: str, fields: str) -> None:
+    """Refuse a record whose property ``total``, the sum ``fields`` of its
+    finite fields, overflows: ``"<total> = <fields> must be finite, got
+    <value>"``."""
+    v = getattr(obj, total)
+    if not math.isfinite(v):
+        raise DomainError(f"{total} = {fields} must be finite, got {v}")
+
+
 def _check_f0(f0: float, error: type = DomainError) -> None:
     """Refuse a normal level that is not positive and finite."""
     if not math.isfinite(f0) or f0 <= 0.0:
@@ -122,10 +131,26 @@ def _extremes(samples) -> tuple[float, float]:
     return min(samples), max(samples)
 
 
-def _sample_axis(x, name: str, error: type = DomainError) -> array:
-    """``x`` as a new ``array('d')``, refused unless it is a sample axis:
-    one-dimensional, at least two points, finite and strictly increasing,
-    with a span ``x[-1] - x[0]`` that is a finite float."""
+class _SampleAxis(array):
+    """An ``array('d')`` that is a sample axis (see :func:`_sample_axis`).
+
+    Only :func:`_sample_axis`, after its checks, and ``stochastic._clock``,
+    whose grid is one by construction, make one, and nothing changes one
+    after it is made; so :func:`_sample_axis` takes one as it is, and a
+    record built on it shares it.  A slice, a concatenation or a copy is a
+    plain ``array('d')``, and so is checked again.
+    """
+
+    __slots__ = ()
+
+
+def _sample_axis(x, name: str, error: type = DomainError) -> _SampleAxis:
+    """``x`` if it is a :class:`_SampleAxis`; else ``x`` as a new one,
+    refused unless it is a sample axis: one-dimensional, at least two
+    points, finite and strictly increasing, with a span ``x[-1] - x[0]``
+    that is a finite float."""
+    if type(x) is _SampleAxis:
+        return x
     axis, _ = _floats(x)
     if axis is None or len(axis) < 2:
         raise error(f"{name} must be one-dimensional with at least two points")
@@ -137,7 +162,7 @@ def _sample_axis(x, name: str, error: type = DomainError) -> array:
     # Finite points may lie further apart than the largest float.
     if not math.isfinite(axis[-1] - axis[0]):
         raise error(f"{name} must be of finite span (last - first)")
-    return axis
+    return _SampleAxis("d", axis)
 
 
 class _Record:
@@ -242,32 +267,20 @@ class FunctionalityTrace(_Record, eq=False):
 
     ``times`` must be strictly increasing with at least two samples and
     ``values`` must stay within ``[0, f0]``.  The samples are copied into
-    ``array('d')`` buffers; ``times`` and ``values`` are read-only numpy
-    views of them, each made on first access, so code that never reads
-    them does not load numpy.  Instances are immutable and safe to share
-    across threads.  They compare and hash by identity, as an array has no
-    one truth value.
+    ``array('d')`` buffers, except ``times`` given as a
+    :class:`_SampleAxis`, which is shared; ``times`` and ``values`` are
+    read-only numpy views of them, each made on first access, so code that
+    never reads them does not load numpy.  Instances are immutable and safe
+    to share across threads.  They compare and hash by identity, as an
+    array has no one truth value.
     """
 
-    _times: array
+    _times: _SampleAxis
     _values: array
     f0: float
 
     def __init__(self, times, values, f0: float = 1.0):
         times = _sample_axis(times, "times", InvalidTraceError)
-        self._store(times, values, f0)
-
-    @classmethod
-    def _on_axis(cls, times: array, values, f0: float) -> FunctionalityTrace:
-        """A trace on ``times``, an ``array('d')`` that its caller built to
-        be a sample axis (see :func:`_sample_axis`) and hands over: it is
-        neither copied nor checked again.  ``values`` and ``f0`` are
-        checked as the constructor checks them."""
-        trace = cls.__new__(cls)
-        trace._store(times, values, f0)
-        return trace
-
-    def _store(self, times: array, values, f0) -> None:
         values, shape = _floats(values)
         f0 = float(f0)
         if shape != (len(times),):
@@ -310,6 +323,7 @@ class ConstantImpacts(_Record):
         _check_fields(self, ("malware_impact", "bonware_impact"),
                       lambda v: math.isfinite(v) and v >= 0.0,
                       "be finite and >= 0")
+        _check_sum(self, "total_impact", "malware_impact + bonware_impact")
 
     @property
     def total_impact(self) -> float:
@@ -327,7 +341,7 @@ class _PiecewiseSchedule(_Record, eq=False):
     identity, as traces do.
     """
 
-    _breakpoints: array
+    _breakpoints: _SampleAxis
     segments: tuple
 
     _segment_type: ClassVar[type]
@@ -393,6 +407,9 @@ class LinearImpacts(_Record):
                       math.isfinite, "be finite")
         _check_fields(self, ("bonware_intercept", "malware_intercept"),
                       lambda v: v >= 0.0, "be >= 0")
+        _check_sum(self, "total_intercept",
+                   "bonware_intercept + malware_intercept")
+        _check_sum(self, "total_slope", "bonware_slope + malware_slope")
 
     @property
     def total_intercept(self) -> float:
@@ -487,12 +504,13 @@ def auc_resilience(trace: FunctionalityTrace) -> float:
 
 
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:
-    """Clip roundoff-level excursions; anything larger is a genuine bug."""
+    """Clip roundoff-level excursions; anything larger, or a NaN, which
+    both ends report, raises DomainError."""
     import numpy as np
 
     lo = float(values.min())
     hi = float(values.max())
-    if lo < -BOUND_SLACK or hi > f0 + BOUND_SLACK:
+    if not (-BOUND_SLACK <= lo and hi <= f0 + BOUND_SLACK):
         raise DomainError(
             f"solution left [0, f0] by more than {BOUND_SLACK}: range [{lo}, {hi}]"
         )
@@ -509,7 +527,8 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
     """
     import numpy as np
 
-    g = _readonly(_sample_axis(grid, "grid"))
+    axis = _sample_axis(grid, "grid")
+    g = _readonly(axis)
     _check_level("f_init", f0, f_init)
 
     def rates(t: float) -> tuple[float, float]:
@@ -544,7 +563,7 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
             f += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         values[i + 1] = f
 
-    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)
+    return FunctionalityTrace(axis, _clamp_to_bounds(values, f0), f0)
 
 
 def _write_text(path, chunks) -> None:

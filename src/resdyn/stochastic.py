@@ -41,6 +41,7 @@ from .core import (
     _check_level,
     _readonly,
     _Record,
+    _SampleAxis,
     _steady_level,
     _write_text,
 )
@@ -120,10 +121,10 @@ class SdeParams(_Record):
     interaction_cutoff: float | None = None
 
     def __post_init__(self):
-        for name in ("malware_activity", "bonware_activity",
-                     "malware_effectiveness", "bonware_effectiveness"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            _check_range(name, getattr(self, name))
+        _check_fields(self, ("malware_activity", "bonware_activity"),
+                      lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+        _check_fields(self, ("malware_effectiveness", "bonware_effectiveness"),
+                      lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
         timed = ("malware_onset", "bonware_onset")
         if self.interaction_cutoff is not None:
             timed += ("interaction_cutoff",)
@@ -202,10 +203,10 @@ def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
     return steps, n
 
 
-def _clock(dt: float, steps: int) -> array:
+def _clock(dt: float, steps: int) -> _SampleAxis:
     """The sample times ``dt * k``, k = 0..steps, of a run that
-    :func:`_check_run` accepts, as an ``array('d')``: a sample axis (see
-    ``core._sample_axis``) by construction, which a trace takes unchecked.
+    :func:`_check_run` accepts, as a ``core._SampleAxis``: they are a
+    sample axis by construction, which a trace takes unchecked.
 
     There are steps + 1 >= 2 times, from 0 to ``dt * steps``, which
     ``_check_run`` found finite.  Each k is exact as a float, since
@@ -217,7 +218,7 @@ def _clock(dt: float, steps: int) -> array:
     than dt * (1 - 2**-28) > 0 apart: the times strictly increase.
     """
     dt = float(dt)
-    return array("d", [dt * k for k in range(steps + 1)])
+    return _SampleAxis("d", [dt * k for k in range(steps + 1)])
 
 
 def _roll_bound(activity: float) -> int:
@@ -280,7 +281,7 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
         f += delta
         values.append(f)
 
-    return FunctionalityTrace._on_axis(times, values, f0)
+    return FunctionalityTrace(times, values, f0)
 
 
 def _rekeyable():
@@ -453,7 +454,7 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
             block *= block
             np.add.reduce(buf[:len(block) + 1], axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
-    mean_trace = FunctionalityTrace._on_axis(times, mean, f0)
+    mean_trace = FunctionalityTrace(times, mean, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
                           n=n, master_seed=master_seed)
 

@@ -115,6 +115,15 @@ class TestSolve:
         assert "malware_impact" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_rates_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "big.json", constant_config(1e308, 1e308))
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: params: total_impact = malware_impact + bonware_impact "
+            "must be finite, got inf\n")
+        assert not out.exists()
+
     def test_solver_error_keeps_library_text(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "p.json", {
             "kind": "piecewise-constant",

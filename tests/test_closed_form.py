@@ -115,6 +115,35 @@ def test_constant_rate_producers_stay_within_f0(problem):
                           f_init, f0, steps=2000)
 
 
+# Finite rates whose sum overflows are refused by their record, which
+# names the fields; before, the sum gave a wrong steady state or a NaN
+# curve.  A closed form that is not finite, from finite sums, is refused
+# by the solver as a DomainError.
+@pytest.mark.parametrize("call, message", [
+    (lambda: steady_state(ConstantImpacts(1e308, 1e308), 1.0),
+     "total_impact = malware_impact + bonware_impact must be finite, got inf"),
+    (lambda: solve_constant(ConstantImpacts(1e308, 1e308), 0.5, 1.0,
+                            np.linspace(0.0, 1.0, 5)),
+     "total_impact = malware_impact + bonware_impact must be finite, got inf"),
+    (lambda: solve_linear(LinearImpacts(1e308, 0.0, 1e308, 0.0), 0.5, 1.0,
+                          np.linspace(0.0, 1.0, 5)),
+     "total_intercept = bonware_intercept + malware_intercept must be "
+     "finite, got inf"),
+    (lambda: LinearImpacts(0.0, 1e308, 0.0, 1e308),
+     "total_slope = bonware_slope + malware_slope must be finite, got inf"),
+    # Finite sums, but alpha*om - beta*lam is inf - inf.
+    (lambda: solve_linear(LinearImpacts(1e200, 5e199, 1e200, 5e199), 0.5,
+                          1.0, np.linspace(0.0, 1.0, 5)),
+     "solution left [0, f0] by more than 1e-12: range [nan, nan]"),
+], ids=["steady_state", "solve_constant", "solve_linear-intercepts",
+        "linear-slopes", "solve_linear-nan"])
+def test_closed_form_that_is_not_finite_refused(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == message
+
+
 INCIDENT_SCHEDULE = PiecewiseConstantSchedule(
     breakpoints=np.array([0.0, 69.5, 125.0]),
     segments=(ConstantImpacts(0.025, 0.005), ConstantImpacts(0.005, 0.088)),

@@ -38,6 +38,7 @@ from resdyn.core import (
     BOUND_SLACK,
     _clamp_to_bounds,
     _pairwise_sum,
+    _sample_axis,
 )
 
 
@@ -112,13 +113,25 @@ class TestFunctionalityTrace:
             assert getattr(record, name) is value
 
     def test_axis_handed_over_still_checks_values(self):
-        # The private constructor trusts only the axis it is handed.
-        axis = array("d", [0.0, 1.0])
-        trace = FunctionalityTrace._on_axis(axis, [1.0, 0.5], 2.0)
+        # A checked sample axis is shared, not copied or checked again;
+        # the values and f0 still are checked.
+        axis = _sample_axis([0.0, 1.0], "times")
+        trace = FunctionalityTrace(axis, [1.0, 0.5], 2.0)
         assert trace._times is axis and list(trace.values) == [1.0, 0.5]
         for values, f0 in [([0.5, 1.5], 1.0), ([0.5], 1.0), ([0.5, 0.5], 0.0)]:
             with pytest.raises(InvalidTraceError):
-                FunctionalityTrace._on_axis(axis, values, f0)
+                FunctionalityTrace(axis, values, f0)
+
+    # A slice or a concatenation of a checked axis is a plain array('d'),
+    # so it is checked as any other input is.
+    @pytest.mark.parametrize("part", [
+        lambda t: t[:1], lambda t: t[::-1], lambda t: t + t,
+    ], ids=["slice", "reversed", "concatenated"])
+    def test_part_of_an_axis_is_checked_again(self, part):
+        times = part(flat_trace(0.5)._times)
+        assert type(times) is array
+        with pytest.raises(InvalidTraceError, match="^times must"):
+            FunctionalityTrace(times, [0.5] * len(times))
 
     def test_inputs_are_copied(self):
         times, values = array("d", [0.0, 1.0]), np.array([1.0, 0.5])
@@ -427,7 +440,7 @@ class TestAucResilience:
 
 
 @pytest.mark.parametrize("excursion", [-2 * BOUND_SLACK,
-                                       1.0 + 2 * BOUND_SLACK])
+                                       1.0 + 2 * BOUND_SLACK, math.nan])
 def test_clamp_refuses_excursion_beyond_slack(excursion):
     values = np.array([0.5, excursion])
     with pytest.raises(DomainError,

@@ -17,6 +17,7 @@ from resdyn import (
     LinearImpacts,
     MleGrid,
     PiecewiseConstantSchedule,
+    PiecewiseLinearSchedule,
     SdeParams,
     effective_impact,
     ensemble_average,
@@ -28,9 +29,11 @@ from resdyn import (
     solve_constant,
     solve_linear,
     solve_piecewise_constant,
+    solve_piecewise_linear,
     step_log_density,
     stochastic,
 )
+from resdyn import core
 from resdyn.cli import main
 
 IMPACTS = ConstantImpacts(0.1, 0.2)
@@ -86,6 +89,39 @@ def test_sample_axis_refused_alike(site, axis, requirement):
     call, error, name = AXIS_SITES[site]
     assert refusal(call, error, np.array(axis)) == f"{name} must be {requirement}"
     assert refusal(call, error, axis) == f"{name} must be {requirement}"
+
+
+GRID_SITES = {
+    "solve_constant": lambda g: solve_constant(IMPACTS, 0.5, 1.0, g),
+    "solve_linear": lambda g: solve_linear(FADING, 0.5, 1.0, g),
+    "solve_piecewise_constant": (
+        lambda g: solve_piecewise_constant(SCHEDULE, 0.5, 1.0, g)),
+    "solve_piecewise_linear": lambda g: solve_piecewise_linear(
+        PiecewiseLinearSchedule([0.0, 4.0], (FADING,)), 0.5, 1.0, g),
+    "integrate_reference": lambda g: integrate_reference(
+        lambda t: 0.1, lambda t: 0.2, 0.5, 1.0, g),
+}
+
+
+@pytest.mark.parametrize("site", GRID_SITES)
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+def test_grid_checked_once(site, make, monkeypatch):
+    # Each check of a sample axis reads it into floats once; a solver
+    # checks its caller's grid once and hands the checked axis on, down to
+    # the trace it returns.
+    read = core._floats
+    grids = []
+
+    def counting(x):
+        samples, shape = read(x)
+        if samples is not None and samples.tolist() == GRID.tolist():
+            grids.append(samples)
+        return samples, shape
+
+    monkeypatch.setattr(core, "_floats", counting)
+    trace = GRID_SITES[site](make(GRID.tolist()))
+    assert len(grids) == 1
+    assert trace._times == grids[0]
 
 
 def unit_grid(**axes):

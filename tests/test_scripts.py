@@ -50,8 +50,8 @@ def bench_result(p50, rate, correct=True, failed=0):
                         "cmds_per_s": {"value": rate, "unit": "1/s"}}}
 
 
-END_TO_END = [{"name": "cmd_p50_s", "better": "lower"},
-              {"name": "cmds_per_s", "better": "higher"}]
+END_TO_END = [{"name": "cmd_p50_s", "better": "lower", "bound": 0.25},
+              {"name": "cmds_per_s", "better": "higher", "bound": 0.05}]
 
 
 def test_bench_pairs_claim_rule():
@@ -83,6 +83,38 @@ def test_bench_pairs_claim_rule():
     table = bench_pairs.format_rows(bench_pairs.summarize(pairs, END_TO_END))
     assert [line.split()[-1] for line in table.splitlines()] == [
         "claim", "holds", "fails"]
+
+
+def test_bench_pairs_regression_rule():
+    regression = load_script("bench_pairs").regression
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04]  # median 1.02, IQR 0.03
+    for sign in (1.0, -1.0):  # lower, then higher, is better
+        def shifted(by):
+            return [p + sign * by for p in parent]
+
+        # Worse by 3.9% and by 5.9% of the parent's median, bound 5%.
+        assert regression(parent, shifted(0.04), sign, 0.05) == "within"
+        assert regression(parent, shifted(0.06), sign, 0.05) == "worse"
+        assert regression(parent, shifted(-0.5), sign, 0.05) == "within"
+    # A parent IQR wider than the bound cannot tell, even for equal runs,
+    # unless every change run beats every parent run.
+    wide = [0.8, 0.9, 1.0, 1.1, 1.2]  # IQR 0.3
+    assert regression(wide, wide, 1.0, 0.05) == "unresolved"
+    assert regression(wide, [0.7] * 4 + [0.85], 1.0, 0.05) == "unresolved"
+    assert regression(wide, [0.7] * 5, 1.0, 0.05) == "within"
+    assert regression(wide, [1.3] * 5, -1.0, 0.05) == "within"
+    assert regression(wide, [0.7] * 5, -1.0, 0.05) == "unresolved"
+    # Summarized per metric with its own bound: 10% slower is within
+    # cmd_p50_s's 25%, and 10% fewer commands is past cmds_per_s's 5%.
+    bench_pairs = load_script("bench_pairs")
+    pairs = [(bench_result(p, 5.0 * p), bench_result(1.1 * p, 4.5 * p))
+             for p in parent]
+    rows = bench_pairs.summarize(pairs, END_TO_END)
+    assert [(row["bound"], row["regression"]) for row in rows] == [
+        (0.25, "within"), (0.05, "worse")]
+    table = bench_pairs.format_rows(rows)
+    assert [line.split()[-3:-1] for line in table.splitlines()] == [
+        ["bound", "regression"], ["25%", "within"], ["5%", "worse"]]
 
 
 @pytest.mark.parametrize("bad", [bench_result(0.4, 5.0, correct=False),

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from resdyn import (
     write_ensemble_csv,
 )
 from resdyn._philox import _CHUNK
-from resdyn.core import MAX_GRID_POINTS, ConstantImpacts, _sample_axis
+from resdyn.core import (
+    MAX_GRID_POINTS,
+    ConstantImpacts,
+    _sample_axis,
+    _SampleAxis,
+)
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
                  malware_effectiveness=0.34, bonware_effectiveness=0.71)
@@ -236,8 +242,8 @@ def largest_dt(steps):
 
 # At _check_run's extremes, from the least subnormal dt to horizons at the
 # largest float, the clock that simulate and ensemble_average build is a
-# sample axis, as FunctionalityTrace._on_axis takes it on trust, and has
-# the bits of the numpy grid dt * arange(steps + 1).
+# sample axis, as a trace takes it on trust (a plain copy of it passes the
+# full check), and has the bits of the numpy grid dt * arange(steps + 1).
 @pytest.mark.parametrize("dt, steps", [
     (5e-324, 1),
     (5e-324, 2**16),
@@ -249,7 +255,8 @@ def largest_dt(steps):
 def test_clock_is_a_sample_axis(dt, steps):
     assert stochastic._check_run(steps, dt) == (steps, 1)
     times = stochastic._clock(dt, steps)
-    assert _sample_axis(times, "times") == times
+    assert type(times) is _SampleAxis
+    assert _sample_axis(array("d", times), "times") == times
     assert times.tobytes() == (dt * np.arange(steps + 1)).tobytes()
 
 

@@ -27,6 +27,14 @@ change regressed, and whether a claim of a gain on that metric holds.
 
 Which way is better, and each bound, come from ``BENCHMARK.json``, which
 this script only reads.
+
+Last it prints, for each command of the workload, both sides' median wall
+time, so a ``cmd_p50_s`` result shows which commands moved.  A side's
+median is the median over its runs of each run's own median, read from
+the record the run writes, ``.bench_out/<workload>-seed<N>-trace0.json``
+in its checkout.  These are raw seconds, not scaled by the reference
+command as the end-to-end metrics are, and a run's record holds its
+set-up warm-ups of the workload's first command too.
 """
 
 from __future__ import annotations
@@ -130,6 +138,48 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def command_medians(record: dict) -> dict[str, float]:
+    """Each command name's median wall time over the commands of the run
+    ``record``, the JSON object ``perfbench/run.py`` writes to its
+    ``.bench_out`` directory."""
+    walls: dict[str, list[float]] = {}
+    for command in record["commands"]:
+        walls.setdefault(command["name"], []).append(command["wall"])
+    return {name: statistics.median(w) for name, w in walls.items()}
+
+
+def summarize_commands(pairs: list[tuple[dict, dict]]) -> list[dict]:
+    """One row per command name, in the order the first parent record
+    lists them, over ``pairs`` of (parent, change) run records: each side's
+    median of its runs' :func:`command_medians`, and how many pairs the
+    change won."""
+    medians = [tuple(map(command_medians, pair)) for pair in pairs]
+    rows = []
+    for name in medians[0][0]:
+        parent, change = ([run[name] for run in side] for side in zip(*medians))
+        rows.append({
+            "command": name, "parent": statistics.median(parent),
+            "change": statistics.median(change), "pairs": len(pairs),
+            "wins": sum(c < p for p, c in zip(parent, change)),
+        })
+    return rows
+
+
+def format_commands(rows: list[dict]) -> str:
+    """``rows`` of :func:`summarize_commands` as a table, in milliseconds,
+    with the change's median relative to the parent's."""
+    width = max(len("command"), *(len(row["command"]) for row in rows))
+    lines = [f"{'command':<{width}} {'parent ms':>10} {'change ms':>10} "
+             f"{'change':>8} {'wins':>5}"]
+    for row in rows:
+        lines.append(
+            f"{row['command']:<{width}} {1e3 * row['parent']:>10.2f} "
+            f"{1e3 * row['change']:>10.2f} "
+            f"{row['change'] / row['parent'] - 1.0:>+8.1%} "
+            f"{row['wins']:>2}/{row['pairs']:<2}")
+    return "\n".join(lines)
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``; its last output line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -151,13 +201,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    pairs = []
+    pairs, records = [], []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        result = {}
+        result, record = {}, {}
         for side in order:
-            result[side] = run_bench(getattr(args, side), args.workload, seed,
+            checkout = getattr(args, side)
+            result[side] = run_bench(checkout, args.workload, seed,
                                      args.seconds)
+            record[side] = json.loads(
+                (checkout / ".bench_out"
+                 / f"{args.workload}-seed{seed}-trace0.json").read_text())
             print(f"seed {seed} {side}: " + json.dumps(
                 {name: m["value"] for name, m in result[side]["metrics"].items()}),
                 file=sys.stderr, flush=True)
@@ -167,10 +221,12 @@ def main(argv=None) -> int:
                 print(f"error: seed {seed}: {exc}", file=sys.stderr)
                 return 2
         pairs.append((result["parent"], result["change"]))
+        records.append((record["parent"], record["change"]))
     rows = summarize(pairs, spec["end_to_end"])
     print(f"workload {args.workload}, seeds {args.seeds.start}-"
           f"{args.seeds.stop - 1}, {len(pairs)} pairs")
     print(format_rows(rows))
+    print(format_commands(summarize_commands(records)))
     return 0
 
 

@@ -24,9 +24,13 @@ _EXPORTS = {
     **dict.fromkeys((
         "ConstantImpacts", "FunctionalityTrace", "LinearImpacts",
         "PiecewiseConstantSchedule", "PiecewiseLinearSchedule",
-        "accomplishment", "auc_resilience", "integrate_reference",
-        "read_trace_csv", "write_trace_csv",
+        "accomplishment", "auc_resilience", "read_trace_csv",
+        "write_trace_csv",
     ), "core"),
+    **dict.fromkeys((
+        "EnsembleResult", "ensemble_average", "expectation_recursion",
+        "split_seed", "write_ensemble_csv",
+    ), "ensemble"),
     **dict.fromkeys((
         "DomainError", "FitFailureError", "InvalidTraceError",
         "NoSwitchError", "ResdynError", "UndefinedSteadyStateError",
@@ -39,11 +43,9 @@ _EXPORTS = {
     **dict.fromkeys((
         "GridAxis", "MleGrid", "MleResult", "grid_mle", "step_log_density",
     ), "likelihood"),
-    **dict.fromkeys((
-        "EnsembleResult", "SdeParams", "effective_impact", "ensemble_average",
-        "expectation_recursion", "simulate", "split_seed",
-        "write_ensemble_csv",
-    ), "stochastic"),
+    "integrate_reference": "oracle",
+    **dict.fromkeys(("SdeParams", "effective_impact", "simulate"),
+                    "stochastic"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -16,12 +16,12 @@ status 0 means the outputs were fully written.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
@@ -39,6 +39,8 @@ from .core import (
 from .errors import DomainError, InvalidTraceError, ResdynError
 
 if TYPE_CHECKING:
+    import argparse
+
     import numpy as np
 
 
@@ -332,46 +334,105 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+# The subcommands, in the order ``--help`` lists them: name -> (handler,
+# help, positionals, options).  A positional is (name, help).  An option
+# is (flag, help, required, kind): ``str`` or ``int``, an option whose
+# value is converted by ``kind`` and defaults to None, or ``bool``, a flag
+# that is False unless given.
+_COMMANDS = {
+    "solve": (cmd_solve, "evaluate a closed-form model", (), (
+        ("--config", "scenario JSON", True, str),
+        ("--out", "output trace CSV", True, str),
+    )),
+    "simulate": (cmd_simulate, "run the stochastic model", (), (
+        ("--config", "scenario JSON", True, str),
+        ("--out", "output trace CSV (n=1) or ensemble CSV (n>1)", True, str),
+        ("--seed", "override the config seed", False, int),
+    )),
+    "fit": (cmd_fit, "fit the two-phase model to a trace",
+            (("trace", "input trace CSV"),), (
+        ("--config", "fit-config JSON", False, str),
+        ("--out", "output result JSON", True, str),
+        ("--mle", "also run the grid likelihood search "
+                  "(needs mle_grid in the fit config)", False, bool),
+    )),
+    "metrics": (cmd_metrics, "print accomplishment and AUC resilience as JSON",
+                (("trace", "input trace CSV"),), ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="resdyn",
         description="Solve, simulate, fit, and score functionality traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="evaluate a closed-form model")
-    p_solve.add_argument("--config", required=True, help="scenario JSON")
-    p_solve.add_argument("--out", required=True, help="output trace CSV")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sim = sub.add_parser("simulate", help="run the stochastic model")
-    p_sim.add_argument("--config", required=True, help="scenario JSON")
-    p_sim.add_argument("--out", required=True,
-                       help="output trace CSV (n=1) or ensemble CSV (n>1)")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_fit = sub.add_parser("fit", help="fit the two-phase model to a trace")
-    p_fit.add_argument("trace", help="input trace CSV")
-    p_fit.add_argument("--config", default=None, help="fit-config JSON")
-    p_fit.add_argument("--out", required=True, help="output result JSON")
-    p_fit.add_argument("--mle", action="store_true",
-                       help="also run the grid likelihood search "
-                            "(needs mle_grid in the fit config)")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_metrics = sub.add_parser(
-        "metrics", help="print accomplishment and AUC resilience as JSON"
-    )
-    p_metrics.add_argument("trace", help="input trace CSV")
-    p_metrics.set_defaults(func=cmd_metrics)
-
+    for name, (handler, text, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for dest, about in positionals:
+            command.add_argument(dest, help=about)
+        for flag, about, required, kind in options:
+            if kind is bool:
+                command.add_argument(flag, action="store_true", help=about)
+            else:
+                command.add_argument(flag, required=required, type=kind,
+                                     help=about)
+        command.set_defaults(func=handler)
     return parser
 
 
+def _read_args(argv) -> SimpleNamespace | None:
+    """For an ``argv`` of the plain form, a namespace with the attributes
+    of the one ``_build_parser().parse_args(argv)`` returns; else None,
+    and the parser reads it.
+
+    The plain form is a subcommand, then its positionals and its options,
+    each option spelled out in full and given at most once, each value the
+    token after its option, with every required option present.  No token
+    after the subcommand starts with ``-`` unless it is an option, and an
+    ``int`` option's value is one that ``int`` takes.  So help, options
+    abbreviated, joined by ``=`` or repeated, ``--``, negative numbers and
+    every usage error are left to argparse, which words them.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, positionals, options = _COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, _, _, kind in options}
+    given, words = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        kind = kinds.get(token)
+        if kind is None or token in given:
+            return None
+        if kind is bool:
+            given[token] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            given[token] = kind(value)
+        except ValueError:
+            return None
+    if len(words) != len(positionals):
+        return None
+    args = {dest: word for (dest, _), word in zip(positionals, words)}
+    for flag, _, required, kind in options:
+        if required and flag not in given:
+            return None
+        args[flag[2:]] = given.get(flag, False if kind is bool else None)
+    return SimpleNamespace(command=argv[0], func=handler, **args)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResdynError as exc:

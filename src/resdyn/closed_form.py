@@ -9,7 +9,7 @@ Four model variants are solved exactly:
 
 Every solver returns a :class:`~resdyn.core.FunctionalityTrace` evaluated
 on the caller's grid and is validated elsewhere against the fixed-step
-RK4 oracle in :mod:`resdyn.core`.
+RK4 oracle in :mod:`resdyn.oracle`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Domain types, resilience metrics, and the reference integrator.
+"""Domain types and resilience metrics.
 
 The objects here model the functionality F(t) of a system under attack:
 malware removes functionality in proportion to what is left, while the
@@ -30,10 +30,6 @@ from .errors import DomainError, InvalidTraceError
 if TYPE_CHECKING:
     import numpy as np
 
-# Fixed step ceiling of the reference integrator; a fixed step keeps the
-# oracle bit-reproducible run to run.
-RK4_MAX_STEP = 0.01
-
 # Numerical excursion outside [0, f0] tolerated before clamping.
 BOUND_SLACK = 1e-12
 
@@ -52,24 +48,28 @@ def _readonly(x) -> np.ndarray:
     return arr
 
 
-def _floats(x) -> tuple[array | None, tuple[int, ...]]:
-    """The samples of ``x`` as a new ``array('d')``, and the shape numpy
-    gives ``x``; the samples are None unless ``x`` is one-dimensional.
+def _floats(x, kind: type = array) -> tuple[array | None, tuple[int, ...]]:
+    """The samples of ``x`` as a new ``kind("d")``, ``array`` or a subclass,
+    and the shape numpy gives ``x``; the samples are None unless ``x`` is
+    one-dimensional.
 
     An ``array('d')``, or a list or tuple of floats and ints, is read
     without numpy; anything else is converted as ``np.asarray(x, float)``
-    converts it.
+    converts it, and its bytes are copied once, from a C-contiguous buffer.
     """
     if (isinstance(x, array) and x.typecode == "d") or (
             type(x) in (list, tuple) and set(map(type, x)) <= {float, int}):
-        samples = array("d", x)
+        samples = kind("d", x)
         return samples, (len(samples),)
     import numpy as np
 
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         return None, arr.shape
-    return array("d", arr.tobytes()), arr.shape
+    samples = kind("d")
+    # ``frombytes`` takes a buffer of bytes, not of float64 items.
+    samples.frombytes(np.ascontiguousarray(arr).view(np.uint8))
+    return samples, arr.shape
 
 
 def _check_fields(obj, names, ok, requirement: str) -> None:
@@ -134,11 +134,12 @@ def _extremes(samples) -> tuple[float, float]:
 class _SampleAxis(array):
     """An ``array('d')`` that is a sample axis (see :func:`_sample_axis`).
 
-    Only :func:`_sample_axis`, after its checks, and ``stochastic._clock``,
-    whose grid is one by construction, make one, and nothing changes one
-    after it is made; so :func:`_sample_axis` takes one as it is, and a
-    record built on it shares it.  A slice, a concatenation or a copy is a
-    plain ``array('d')``, and so is checked again.
+    Only :func:`_sample_axis`, which returns one only once it passes the
+    checks, and ``stochastic._clock``, whose grid is one by construction,
+    make one, and nothing changes one after it is returned; so
+    :func:`_sample_axis` takes one as it is, and a record built on it
+    shares it.  A slice, a concatenation or a copy is a plain
+    ``array('d')``, and so is checked again.
     """
 
     __slots__ = ()
@@ -151,7 +152,8 @@ def _sample_axis(x, name: str, error: type = DomainError) -> _SampleAxis:
     that is a finite float."""
     if type(x) is _SampleAxis:
         return x
-    axis, _ = _floats(x)
+    # Built as a _SampleAxis, which is returned only once it passes.
+    axis, _ = _floats(x, _SampleAxis)
     if axis is None or len(axis) < 2:
         raise error(f"{name} must be one-dimensional with at least two points")
     # A NaN fails every comparison, so a strictly increasing axis with
@@ -162,7 +164,7 @@ def _sample_axis(x, name: str, error: type = DomainError) -> _SampleAxis:
     # Finite points may lie further apart than the largest float.
     if not math.isfinite(axis[-1] - axis[0]):
         raise error(f"{name} must be of finite span (last - first)")
-    return _SampleAxis("d", axis)
+    return axis
 
 
 class _Record:
@@ -515,55 +517,6 @@ def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:
             f"solution left [0, f0] by more than {BOUND_SLACK}: range [{lo}, {hi}]"
         )
     return np.clip(values, 0.0, f0)
-
-
-def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> FunctionalityTrace:
-    """Integrate dF/dt = (f0 - F) b(t) - F m(t) with fixed-step RK4.
-
-    This is the numerical oracle the closed-form solvers are checked
-    against.  Each grid interval is subdivided into equal steps no longer
-    than RK4_MAX_STEP, so results are bit-reproducible.  Sampling a
-    negative impact rate raises DomainError.
-    """
-    import numpy as np
-
-    axis = _sample_axis(grid, "grid")
-    g = _readonly(axis)
-    _check_level("f_init", f0, f_init)
-
-    def rates(t: float) -> tuple[float, float]:
-        b = float(bonware_fn(t))
-        m = float(malware_fn(t))
-        if b < 0.0:
-            raise DomainError(f"bonware impact is negative at t={t}: {b}")
-        if m < 0.0:
-            raise DomainError(f"malware impact is negative at t={t}: {m}")
-        return b, m
-
-    values = np.empty(g.size)
-    f = float(f_init)
-    values[0] = f
-    for i in range(g.size - 1):
-        t = g[i]
-        dt = g[i + 1] - g[i]
-        nsub = max(1, math.ceil(dt / RK4_MAX_STEP - 1e-12))
-        h = dt / nsub
-        for j in range(nsub):
-            t0 = t + j * h
-            b0, m0 = rates(t0)
-            b1, m1 = rates(t0 + 0.5 * h)
-            b2, m2 = rates(t0 + h)
-            k1 = (f0 - f) * b0 - f * m0
-            y2 = f + 0.5 * h * k1
-            k2 = (f0 - y2) * b1 - y2 * m1
-            y3 = f + 0.5 * h * k2
-            k3 = (f0 - y3) * b1 - y3 * m1
-            y4 = f + h * k3
-            k4 = (f0 - y4) * b2 - y4 * m2
-            f += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        values[i + 1] = f
-
-    return FunctionalityTrace(axis, _clamp_to_bounds(values, f0), f0)
 
 
 def _write_text(path, chunks) -> None:

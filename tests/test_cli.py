@@ -4,6 +4,7 @@ import ast
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -962,7 +963,7 @@ def test_output_to_pipe_is_streamed(tmp_path):
 
 # Runs ``python -m resdyn ARGS`` in-process, or with ``--import MODULE`` only
 # imports MODULE, then writes the resdyn, scipy and numpy.random modules
-# loaded, and numpy, dataclasses and inspect themselves, to stderr.
+# loaded, and numpy, dataclasses, inspect and argparse themselves, to stderr.
 FOOTPRINT = """
 import json, runpy, sys
 if sys.argv[1] == "--import":
@@ -975,7 +976,7 @@ else:
             raise
 print(json.dumps([m for m in sys.modules
                   if m.partition(".")[0] in ("resdyn", "scipy")
-                  or m in ("numpy", "dataclasses", "inspect")
+                  or m in ("numpy", "dataclasses", "inspect", "argparse")
                   or m.startswith("numpy.random")]),
       file=sys.stderr)
 """
@@ -1001,7 +1002,7 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["simulate", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
      sde_config(), ("stochastic", "_philox")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
-     sde_config(n=3, steps=5), ("stochastic",)),
+     sde_config(n=3, steps=5), ("stochastic", "ensemble")),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
      FIT_MLE_CONFIG, ("_trace_read", "estimation", "likelihood",
                       "stochastic")),
@@ -1017,7 +1018,10 @@ def test_import_footprint(tmp_path, argv, config, layers):
     # realization, seeded or not, runs on Python ints and floats, and the
     # trace reader reads a trace of many blocks ("{trace}") without numpy.
     # The records are not dataclasses, so a command without numpy (which
-    # imports inspect itself) loads neither dataclasses nor inspect.
+    # imports inspect itself) loads neither dataclasses nor inspect.  The
+    # ensemble engine is compiled only for an ensemble, and argparse is
+    # loaded only for help or a usage error: cli reads a well-formed
+    # command line itself.
     cfg = write_config(tmp_path, "cfg.json", config) if config else None
     trace = tmp_path / "long.csv"
     trace.write_text("time,functionality\n"
@@ -1038,6 +1042,7 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert ("numpy" in loaded) == arrays
     if not arrays:
         assert not {"dataclasses", "inspect"} & set(loaded)
+    assert ("argparse" in loaded) == (argv == ["--help"])
 
 
 # Runs resdyn to its exit the way ``python -m resdyn ARGS`` does (entry
@@ -1145,3 +1150,157 @@ def test_rebound_entry_point_is_called(tmp_path, monkeypatch, name, command,
     monkeypatch.setattr(resdyn.cli, name, counting)
     assert main(command_argv(tmp_path, command, config)) == 0
     assert len(calls) == 1
+
+
+def reference_parser():
+    """The argparse parser as it was built by hand, one call per argument,
+    before the command table: the reference for the table-built parser and
+    for the reader that argparse stands behind."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="resdyn",
+        description="Solve, simulate, fit, and score functionality traces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_solve = sub.add_parser("solve", help="evaluate a closed-form model")
+    p_solve.add_argument("--config", required=True, help="scenario JSON")
+    p_solve.add_argument("--out", required=True, help="output trace CSV")
+    p_solve.set_defaults(func=resdyn.cli.cmd_solve)
+
+    p_sim = sub.add_parser("simulate", help="run the stochastic model")
+    p_sim.add_argument("--config", required=True, help="scenario JSON")
+    p_sim.add_argument("--out", required=True,
+                       help="output trace CSV (n=1) or ensemble CSV (n>1)")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+    p_sim.set_defaults(func=resdyn.cli.cmd_simulate)
+
+    p_fit = sub.add_parser("fit", help="fit the two-phase model to a trace")
+    p_fit.add_argument("trace", help="input trace CSV")
+    p_fit.add_argument("--config", default=None, help="fit-config JSON")
+    p_fit.add_argument("--out", required=True, help="output result JSON")
+    p_fit.add_argument("--mle", action="store_true",
+                       help="also run the grid likelihood search "
+                            "(needs mle_grid in the fit config)")
+    p_fit.set_defaults(func=resdyn.cli.cmd_fit)
+
+    p_metrics = sub.add_parser(
+        "metrics", help="print accomplishment and AUC resilience as JSON"
+    )
+    p_metrics.add_argument("trace", help="input trace CSV")
+    p_metrics.set_defaults(func=resdyn.cli.cmd_metrics)
+
+    return parser
+
+
+# Every option spelling, in full, abbreviated and joined by "=", with help,
+# "--", "-", an empty token, a negative number, a grouped and a non-ASCII
+# (Arabic-Indic 3) digit string, and plain words.
+ARGV_TOKENS = [
+    "solve", "simulate", "fit", "metrics", "--config", "--out", "--seed",
+    "--mle", "--c", "--con", "--o", "--s", "--se", "--m", "--ml",
+    "--config=c.json", "--out=o", "--seed=3", "--mle=1", "-h", "--help",
+    "--", "-", "", "-5", "1_0", "\u0663", "7", " 12 ", "x", "t.csv", "o",
+]
+# Each subcommand's number of positionals, and its options: (flag,
+# required), where the --mle flag takes no value.
+GRAMMAR = {
+    "solve": (0, [("--config", True), ("--out", True)]),
+    "simulate": (0, [("--config", True), ("--out", True), ("--seed", False)]),
+    "fit": (1, [("--config", False), ("--out", True), ("--mle", False)]),
+    "metrics": (1, []),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of the grammar, its pieces in any order and its
+    words from ARGV_TOKENS, with up to three tokens of ARGV_TOKENS
+    inserted, deleted or substituted."""
+    name = draw(st.sampled_from(sorted(GRAMMAR)))
+    count, options = GRAMMAR[name]
+    token = st.sampled_from(ARGV_TOKENS)
+    word = st.sampled_from([t for t in ARGV_TOKENS if not t.startswith("-")])
+    pieces = [[draw(word)] for _ in range(count)]
+    for flag, required in options:
+        if required or draw(st.booleans()):
+            pieces.append([flag] if flag == "--mle" else [flag, draw(word)])
+    argv = [name, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if edit == "insert":
+            argv.insert(at, draw(token))
+        elif at < len(argv):
+            if edit == "delete":
+                del argv[at]
+            else:
+                argv[at] = draw(token)
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_reader_agrees_with_argparse(argv):
+    # Whatever the reader accepts, the hand-built parser reads to the same
+    # namespace.
+    args = resdyn.cli._read_args(argv)
+    if args is not None:
+        assert vars(reference_parser().parse_args(argv)) == vars(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "t.csv"],
+    ["fit", "t.csv", "--out", "o"],
+    ["fit", "--mle", "--out", "o", "t.csv", "--config", "c"],
+    ["fit", "", "--config", "", "--out", ""],
+    ["solve", "--out", "o", "--config", "c"],
+    ["simulate", "--config", "c", "--out", "o"],
+    ["simulate", "--seed", "1_0", "--config", "c", "--out", "o"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "\u0663"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", " 12 "],
+])
+def test_reader_reads_well_formed_argv(argv):
+    args = resdyn.cli._read_args(argv)
+    assert args is not None
+    assert vars(reference_parser().parse_args(argv)) == vars(args)
+
+
+def outcome(argv, capsys):
+    """What ``main(argv)`` returns or exits with, and what it prints."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["fit"], ["fi", "t"], ["bogus"], ["metrics"],
+    ["metrics", "a", "b"], ["metrics", "-"], ["metrics", "--", "-x"],
+    ["metrics", "t", "-h"], ["solve", "--help"], ["simulate", "-h"],
+    ["fit", "--help"], ["metrics", "--help"],
+    ["fit", "t", "--conf", "c", "--out", "o"],
+    ["fit", "t", "--out=o"], ["fit", "t", "--out"], ["fit", "t", "--mle"],
+    ["fit", "t", "--out", "o", "--mle", "--mle"],
+    ["fit", "t", "--out", "o", "--out", "p"],
+    ["solve", "--config", "c"], ["solve", "--out", "o"],
+    ["solve", "--config", "--out", "o"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "x"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", ""],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "-5"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "1.5"],
+])
+def test_declined_argv_runs_as_before(argv, tmp_path, monkeypatch, capsys):
+    # The reader declines help, usage errors and the spellings it does not
+    # read; main then gives the exit status, stdout and stderr that it gave
+    # with the hand-built parser.
+    monkeypatch.chdir(tmp_path)
+    assert resdyn.cli._read_args(argv) is None
+    with monkeypatch.context() as mp:
+        mp.setattr(resdyn.cli, "_build_parser", reference_parser)
+        expected = outcome(argv, capsys)
+    assert outcome(argv, capsys) == expected
+    assert list(tmp_path.iterdir()) == []

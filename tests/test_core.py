@@ -39,6 +39,7 @@ from resdyn.core import (
     _clamp_to_bounds,
     _pairwise_sum,
     _sample_axis,
+    _SampleAxis,
 )
 
 
@@ -132,6 +133,26 @@ class TestFunctionalityTrace:
         assert type(times) is array
         with pytest.raises(InvalidTraceError, match="^times must"):
             FunctionalityTrace(times, [0.5] * len(times))
+
+    # An axis or values are read to the bits np.asarray(x, float) gives,
+    # whatever the container, stride or byte order; only an axis carries
+    # the mark of its check.
+    @pytest.mark.parametrize("make", [
+        list, lambda x: array("d", x), np.array,
+        lambda x: np.repeat(x, 2)[::2], lambda x: np.array(x[::-1])[::-1],
+        lambda x: np.array(x, dtype=">f8"),
+    ], ids=["list", "array", "ndarray", "strided", "reversed-stride",
+            "big-endian"])
+    def test_samples_read_bit_for_bit(self, make):
+        times = [-1e300, -2.5e-300, -0.0, 0.1, 1 / 3, 7.0, 1e300]
+        values = [0.0, 5e-324, 0.1, 1 / 3, 0.5, 2 / 3, 1.0]
+        axis = _sample_axis(make(times), "times")
+        trace = FunctionalityTrace(make(times), make(values))
+        for got, want, kind in ((axis, times, _SampleAxis),
+                                (trace._times, times, _SampleAxis),
+                                (trace._values, values, array)):
+            assert type(got) is kind
+            assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
     def test_inputs_are_copied(self):
         times, values = array("d", [0.0, 1.0]), np.array([1.0, 0.5])

@@ -134,3 +134,37 @@ def test_bench_pairs_seed_ranges():
     bench_pairs = load_script("bench_pairs")
     assert bench_pairs.parse_seeds("3201-3210") == range(3201, 3211)
     assert bench_pairs.parse_seeds("7") == range(7, 8)
+
+
+def bench_record(walls):
+    """A ``perfbench/run.py`` run record whose commands took ``walls``, a
+    list of (name, seconds)."""
+    return {"workload": "cli-short", "seed": 1, "trace": 0,
+            "commands": [{"name": name, "wall": wall, "code": 0, "cpu": wall,
+                          "rss_mib": 15.0, "stdout": None, "digest": "",
+                          "error": None} for name, wall in walls]}
+
+
+def test_bench_pairs_command_medians():
+    bench_pairs = load_script("bench_pairs")
+    record = bench_record([("fit", 0.040), ("metrics", 0.030), ("fit", 0.036),
+                           ("metrics", 0.034), ("fit", 0.038)])
+    assert bench_pairs.command_medians(record) == {"fit": 0.038,
+                                                   "metrics": 0.032}
+    # Three pairs: fit is faster in the change in two, metrics in none; a
+    # side's median is the median of its runs' medians.
+    pairs = [(bench_record([("fit", p), ("metrics", 0.030)]),
+              bench_record([("fit", c), ("metrics", 0.031)]))
+             for p, c in ((0.040, 0.035), (0.036, 0.037), (0.038, 0.033))]
+    rows = bench_pairs.summarize_commands(pairs)
+    assert [row["command"] for row in rows] == ["fit", "metrics"]
+    fit, metrics = rows
+    assert (fit["parent"], fit["change"], fit["wins"], fit["pairs"]) == (
+        0.038, 0.035, 2, 3)
+    assert (metrics["parent"], metrics["change"], metrics["wins"]) == (
+        0.030, 0.031, 0)
+    table = bench_pairs.format_commands(rows).splitlines()
+    assert table[0].split() == ["command", "parent", "ms", "change", "ms",
+                                "change", "wins"]
+    assert table[1].split() == ["fit", "38.00", "35.00", "-7.9%", "2/3"]
+    assert table[2].split() == ["metrics", "30.00", "31.00", "+3.3%", "0/3"]

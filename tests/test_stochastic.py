@@ -17,6 +17,7 @@ from resdyn import (
     DomainError,
     SdeParams,
     effective_impact,
+    ensemble,
     ensemble_average,
     expectation_recursion,
     simulate,
@@ -79,7 +80,7 @@ class TestSplitSeed:
     def test_block_seeds_match_split_seed(self, master_seed):
         for lo, hi in ((0, 1100), (2**40 - 3, 2**40 + 3), (2**63 - 2, 2**63 + 2),
                        (2**64 - 1, 2**64 + 3)):
-            seeds = stochastic._split_seeds(master_seed, lo, hi)
+            seeds = ensemble._split_seeds(master_seed, lo, hi)
             assert seeds.dtype == np.uint64
             assert seeds.tolist() == [split_seed(master_seed, i)
                                       for i in range(lo, hi)]
@@ -357,7 +358,7 @@ class TestEnsembleAverage:
 def test_rekey_restarts_philox_stream(key):
     # The ensemble's reset, after draws that leave the generator inside a
     # block with a spare 32-bit word, draws Philox(key=key) from its start.
-    bitgen, state, keys = stochastic._rekeyable()
+    bitgen, state, keys = ensemble._rekeyable()
     rng = np.random.Generator(bitgen)
     rng.integers(0, 10, dtype=np.uint32)
     rng.random(2)
@@ -389,7 +390,7 @@ def test_rekey_restarts_philox_stream(key):
         "negative-zero"])
 def test_block_engine_pinned_cases(params, f_init, master_seed):
     n, steps = 600, 250
-    assert 0 < n - stochastic._BLOCK_BYTES // (steps * 32) < n
+    assert 0 < n - ensemble._BLOCK_BYTES // (steps * 32) < n
     result = ensemble_average(params, f_init, 1.0, steps, n=n,
                               master_seed=master_seed)
     mean, stderr = reference_ensemble(params, f_init, 1.0, steps, n=n,
@@ -410,7 +411,7 @@ def test_block_engine_pinned_cases(params, f_init, master_seed):
 ], ids=["bench", "certain-hits"])
 def test_ensemble_peak_memory(params, share):
     n, steps = 10_000, 250
-    stack_peak = n * (steps + 1) * 8 + stochastic._BLOCK_BYTES
+    stack_peak = n * (steps + 1) * 8 + ensemble._BLOCK_BYTES
     tracemalloc.start()
     try:
         ensemble_average(params, 1.0, 1.0, steps, n=n, master_seed=7)
@@ -446,8 +447,8 @@ def test_block_engine_matches_per_realization_loop(params, f0, fraction, dt,
     # A budget of block_rows rows (at least one) splits n into many blocks,
     # and draw_rows splits a block's draws.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stochastic, "_BLOCK_BYTES", block_rows * steps * 32)
-        mp.setattr(stochastic, "_DRAW_ROWS", draw_rows)
+        mp.setattr(ensemble, "_BLOCK_BYTES", block_rows * steps * 32)
+        mp.setattr(ensemble, "_DRAW_ROWS", draw_rows)
         result = ensemble_average(params, f_init, f0, steps, dt, n=n,
                                   master_seed=master_seed)
     mean, stderr = reference_ensemble(params, f_init, f0, steps, dt, n=n,

@@ -33,8 +33,10 @@ time, so a ``cmd_p50_s`` result shows which commands moved.  A side's
 median is the median over its runs of each run's own median, read from
 the record the run writes, ``.bench_out/<workload>-seed<N>-trace0.json``
 in its checkout.  These are raw seconds, not scaled by the reference
-command as the end-to-end metrics are, and a run's record holds its
-set-up warm-ups of the workload's first command too.
+command as the end-to-end metrics are.  A record lists its set-up
+warm-ups of the workload's first command before the timed commands, and
+counts the timed ones in ``extra.timed_commands``, so only those last
+commands count here, as they do in ``cmd_p50_s``.
 """
 
 from __future__ import annotations
@@ -139,11 +141,12 @@ def format_rows(rows: list[dict]) -> str:
 
 
 def command_medians(record: dict) -> dict[str, float]:
-    """Each command name's median wall time over the commands of the run
-    ``record``, the JSON object ``perfbench/run.py`` writes to its
-    ``.bench_out`` directory."""
+    """Each command name's median wall time over the timed commands of the
+    run ``record``, the JSON object ``perfbench/run.py`` writes to its
+    ``.bench_out`` directory: its last ``extra.timed_commands`` commands,
+    after the set-up warm-ups."""
     walls: dict[str, list[float]] = {}
-    for command in record["commands"]:
+    for command in record["commands"][-record["extra"]["timed_commands"]:]:
         walls.setdefault(command["name"], []).append(command["wall"])
     return {name: statistics.median(w) for name, w in walls.items()}
 

@@ -231,7 +231,10 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
     _require_schedule(schedule, PiecewiseLinearSchedule)
     pts = schedule.breakpoints
     for j, seg in enumerate(schedule.segments):
-        seg.validate_window(float(pts[j + 1] - pts[j]))
+        try:
+            seg.validate_window(float(pts[j + 1] - pts[j]))
+        except DomainError as exc:
+            raise DomainError(f"segment {j}: {exc}") from None
         om = seg.total_slope
         if om < -OMEGA_MIN or (om <= OMEGA_MIN and max(
                 abs(seg.bonware_slope), abs(seg.malware_slope)) > OMEGA_MIN):

@@ -30,7 +30,7 @@ from .errors import DomainError, InvalidTraceError
 if TYPE_CHECKING:
     import numpy as np
 
-# Numerical excursion outside [0, f0] tolerated before clamping.
+# Excursion outside [0, f0], relative to f0, tolerated before clamping.
 BOUND_SLACK = 1e-12
 
 # Most points a grid built from configured start, stop and step may have;
@@ -506,13 +506,14 @@ def auc_resilience(trace: FunctionalityTrace) -> float:
 
 
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:
-    """Clip roundoff-level excursions; anything larger, or a NaN, which
-    both ends report, raises DomainError."""
+    """Clip excursions of at most ``BOUND_SLACK * f0`` outside [0, f0];
+    anything larger, or a NaN, which both ends report, raises DomainError."""
     import numpy as np
 
     lo = float(values.min())
     hi = float(values.max())
-    if not (-BOUND_SLACK <= lo and hi <= f0 + BOUND_SLACK):
+    slack = BOUND_SLACK * f0
+    if not (-slack <= lo and hi <= f0 + slack):
         raise DomainError(
             f"solution left [0, f0] by more than {BOUND_SLACK}: range [{lo}, {hi}]"
         )

@@ -33,7 +33,7 @@ from .stochastic import (
     SdeParams,
     _check_run,
     _clock,
-    _is_integer,
+    _integer,
     _live,
     _seed_key,
 )
@@ -54,11 +54,9 @@ def split_seed(master_seed: int, index: int) -> int:
     while remaining a pure function of (master_seed, index).
     """
     master_seed = _seed_key("master_seed", master_seed)
-    if not _is_integer(index):
-        raise DomainError(f"index must be an integer, got {index!r}")
+    index = _integer("index", index)
     if index < 0:
         raise DomainError(f"realization index must be >= 0, got {index}")
-    index = int(index)
     return int(_split_seeds(master_seed, index, index + 1)[0])
 
 

@@ -374,25 +374,24 @@ def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
                        ) -> dict:
     """JSON-ready view of a :class:`FitResult`, and of a grid MLE if given.
 
-    Field names are part of the output contract; undefined effectiveness
-    values (phases with no counted events) serialize as null.  The MLE,
-    when given, goes last under ``mle``: its parameters, log likelihood
-    and cell count.  An MLE whose log likelihood is not finite, where no
-    grid cell can produce the trace, raises :class:`FitFailureError`.
+    The keys of a phase, a segment and the MLE's parameters are their
+    records' field names, in field order, and are part of the output
+    contract; undefined effectiveness values (phases with no counted
+    events) serialize as null.  The MLE, when given, goes last under
+    ``mle``: its parameters, log likelihood and cell count.  An MLE whose
+    log likelihood is not finite, where no grid cell can produce the
+    trace, raises :class:`FitFailureError`.
     """
     if mle is not None and not math.isfinite(mle.log_likelihood):
         raise FitFailureError(
             f"none of the {mle.n_cells} grid cells can produce the trace")
 
+    def fields(record, names=None) -> dict:
+        return {name: _clean_float(getattr(record, name))
+                for name in names or record._fields}
+
     def phase(p: PhaseEstimate) -> dict:
-        return {
-            "malware_impact": p.impacts.malware_impact,
-            "bonware_impact": p.impacts.bonware_impact,
-            "malware_activity": p.malware_activity,
-            "bonware_activity": p.bonware_activity,
-            "malware_effectiveness": _clean_float(p.malware_effectiveness),
-            "bonware_effectiveness": _clean_float(p.bonware_effectiveness),
-        }
+        return {**fields(p.impacts), **fields(p, p._fields[1:])}
 
     doc = {
         "switch_time": result.switch_time,
@@ -400,13 +399,7 @@ def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
         "phase2": phase(result.phase2),
         "schedule": {
             "breakpoints": result.schedule._breakpoints.tolist(),
-            "segments": [
-                {
-                    "malware_impact": seg.malware_impact,
-                    "bonware_impact": seg.bonware_impact,
-                }
-                for seg in result.schedule.segments
-            ],
+            "segments": list(map(fields, result.schedule.segments)),
         },
         "diagnostics": {
             "phase1_residual": result.phase1_residual,
@@ -415,10 +408,7 @@ def fit_result_to_dict(result: FitResult, mle: MleResult | None = None
     }
     if mle is not None:
         doc["mle"] = {
-            "malware_activity": mle.params.malware_activity,
-            "bonware_activity": mle.params.bonware_activity,
-            "malware_effectiveness": mle.params.malware_effectiveness,
-            "bonware_effectiveness": mle.params.bonware_effectiveness,
+            **fields(mle.params, mle.params._fields[:4]),
             "log_likelihood": mle.log_likelihood,
             "n_cells": mle.n_cells,
         }

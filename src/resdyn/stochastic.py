@@ -75,10 +75,10 @@ class SdeParams(_Record):
     interaction_cutoff: float | None = None
 
     def __post_init__(self):
-        _check_fields(self, ("malware_activity", "bonware_activity"),
-                      lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-        _check_fields(self, ("malware_effectiveness", "bonware_effectiveness"),
-                      lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        for name in SdeParams._fields[:4]:
+            v = float(getattr(self, name))
+            object.__setattr__(self, name, v)
+            _check_range(name, v)
         timed = ("malware_onset", "bonware_onset")
         if self.interaction_cutoff is not None:
             timed += ("interaction_cutoff",)
@@ -97,23 +97,26 @@ def _live(params: SdeParams, times) -> tuple[range, range]:
                                      len(times))
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or another ``numbers.Integral``, such as
-    a numpy integer; a bool is not, and numpy's bool is no Integral."""
+def _integer(name: str, value) -> int:
+    """``value``, an int or another ``numbers.Integral`` such as a numpy
+    integer, as a Python int; refuses any other value, a bool included
+    (numpy's bool is no Integral), naming the argument ``name``."""
     if isinstance(value, int):
-        return not isinstance(value, bool)
-    # Loaded already wherever a numpy integer exists: numpy imports it.
-    import numbers
+        ok = not isinstance(value, bool)
+    else:
+        # Loaded already wherever a numpy integer exists: numpy imports it.
+        import numbers
 
-    return isinstance(value, numbers.Integral)
+        ok = isinstance(value, numbers.Integral)
+    if not ok:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _seed_key(name: str, seed) -> int:
     """The Philox key of the integer ``seed``: ``seed`` mod 2**64, as a
     Python int; refuses any other value, naming the argument ``name``."""
-    if not _is_integer(seed):
-        raise DomainError(f"{name} must be an integer, got {seed!r}")
-    return int(seed) & _MASK64
+    return _integer(name, seed) & _MASK64
 
 
 def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
@@ -121,10 +124,7 @@ def _check_run(steps: int, dt: float, n: int = 1) -> tuple[int, int]:
     allocated or timed; a run steps ``n * (steps + 1)`` values and, when
     every step changes, an ensemble stores them all.  Returns ``(steps,
     n)`` as Python ints, whose arithmetic cannot wrap around."""
-    for name, value in (("steps", steps), ("n", n)):
-        if not _is_integer(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    steps, n = int(steps), int(n)
+    steps, n = _integer("steps", steps), _integer("n", n)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     if steps + 1 > MAX_GRID_POINTS:

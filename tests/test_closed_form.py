@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -14,10 +14,15 @@ from resdyn import (
     LinearImpacts,
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
+    SdeParams,
     UndefinedSteadyStateError,
+    accomplishment,
+    auc_resilience,
+    ensemble_average,
     erf,
     expectation_recursion,
     integrate_reference,
+    simulate,
     solve_constant,
     solve_linear,
     solve_piecewise_constant,
@@ -113,6 +118,60 @@ def test_constant_rate_producers_stay_within_f0(problem):
     solve_constant(impacts, f_init, f0, np.linspace(0.0, 2000.0, 2001))
     expectation_recursion(impacts.malware_impact, impacts.bonware_impact,
                           f_init, f0, steps=2000)
+
+
+@st.composite
+def scaled_problems(draw):
+    """Constant, linear and stochastic rates, f_init, f0 in [2**-20, 2**20]
+    and a scale 2**k, k in [-60, 60].  f_init / f0 is 0 or at least
+    2**-100, so no scaled level is subnormal."""
+    f0 = 2.0 ** draw(st.floats(-20.0, 20.0))
+    f_init = f0 * draw(st.just(0.0) | st.floats(2.0**-100, 1.0))
+    rate, fade = st.floats(0.0, 0.5), st.floats(0.0, 0.999)
+    impacts = ConstantImpacts(draw(rate), draw(rate))
+    bonware, malware = draw(rate), draw(rate)
+    linear = LinearImpacts(bonware, draw(fade) * bonware / 20.0,
+                           malware, draw(fade) * malware / 20.0)
+    params = SdeParams(*(draw(st.floats(0.0, 1.0)) for _ in range(2)),
+                       *(draw(st.floats(0.01, 1.0)) for _ in range(2)))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return impacts, linear, params, f_init, f0, scale, seed
+
+
+@settings(max_examples=40)
+@given(problem=scaled_problems())
+def test_power_of_two_scale_is_exact(problem):
+    # Scaling f_init and f0 by a power of two scales every level and the
+    # accomplishment bit for bit, and leaves the AUC resilience as it is.
+    impacts, linear, params, f_init, f0, scale, seed = problem
+    grid, pts = np.linspace(0.0, 20.0, 21), np.array([0.0, 10.0, 20.0])
+    swapped = ConstantImpacts(impacts.bonware_impact, impacts.malware_impact)
+
+    def produce(f_init, f0):
+        ensemble = ensemble_average(params, f_init, f0, 30, n=3,
+                                    master_seed=seed)
+        traces = [
+            solve_constant(impacts, f_init, f0, grid),
+            solve_linear(linear, f_init, f0, grid),
+            solve_piecewise_constant(PiecewiseConstantSchedule(
+                pts, (impacts, swapped)), f_init, f0, grid),
+            solve_piecewise_linear(PiecewiseLinearSchedule(
+                pts, (linear, linear)), f_init, f0, grid),
+            simulate(params, f_init, f0, 30, seed=seed),
+            ensemble.mean_trace,
+            expectation_recursion(impacts.malware_impact,
+                                  impacts.bonware_impact, f_init, f0, 30),
+        ]
+        return traces, ensemble.per_step_stderr
+
+    traces, stderr = produce(f_init, f0)
+    scaled, scaled_stderr = produce(f_init * scale, f0 * scale)
+    assert (stderr * scale).tobytes() == scaled_stderr.tobytes()
+    for trace, big in zip(traces, scaled):
+        assert (trace.values * scale).tobytes() == big.values.tobytes()
+        assert accomplishment(trace) * scale == accomplishment(big)
+        assert auc_resilience(trace) == auc_resilience(big)
 
 
 # Finite rates whose sum overflows are refused by their record, which
@@ -233,8 +292,17 @@ class TestSolveLinear:
 
     def test_negative_rate_on_span_rejected(self):
         grid = np.linspace(0.0, 120.0, 25)  # malware hits zero at t=100
-        with pytest.raises(DomainError, match="malware"):
+        with pytest.raises(DomainError, match="^segment 0: malware"):
             solve_linear(LINEAR_EXAMPLE, 1.0, 1.0, grid)
+        # A negative rate names its segment, as a negative slope does.
+        sched = PiecewiseLinearSchedule(
+            breakpoints=np.array([0.0, 20.0, 40.0, 60.0]),
+            segments=(LINEAR_EXAMPLE, LinearImpacts(0.1, 0.01, 0.1, 0.0),
+                      LINEAR_EXAMPLE))
+        with pytest.raises(DomainError, match=(
+                r"^segment 1: bonware impact goes negative within 20\.0 s "
+                r"\(reaches -0\.1\)$")):
+            solve_piecewise_linear(sched, 1.0, 1.0, np.linspace(0.0, 60.0, 13))
 
     def test_growing_rates_rejected(self):
         li = LinearImpacts(bonware_intercept=0.02, bonware_slope=-1e-3,

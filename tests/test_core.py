@@ -463,10 +463,14 @@ class TestAucResilience:
 @pytest.mark.parametrize("excursion", [-2 * BOUND_SLACK,
                                        1.0 + 2 * BOUND_SLACK, math.nan])
 def test_clamp_refuses_excursion_beyond_slack(excursion):
-    values = np.array([0.5, excursion])
-    with pytest.raises(DomainError,
-                       match=r"^solution left \[0, f0\] by more than 1e-12"):
-        _clamp_to_bounds(values, 1.0)
+    # The slack is relative to f0; scaling by a power of two is exact.
+    for f0 in (1.0, 2.0**40, 2.0**-40):
+        inside = np.array([-0.5 * BOUND_SLACK, 0.5, 1.0 + 0.5 * BOUND_SLACK])
+        assert _clamp_to_bounds(inside * f0, f0).tolist() == [0.0, 0.5 * f0,
+                                                              f0]
+        with pytest.raises(DomainError, match=(
+                r"^solution left \[0, f0\] by more than 1e-12")):
+            _clamp_to_bounds(np.array([0.5, excursion]) * f0, f0)
 
 
 class TestIntegrateReference:
@@ -755,6 +759,34 @@ def test_read_matches_line_reference(tmp_path, block_chars, text):
     with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", chunk):
         got = read_outcome(read_trace_csv, path)
     assert got == read_outcome(reference_read_trace_csv, path)
+
+
+@st.composite
+def round_trip_traces(draw):
+    """A trace whose times start anywhere in [-1e9, 1e9], some steps to the
+    next float, and whose values include -0.0, 5e-324 and f0."""
+    f0 = draw(st.sampled_from([1.0, 5e-324]) | st.floats(1e-300, 1e300))
+    times = [draw(st.floats(-1e9, 1e9))]
+    for _ in range(draw(st.integers(1, 40))):
+        t = times[-1]
+        times.append(math.nextafter(t, math.inf) if draw(st.booleans())
+                     else t + draw(st.floats(1e-3, 1e3)))
+    values = st.sampled_from([-0.0, 5e-324, f0]) | st.floats(0.0, f0)
+    return FunctionalityTrace(times, [draw(values) for _ in times], f0)
+
+
+# Blocks of a few lines at most, so a trace spans many of them.
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace=round_trip_traces(), block_chars=st.integers(1, 120))
+def test_csv_round_trip_is_exact(tmp_path, trace, block_chars):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", block_chars):
+        back = read_trace_csv(path)
+    assert back._times.tobytes() == trace._times.tobytes()
+    assert back._values.tobytes() == trace._values.tobytes()
+    assert np.float64(back.f0).tobytes() == np.float64(trace.f0).tobytes()
 
 
 def sample_rows(chars):

@@ -136,13 +136,16 @@ def test_bench_pairs_seed_ranges():
     assert bench_pairs.parse_seeds("7") == range(7, 8)
 
 
-def bench_record(walls):
-    """A ``perfbench/run.py`` run record whose commands took ``walls``, a
-    list of (name, seconds)."""
+def bench_record(walls, warmups=()):
+    """A ``perfbench/run.py`` run record whose timed commands took
+    ``walls``, after set-up warm-ups that took ``warmups``, each a list of
+    (name, seconds)."""
     return {"workload": "cli-short", "seed": 1, "trace": 0,
+            "extra": {"timed_commands": len(walls)},
             "commands": [{"name": name, "wall": wall, "code": 0, "cpu": wall,
                           "rss_mib": 15.0, "stdout": None, "digest": "",
-                          "error": None} for name, wall in walls]}
+                          "error": None}
+                         for name, wall in [*warmups, *walls]]}
 
 
 def test_bench_pairs_command_medians():
@@ -151,6 +154,11 @@ def test_bench_pairs_command_medians():
                            ("metrics", 0.034), ("fit", 0.038)])
     assert bench_pairs.command_medians(record) == {"fit": 0.038,
                                                    "metrics": 0.032}
+    # Set-up warm-ups come first in a record and are not timed commands.
+    record = bench_record([("fit", 0.040), ("metrics", 0.030)],
+                          warmups=[("fit", 0.090)] * 3)
+    assert bench_pairs.command_medians(record) == {"fit": 0.040,
+                                                   "metrics": 0.030}
     # Three pairs: fit is faster in the change in two, metrics in none; a
     # side's median is the median of its runs' medians.
     pairs = [(bench_record([("fit", p), ("metrics", 0.030)]),

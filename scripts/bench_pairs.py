@@ -29,11 +29,12 @@ Which way is better, and each bound, come from ``BENCHMARK.json``, which
 this script only reads.
 
 Last it prints, for each command of the workload, both sides' median wall
-time, so a ``cmd_p50_s`` result shows which commands moved.  A side's
-median is the median over its runs of each run's own median, read from
-the record the run writes, ``.bench_out/<workload>-seed<N>-trace0.json``
-in its checkout.  These are raw seconds, not scaled by the reference
-command as the end-to-end metrics are.  A record lists its set-up
+time and median peak RSS, so a ``cmd_p50_s`` or ``peak_rss_mib`` result
+shows which commands moved.  A side's median is the median over its runs
+of each run's own median, read from the record the run writes,
+``.bench_out/<workload>-seed<N>-trace0.json`` in its checkout.  These are
+raw seconds, not scaled by the reference command as the end-to-end
+metrics are.  A record lists its set-up
 warm-ups of the workload's first command before the timed commands, and
 counts the timed ones in ``extra.timed_commands``, so only those last
 commands count here, as they do in ``cmd_p50_s``.
@@ -140,46 +141,55 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def command_medians(record: dict) -> dict[str, float]:
-    """Each command name's median wall time over the timed commands of the
-    run ``record``, the JSON object ``perfbench/run.py`` writes to its
-    ``.bench_out`` directory: its last ``extra.timed_commands`` commands,
-    after the set-up warm-ups."""
-    walls: dict[str, list[float]] = {}
+def command_medians(record: dict) -> dict[str, tuple[float, float]]:
+    """Each command name's median wall time and median peak RSS (MiB) over
+    the timed commands of the run ``record``, the JSON object
+    ``perfbench/run.py`` writes to its ``.bench_out`` directory: its last
+    ``extra.timed_commands`` commands, after the set-up warm-ups."""
+    runs: dict[str, list[tuple[float, float]]] = {}
     for command in record["commands"][-record["extra"]["timed_commands"]:]:
-        walls.setdefault(command["name"], []).append(command["wall"])
-    return {name: statistics.median(w) for name, w in walls.items()}
+        runs.setdefault(command["name"], []).append(
+            (command["wall"], command["rss_mib"]))
+    return {name: tuple(map(statistics.median, zip(*r)))
+            for name, r in runs.items()}
 
 
 def summarize_commands(pairs: list[tuple[dict, dict]]) -> list[dict]:
     """One row per command name, in the order the first parent record
     lists them, over ``pairs`` of (parent, change) run records: each side's
-    median of its runs' :func:`command_medians`, and how many pairs the
-    change won."""
+    median of its runs' :func:`command_medians`, wall time and RSS, and how
+    many pairs the change won on wall time."""
     medians = [tuple(map(command_medians, pair)) for pair in pairs]
     rows = []
     for name in medians[0][0]:
-        parent, change = ([run[name] for run in side] for side in zip(*medians))
+        (parent, parent_rss), (change, change_rss) = (
+            zip(*(run[name] for run in side)) for side in zip(*medians))
         rows.append({
             "command": name, "parent": statistics.median(parent),
-            "change": statistics.median(change), "pairs": len(pairs),
+            "change": statistics.median(change),
+            "parent_rss_mib": statistics.median(parent_rss),
+            "change_rss_mib": statistics.median(change_rss),
+            "pairs": len(pairs),
             "wins": sum(c < p for p, c in zip(parent, change)),
         })
     return rows
 
 
 def format_commands(rows: list[dict]) -> str:
-    """``rows`` of :func:`summarize_commands` as a table, in milliseconds,
-    with the change's median relative to the parent's."""
+    """``rows`` of :func:`summarize_commands` as a table: wall times in
+    milliseconds, with the change's median relative to the parent's, and
+    peak RSS in MiB."""
     width = max(len("command"), *(len(row["command"]) for row in rows))
     lines = [f"{'command':<{width}} {'parent ms':>10} {'change ms':>10} "
-             f"{'change':>8} {'wins':>5}"]
+             f"{'change':>8} {'wins':>5} {'parent MiB':>11} "
+             f"{'change MiB':>11}"]
     for row in rows:
         lines.append(
             f"{row['command']:<{width}} {1e3 * row['parent']:>10.2f} "
             f"{1e3 * row['change']:>10.2f} "
             f"{row['change'] / row['parent'] - 1.0:>+8.1%} "
-            f"{row['wins']:>2}/{row['pairs']:<2}")
+            f"{row['wins']:>2}/{row['pairs']:<2} "
+            f"{row['parent_rss_mib']:>11.2f} {row['change_rss_mib']:>11.2f}")
     return "\n".join(lines)
 
 

@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
+    "read_trace_csv": "_trace_read",
     **dict.fromkeys((
         "OMEGA_MIN", "SteadyState", "erf", "solve_constant", "solve_linear",
         "solve_piecewise_constant", "solve_piecewise_linear", "steady_state",
@@ -24,8 +25,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "ConstantImpacts", "FunctionalityTrace", "LinearImpacts",
         "PiecewiseConstantSchedule", "PiecewiseLinearSchedule",
-        "accomplishment", "auc_resilience", "read_trace_csv",
-        "write_trace_csv",
+        "accomplishment", "auc_resilience", "write_trace_csv",
     ), "core"),
     **dict.fromkeys((
         "EnsembleResult", "ensemble_average", "expectation_recursion",

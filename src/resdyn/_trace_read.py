@@ -1,8 +1,9 @@
-"""The trace CSV parser behind :func:`resdyn.core.read_trace_csv`.
+"""The trace CSV reader, :func:`read_trace_csv`.
 
-It runs on the standard library alone and never loads numpy.  Samples are read
-in blocks: a block of plain ``number,number`` lines is parsed in one pass,
-and any other block is read line by line.
+It is a module of its own, so a command that reads no trace does not
+compile it.  It runs on the standard library alone and never loads numpy.
+Samples are read in blocks: a block of plain ``number,number`` lines is
+parsed in one pass, and any other block is read line by line.
 """
 
 from __future__ import annotations
@@ -112,8 +113,24 @@ class _TraceLines:
 _BLOCK_CHARS = 1 << 16
 
 
-def read_trace(path) -> FunctionalityTrace:
-    """See :func:`resdyn.core.read_trace_csv`."""
+def read_trace_csv(path) -> FunctionalityTrace:
+    """Read a trace CSV written by :func:`resdyn.core.write_trace_csv` (or
+    compatible).
+
+    Comment lines start with ``#`` and, like blank lines, may appear
+    anywhere; a ``# f0=<value>`` comment sets the normal functionality
+    (default 1.0), and the last one wins.  The first other line must be
+    the header ``time,functionality``; each later one is a sample of two
+    comma-separated numbers, ASCII in the syntax of :func:`float` without
+    its digit-grouping underscores.  LF, CRLF and CR line endings are
+    accepted.  The file is read as UTF-8 text, after a byte-order mark if
+    there is one; a compressed file is not decompressed, and a file that
+    is not UTF-8 raises InvalidTraceError.
+
+    Every refused line is reported as ``path:lineno``.  A refusal of the
+    samples as a whole (out of order, outside [0, f0], fewer than two) and
+    of the file's encoding is reported as ``path``.
+    """
     reader = _TraceLines(path)
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:

@@ -33,7 +33,6 @@ from .core import (
     PiecewiseLinearSchedule,
     accomplishment,
     auc_resilience,
-    read_trace_csv,
     write_trace_csv,
 )
 from .errors import DomainError, InvalidTraceError, ResdynError
@@ -61,6 +60,7 @@ def _deferred(name: str):
     return stand_in
 
 
+read_trace_csv = _deferred("read_trace_csv")
 solve_constant = _deferred("solve_constant")
 solve_linear = _deferred("solve_linear")
 solve_piecewise_constant = _deferred("solve_piecewise_constant")
@@ -71,15 +71,6 @@ write_ensemble_csv = _deferred("write_ensemble_csv")
 fit_piecewise = _deferred("fit_piecewise")
 write_fit_result_json = _deferred("write_fit_result_json")
 grid_mle = _deferred("grid_mle")
-
-MODEL_KINDS = (
-    "constant",
-    "piecewise-constant",
-    "linear",
-    "piecewise-linear",
-    "sde",
-)
-
 
 class ConfigError(ResdynError, ValueError):
     """Configuration problem; the message names the offending field."""
@@ -238,23 +229,32 @@ def _scenario_common(config: dict) -> tuple[str, float, float]:
     return kind, f0, f_init
 
 
+# The closed-form scenario kinds: kind -> (the reader of its ``params``
+# block, its solver).  The solver is looked up in this module when it is
+# called, as the handlers look up theirs.
+_SOLVABLE = {
+    "constant": (lambda p: _from_json(ConstantImpacts, p, "params."),
+                 lambda *a: solve_constant(*a)),
+    "piecewise-constant": (lambda p: _schedule(PiecewiseConstantSchedule, p),
+                           lambda *a: solve_piecewise_constant(*a)),
+    "linear": (lambda p: _from_json(LinearImpacts, p, "params."),
+               lambda *a: solve_linear(*a)),
+    "piecewise-linear": (lambda p: _schedule(PiecewiseLinearSchedule, p),
+                         lambda *a: solve_piecewise_linear(*a)),
+}
+
+MODEL_KINDS = (*_SOLVABLE, "sde")
+
+
 def _run_solve(config: dict):
     kind, f0, f_init = _scenario_common(config)
     params = _get(config, "params", "", dict)
     grid = _build_grid(config)
-    if kind == "constant":
-        return solve_constant(
-            _from_json(ConstantImpacts, params, "params."), f_init, f0, grid)
-    if kind == "piecewise-constant":
-        return solve_piecewise_constant(
-            _schedule(PiecewiseConstantSchedule, params), f_init, f0, grid)
-    if kind == "linear":
-        return solve_linear(
-            _from_json(LinearImpacts, params, "params."), f_init, f0, grid)
-    if kind == "piecewise-linear":
-        return solve_piecewise_linear(
-            _schedule(PiecewiseLinearSchedule, params), f_init, f0, grid)
-    raise ConfigError("kind: 'sde' scenarios run under the simulate command")
+    if kind not in _SOLVABLE:
+        raise ConfigError(
+            "kind: 'sde' scenarios run under the simulate command")
+    read, solve = _SOLVABLE[kind]
+    return solve(read(params), f_init, f0, grid)
 
 
 def _run_simulate(config: dict, seed_override: int | None):
@@ -262,7 +262,7 @@ def _run_simulate(config: dict, seed_override: int | None):
     from .stochastic import _check_run
 
     kind, f0, f_init = _scenario_common(config)
-    if kind != "sde":
+    if kind in _SOLVABLE:
         raise ConfigError(
             f"kind: simulate requires an 'sde' scenario, got {kind!r}"
         )
@@ -276,9 +276,10 @@ def _run_simulate(config: dict, seed_override: int | None):
     if seed_override is not None:
         seed = seed_override
     if n == 1:
-        return simulate(params, f_init, f0, steps, dt, seed=seed)
-    return ensemble_average(params, f_init, f0, steps, dt, n=n,
-                            master_seed=seed)
+        return write_trace_csv, simulate(params, f_init, f0, steps, dt,
+                                         seed=seed)
+    return write_ensemble_csv, ensemble_average(params, f_init, f0, steps, dt,
+                                                n=n, master_seed=seed)
 
 
 def _mle_grid(doc: dict) -> MleGrid:
@@ -299,11 +300,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    result = _run_simulate(_load_json(args.config), args.seed)
-    if hasattr(result, "mean_trace"):
-        write_ensemble_csv(result, args.out)
-    else:
-        write_trace_csv(result, args.out)
+    write, result = _run_simulate(_load_json(args.config), args.seed)
+    write(result, args.out)
     return 0
 
 

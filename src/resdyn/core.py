@@ -566,26 +566,3 @@ def write_trace_csv(trace: FunctionalityTrace, path) -> None:
     _write_text(path, chain((f"# f0={trace.f0:.17g}\n{TRACE_CSV_HEADER}\n",),
                             rows))
 
-
-def read_trace_csv(path) -> FunctionalityTrace:
-    """Read a trace CSV written by :func:`write_trace_csv` (or compatible).
-
-    Comment lines start with ``#`` and, like blank lines, may appear
-    anywhere; a ``# f0=<value>`` comment sets the normal functionality
-    (default 1.0), and the last one wins.  The first other line must be
-    the header ``time,functionality``; each later one is a sample of two
-    comma-separated numbers, ASCII in the syntax of :func:`float` without
-    its digit-grouping underscores.  LF, CRLF and CR line endings are
-    accepted.  The file is read as UTF-8 text, after a byte-order mark if
-    there is one; a compressed file is not decompressed, and a file that
-    is not UTF-8 raises InvalidTraceError.
-
-    Every refused line is reported as ``path:lineno``.  A refusal of the
-    samples as a whole (out of order, outside [0, f0], fewer than two) and
-    of the file's encoding is reported as ``path``.
-    """
-    # The parser is its own module, so a command that reads no trace does
-    # not compile it.
-    from ._trace_read import read_trace
-
-    return read_trace(path)

@@ -22,7 +22,7 @@ import math
 import operator
 from bisect import bisect_right
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .core import (
     ConstantImpacts,
@@ -77,7 +77,7 @@ class FitConfig(_Record):
                       math.isfinite, "be finite")
 
 
-class ActivityRates(NamedTuple):
+class ActivityRates(_Record):
     """Event counts per second in each phase (strict up/down moves)."""
 
     malware_phase1: float

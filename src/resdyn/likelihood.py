@@ -149,10 +149,13 @@ class GridAxis(_Record):
 
     def _last(self) -> float:
         """The largest grid value, as :meth:`values` computes it."""
-        return self.start + self.step * self._last_index()
+        return min(self.start + self.step * self._last_index(), self.stop)
 
     def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self._last_index() + 1)
+        """start + step * k for each k, clipped to ``stop``."""
+        return np.minimum(
+            self.start + self.step * np.arange(self._last_index() + 1),
+            self.stop)
 
 
 class MleGrid(_Record):

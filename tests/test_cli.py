@@ -567,8 +567,20 @@ class TestConfigValidation:
                      "--out", str(out), "--mle"]) == 2
         assert capsys.readouterr().err == (
             "error: mle_grid: bonware_activity must lie in [0, 1], "
-            "got 3.0000000000000004\n")
+            "got 3.0\n")
         assert not out.exists()
+
+    def test_mle_axis_ending_at_range_end_accepted(self, tmp_path):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past both the
+        # axis stop and the activity range; the axis ends at its stop.
+        doc = copy.deepcopy(FIT_MLE_CONFIG)
+        doc["mle_grid"]["malware_activity"] = {"start": 0.09, "stop": 1.0,
+                                               "step": 0.07}
+        path = write_config(tmp_path, "fit.json", doc)
+        out = tmp_path / "fit_out.json"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", path,
+                     "--out", str(out), "--mle"]) == 0
+        assert json.loads(out.read_text())["mle"]["n_cells"] == 14 * 2 * 2 * 2
 
     @pytest.mark.parametrize("breakpoints, message", [
         ([0.0, 4.0, 1.0], "breakpoints must be finite and strictly increasing"),
@@ -1043,6 +1055,46 @@ def test_import_footprint(tmp_path, argv, config, layers):
     if not arrays:
         assert not {"dataclasses", "inspect"} & set(loaded)
     assert ("argparse" in loaded) == (argv == ["--help"])
+
+
+# Runs ``python -m resdyn ARGS`` in-process, as FOOTPRINT does, under an
+# audit hook, then writes to stderr each code compile or run whose source
+# is not a ``.py`` file: code generated at run time, as
+# ``collections.namedtuple`` and ``typing``'s string annotations make it.
+GENERATED = """
+import json, runpy, sys
+generated = []
+
+def hook(event, args):
+    if event in ("compile", "exec"):
+        source = args[1] if event == "compile" else args[0].co_filename
+        if not str(source).endswith(".py"):
+            generated.append([event, str(source)])
+
+sys.addaudithook(hook)
+try:
+    runpy.run_module("resdyn", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(json.dumps(generated), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["metrics", str(NOTIONAL_CSV)], None),
+    (["fit", str(NOTIONAL_CSV), "--out", "{out}"], None),
+    (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--out", "{out}"],
+     FIT_MLE_CONFIG),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"], sde_config()),
+], ids=["metrics", "fit", "fit-config", "simulate"])
+def test_numpy_free_commands_run_no_generated_code(tmp_path, argv, config):
+    cfg = write_config(tmp_path, "cfg.json", config) if config else None
+    argv = [arg.format(cfg=cfg, out=tmp_path / "out") for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", GENERATED, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == []
 
 
 # Runs resdyn to its exit the way ``python -m resdyn ARGS`` does (entry

@@ -550,6 +550,26 @@ class TestGridMle:
             MleGrid(activity, activity, effectiveness, effectiveness)
 
 
+# 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past the stop.
+@example(start=0.09, stop=1.0, step=0.07)
+@given(start=st.floats(0.0, 1.0), stop=st.floats(0.0, 1.0),
+       step=st.floats(1e-3, 1.0))
+def test_grid_axis_ends_at_its_stop(start, stop, step):
+    start, stop = sorted((start, stop))
+    axis = GridAxis(start, stop, step)
+    values = axis.values().tolist()
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    assert len(values) == count
+    assert all(start <= v <= stop for v in values)
+    assert values[:-1] == [start + step * k for k in range(count - 1)]
+    assert values[-1] == axis._last() == min(start + step * (count - 1), stop)
+    # An axis whose ends lie in a parameter's range is an axis of the grid.
+    fixed = GridAxis(0.5, 0.5, 0.1)
+    MleGrid(axis, fixed, fixed, fixed)
+    if start > 0.0:
+        MleGrid(fixed, fixed, axis, fixed)
+
+
 # Activity axes may hold 0 and 1 exactly; binary steps land on them.
 ACTIVITY_STARTS = [0.0, 0.25, 0.5, 0.75, 1.0]
 EFFECTIVENESS_STARTS = [0.05, 0.25, 0.5, 1.0]

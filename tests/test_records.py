@@ -7,6 +7,7 @@ import pytest
 
 import resdyn
 from resdyn import (
+    ActivityRates,
     ConstantImpacts,
     EnsembleResult,
     FitConfig,
@@ -65,6 +66,7 @@ def cases():
             ([0.0, 2.0], [LinearImpacts(0.3, 0.01, 0.2, 0.02)]), 2),
         SteadyState: ((0.5, 0.25), 2),
         FitConfig: ((0.5, 0.9, 0.8, 90.0, 120.0), 0),
+        ActivityRates: ((0.1, 0.03, 0.04, 0.13), 4),
         PhaseEstimate: ((impacts, 0.3, 0.4, 0.5, 0.6), 5),
         FitResult: ((69.5, phase, phase, schedule, 1e-12, 2e-12), 6),
         GridAxis: ((0.1, 0.3, 0.1), 3),

@@ -29,12 +29,12 @@ Which way is better, and each bound, come from ``BENCHMARK.json``, which
 this script only reads.
 
 Last it prints, for each command of the workload, both sides' median wall
-time and median peak RSS, so a ``cmd_p50_s`` or ``peak_rss_mib`` result
-shows which commands moved.  A side's median is the median over its runs
-of each run's own median, read from the record the run writes,
-``.bench_out/<workload>-seed<N>-trace0.json`` in its checkout.  These are
-raw seconds, not scaled by the reference command as the end-to-end
-metrics are.  A record lists its set-up
+time, median CPU time and median peak RSS, so a ``cmd_p50_s``,
+``cmd_cpu_s`` or ``peak_rss_mib`` result shows which commands moved.  A
+side's median is the median over its runs of each run's own median, read
+from the record the run writes, ``.bench_out/<workload>-seed<N>-trace0.json``
+in its checkout.  These are raw seconds, not scaled by the reference
+command as the end-to-end metrics are.  A record lists its set-up
 warm-ups of the workload's first command before the timed commands, and
 counts the timed ones in ``extra.timed_commands``, so only those last
 commands count here, as they do in ``cmd_p50_s``.
@@ -141,15 +141,16 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def command_medians(record: dict) -> dict[str, tuple[float, float]]:
-    """Each command name's median wall time and median peak RSS (MiB) over
-    the timed commands of the run ``record``, the JSON object
+def command_medians(record: dict) -> dict[str, tuple[float, float, float]]:
+    """Each command name's median wall time, median CPU time and median
+    peak RSS (MiB) over the timed commands of the run ``record``, the JSON
+    object
     ``perfbench/run.py`` writes to its ``.bench_out`` directory: its last
     ``extra.timed_commands`` commands, after the set-up warm-ups."""
-    runs: dict[str, list[tuple[float, float]]] = {}
+    runs: dict[str, list[tuple[float, float, float]]] = {}
     for command in record["commands"][-record["extra"]["timed_commands"]:]:
         runs.setdefault(command["name"], []).append(
-            (command["wall"], command["rss_mib"]))
+            (command["wall"], command["cpu"], command["rss_mib"]))
     return {name: tuple(map(statistics.median, zip(*r)))
             for name, r in runs.items()}
 
@@ -157,16 +158,18 @@ def command_medians(record: dict) -> dict[str, tuple[float, float]]:
 def summarize_commands(pairs: list[tuple[dict, dict]]) -> list[dict]:
     """One row per command name, in the order the first parent record
     lists them, over ``pairs`` of (parent, change) run records: each side's
-    median of its runs' :func:`command_medians`, wall time and RSS, and how
-    many pairs the change won on wall time."""
+    median of its runs' :func:`command_medians`, wall time, CPU time and
+    RSS, and how many pairs the change won on wall time."""
     medians = [tuple(map(command_medians, pair)) for pair in pairs]
     rows = []
     for name in medians[0][0]:
-        (parent, parent_rss), (change, change_rss) = (
+        (parent, parent_cpu, parent_rss), (change, change_cpu, change_rss) = (
             zip(*(run[name] for run in side)) for side in zip(*medians))
         rows.append({
             "command": name, "parent": statistics.median(parent),
             "change": statistics.median(change),
+            "parent_cpu": statistics.median(parent_cpu),
+            "change_cpu": statistics.median(change_cpu),
             "parent_rss_mib": statistics.median(parent_rss),
             "change_rss_mib": statistics.median(change_rss),
             "pairs": len(pairs),
@@ -177,18 +180,20 @@ def summarize_commands(pairs: list[tuple[dict, dict]]) -> list[dict]:
 
 def format_commands(rows: list[dict]) -> str:
     """``rows`` of :func:`summarize_commands` as a table: wall times in
-    milliseconds, with the change's median relative to the parent's, and
-    peak RSS in MiB."""
+    milliseconds, with the change's median relative to the parent's, CPU
+    times in milliseconds, and peak RSS in MiB."""
     width = max(len("command"), *(len(row["command"]) for row in rows))
     lines = [f"{'command':<{width}} {'parent ms':>10} {'change ms':>10} "
-             f"{'change':>8} {'wins':>5} {'parent MiB':>11} "
-             f"{'change MiB':>11}"]
+             f"{'change':>8} {'wins':>5} {'parent CPU ms':>14} "
+             f"{'change CPU ms':>14} {'parent MiB':>11} {'change MiB':>11}"]
     for row in rows:
         lines.append(
             f"{row['command']:<{width}} {1e3 * row['parent']:>10.2f} "
             f"{1e3 * row['change']:>10.2f} "
             f"{row['change'] / row['parent'] - 1.0:>+8.1%} "
             f"{row['wins']:>2}/{row['pairs']:<2} "
+            f"{1e3 * row['parent_cpu']:>14.2f} "
+            f"{1e3 * row['change_cpu']:>14.2f} "
             f"{row['parent_rss_mib']:>11.2f} {row['change_rss_mib']:>11.2f}")
     return "\n".join(lines)
 

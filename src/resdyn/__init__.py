@@ -22,11 +22,7 @@ _EXPORTS = {
         "OMEGA_MIN", "SteadyState", "erf", "solve_constant", "solve_linear",
         "solve_piecewise_constant", "solve_piecewise_linear", "steady_state",
     ), "closed_form"),
-    **dict.fromkeys((
-        "ConstantImpacts", "FunctionalityTrace", "LinearImpacts",
-        "PiecewiseConstantSchedule", "PiecewiseLinearSchedule",
-        "accomplishment", "auc_resilience", "write_trace_csv",
-    ), "core"),
+    **dict.fromkeys(("FunctionalityTrace", "write_trace_csv"), "core"),
     **dict.fromkeys((
         "EnsembleResult", "ensemble_average", "expectation_recursion",
         "split_seed", "write_ensemble_csv",
@@ -41,8 +37,13 @@ _EXPORTS = {
         "fit_piecewise", "fit_result_to_dict", "write_fit_result_json",
     ), "estimation"),
     **dict.fromkeys((
+        "ConstantImpacts", "LinearImpacts", "PiecewiseConstantSchedule",
+        "PiecewiseLinearSchedule",
+    ), "impacts"),
+    **dict.fromkeys((
         "GridAxis", "MleGrid", "MleResult", "grid_mle", "step_log_density",
     ), "likelihood"),
+    **dict.fromkeys(("accomplishment", "auc_resilience"), "metrics"),
     "integrate_reference": "oracle",
     **dict.fromkeys(("SdeParams", "effective_impact", "simulate"),
                     "stochastic"),

@@ -10,37 +10,26 @@ Four subcommands cover the library surface:
 Scenario configs are single JSON documents with a ``kind`` field
 (``constant``, ``piecewise-constant``, ``linear``, ``piecewise-linear``,
 or ``sde``) and a matching ``params`` block; see the README for the full
-schemas.  Every command is deterministic given its inputs, and exit
-status 0 means the outputs were fully written.
+schemas.  :mod:`resdyn.config` reads them, and a command imports it only
+when it reads a config.  Every command is deterministic given its inputs,
+and exit status 0 means the outputs were fully written.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import math
 import sys
 from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from .core import (
-    MAX_GRID_POINTS,
-    ConstantImpacts,
-    LinearImpacts,
-    PiecewiseConstantSchedule,
-    PiecewiseLinearSchedule,
-    accomplishment,
-    auc_resilience,
-    write_trace_csv,
-)
+from .core import write_trace_csv
 from .errors import DomainError, InvalidTraceError, ResdynError
 
 if TYPE_CHECKING:
     import argparse
-
-    import numpy as np
 
 
 def _deferred(name: str):
@@ -61,6 +50,8 @@ def _deferred(name: str):
 
 
 read_trace_csv = _deferred("read_trace_csv")
+accomplishment = _deferred("accomplishment")
+auc_resilience = _deferred("auc_resilience")
 solve_constant = _deferred("solve_constant")
 solve_linear = _deferred("solve_linear")
 solve_piecewise_constant = _deferred("solve_piecewise_constant")
@@ -72,249 +63,50 @@ fit_piecewise = _deferred("fit_piecewise")
 write_fit_result_json = _deferred("write_fit_result_json")
 grid_mle = _deferred("grid_mle")
 
-class ConfigError(ResdynError, ValueError):
-    """Configuration problem; the message names the offending field."""
-
-
-# The JSON types a config field may be read as, by the Python type it is
-# returned as.
-_JSON_TYPES = {float: "number", int: "integer", dict: "object"}
-
-
-def _is_json(raw, kind: type) -> bool:
-    """Whether ``raw`` is a JSON value of ``kind``, a key of ``_JSON_TYPES``.
-
-    A bool is neither a number nor an integer, though Python counts it an
-    int.
-    """
-    return (isinstance(raw, (int, float) if kind is float else kind)
-            and not isinstance(raw, bool))
-
-
-def _get(obj: dict, key: str, path: str, kind: type | None = None,
-         required: bool = True, default=None):
-    """The value of ``key``; an absent key and a JSON null are alike.
-
-    Given a ``kind`` from ``_JSON_TYPES``, the value must be of that JSON
-    type, and is returned as that Python type.
-    """
-    raw = obj.get(key)
-    if raw is None:
-        if required:
-            raise ConfigError(f"{path}{key}: missing required field")
-        return default
-    if kind is None:
-        return raw
-    if not _is_json(raw, kind):
-        name = _JSON_TYPES[kind]
-        article = "an" if name[0] in "aeiou" else "a"
-        raise ConfigError(f"{path}{key}: expected {article} {name}, "
-                          f"got {raw!r}")
-    return _as(kind, raw, path + key)
-
-
-def _as(kind: type, raw, where: str):
-    """``raw``, a JSON value of ``kind``, as that Python type; a JSON integer
-    is a number only if a float can hold it."""
-    try:
-        return kind(raw)
-    except OverflowError:
-        raise ConfigError(f"{where}: number too large for a float") from None
-
-
-def _list_of(obj: dict, key: str, path: str, kind: type) -> list:
-    """The list at ``key``, each of whose items is of JSON type ``kind``."""
-    raw = _get(obj, key, path)
-    if not (isinstance(raw, list) and all(_is_json(x, kind) for x in raw)):
-        raise ConfigError(
-            f"{path}{key}: expected a list of {_JSON_TYPES[kind]}s")
-    return [_as(kind, x, path + key) for x in raw]
-
-
-def _at(path: str, build, /, *args, **kwargs):
-    """``build(*args, **kwargs)`` for the config section at ``path``.
-
-    A ResdynError from ``build`` becomes ``ConfigError("<path>: <message>")``,
-    or keeps its message at the top level (an empty ``path``).
-    """
-    try:
-        return build(*args, **kwargs)
-    except ResdynError as exc:
-        where = path.rstrip(".")
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
-
-
-def _from_json(cls, obj: dict, path: str):
-    """Build the record ``cls`` from the JSON object ``obj`` at ``path``.
-
-    A field without a default is a required number; any other field is an
-    optional number, and an absent one keeps its default.  Errors from
-    ``cls`` carry ``path``, as :func:`_at` words them.
-    """
-    kwargs = {}
-    for name in cls._fields:
-        value = _get(obj, name, path, float,
-                     required=name not in cls._defaults)
-        if value is not None:
-            kwargs[name] = value
-    return _at(path, cls, **kwargs)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except (ValueError, RecursionError) as exc:
-        # json raises RecursionError on arrays or objects nested too deep,
-        # and a plain ValueError on an integer of more than 4300 digits.
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return doc
-
-
-def _build_grid(config: dict) -> np.ndarray:
-    import numpy as np
-
-    grid = _get(config, "grid", "", dict)
-    start = _get(grid, "start", "grid.", float)
-    end = _get(grid, "end", "grid.", float)
-    step = _get(grid, "step", "grid.", float)
-    if not math.isfinite(start):
-        raise ConfigError(f"grid.start: must be finite, got {start}")
-    if not 0.0 < step < math.inf:
-        raise ConfigError(f"grid.step: must be > 0 and finite, got {step}")
-    if not end > start:
-        raise ConfigError(f"grid.end: must exceed grid.start, got {end}")
-    span = (end - start) / step
-    if not span < MAX_GRID_POINTS - 0.5:
-        raise ConfigError(
-            f"grid.end/grid.step: grid of more than {MAX_GRID_POINTS} points: "
-            f"(end - start) / step = {span:.6g}"
-        )
-    count = int(round(span))
-    if not math.isclose(start + count * step, end, rel_tol=0.0,
-                        abs_tol=1e-9 * max(1.0, abs(end))):
-        raise ConfigError(
-            "grid.step: span (end - start) must be a whole number of steps"
-        )
-    if count < 1:
-        raise ConfigError("grid.step: grid needs at least two samples")
-    return start + step * np.arange(count + 1)
-
-
-def _schedule(cls, params: dict):
-    """A piecewise schedule whose segments are ``cls._segment_type``."""
-    segments = tuple(
-        _from_json(cls._segment_type, seg, f"params.segments[{i}].")
-        for i, seg in enumerate(_list_of(params, "segments", "params.", dict))
-    )
-    breakpoints = _list_of(params, "breakpoints", "params.", float)
-    # The segments were checked one by one above, so what the schedule
-    # still refuses is its breakpoints or their count.
-    return _at("params.breakpoints", cls, breakpoints=breakpoints,
-               segments=segments)
-
-
-def _scenario_common(config: dict) -> tuple[str, float, float]:
-    kind = _get(config, "kind", "")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(
-            f"kind: expected one of {', '.join(MODEL_KINDS)}, got {kind!r}"
-        )
-    f0 = _get(config, "f0", "", float, required=False, default=1.0)
-    f_init = _get(config, "f_init", "", float, required=False, default=f0)
-    return kind, f0, f_init
-
-
-# The closed-form scenario kinds: kind -> (the reader of its ``params``
-# block, its solver).  The solver is looked up in this module when it is
-# called, as the handlers look up theirs.
-_SOLVABLE = {
-    "constant": (lambda p: _from_json(ConstantImpacts, p, "params."),
-                 lambda *a: solve_constant(*a)),
-    "piecewise-constant": (lambda p: _schedule(PiecewiseConstantSchedule, p),
-                           lambda *a: solve_piecewise_constant(*a)),
-    "linear": (lambda p: _from_json(LinearImpacts, p, "params."),
-               lambda *a: solve_linear(*a)),
-    "piecewise-linear": (lambda p: _schedule(PiecewiseLinearSchedule, p),
-                         lambda *a: solve_piecewise_linear(*a)),
-}
-
-MODEL_KINDS = (*_SOLVABLE, "sde")
-
-
-def _run_solve(config: dict):
-    kind, f0, f_init = _scenario_common(config)
-    params = _get(config, "params", "", dict)
-    grid = _build_grid(config)
-    if kind not in _SOLVABLE:
-        raise ConfigError(
-            "kind: 'sde' scenarios run under the simulate command")
-    read, solve = _SOLVABLE[kind]
-    return solve(read(params), f_init, f0, grid)
-
-
-def _run_simulate(config: dict, seed_override: int | None):
-    from . import SdeParams
-    from .stochastic import _check_run
-
-    kind, f0, f_init = _scenario_common(config)
-    if kind in _SOLVABLE:
-        raise ConfigError(
-            f"kind: simulate requires an 'sde' scenario, got {kind!r}"
-        )
-    params_obj = _get(config, "params", "", dict)
-    params = _from_json(SdeParams, params_obj, "params.")
-    steps = _get(params_obj, "steps", "params.", int)
-    dt = _get(params_obj, "dt", "params.", float, required=False, default=1.0)
-    seed = _get(params_obj, "seed", "params.", int, required=False, default=0)
-    n = _get(params_obj, "n", "params.", int, required=False, default=1)
-    _at("params", _check_run, steps, dt, n)
-    if seed_override is not None:
-        seed = seed_override
-    if n == 1:
-        return write_trace_csv, simulate(params, f_init, f0, steps, dt,
-                                         seed=seed)
-    return write_ensemble_csv, ensemble_average(params, f_init, f0, steps, dt,
-                                                n=n, master_seed=seed)
-
-
-def _mle_grid(doc: dict) -> MleGrid:
-    from . import GridAxis, MleGrid
-
-    section = _get(doc, "mle_grid", "", dict)
-    return _at("mle_grid", MleGrid, **{
-        name: _from_json(GridAxis, _get(section, name, "mle_grid.", dict),
-                         f"mle_grid.{name}.")
-        for name in MleGrid._fields
-    })
-
 
 def cmd_solve(args) -> int:
-    trace = _run_solve(_load_json(args.config))
-    write_trace_csv(trace, args.out)
+    from .config import load_json, read_closed_form
+
+    solver, scenario = read_closed_form(load_json(args.config))
+    # Looked up in this module when called, as the other handlers look up
+    # theirs, so that rebinding a solver here takes effect.
+    write_trace_csv(globals()[solver](*scenario), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    write, result = _run_simulate(_load_json(args.config), args.seed)
-    write(result, args.out)
+    from .config import load_json, read_sde
+
+    params, f_init, f0, steps, dt, seed, n = read_sde(load_json(args.config))
+    if args.seed is not None:
+        seed = args.seed
+    if n == 1:
+        write_trace_csv(simulate(params, f_init, f0, steps, dt, seed=seed),
+                        args.out)
+    else:
+        write_ensemble_csv(ensemble_average(params, f_init, f0, steps, dt,
+                                            n=n, master_seed=seed), args.out)
     return 0
 
 
 def cmd_fit(args) -> int:
-    from . import FitConfig
-
     trace = read_trace_csv(args.trace)
-    doc = _load_json(args.config) if args.config else {}
-    result = fit_piecewise(trace, _from_json(FitConfig, doc, ""))
-    try:
-        mle = grid_mle(trace, _mle_grid(doc)) if args.mle else None
-    except DomainError as exc:  # the grid's errors are ConfigErrors
-        raise InvalidTraceError(f"{args.trace}: {exc}") from exc
+    doc = fit_config = None
+    if args.config is not None:
+        from .config import load_json, read_fit_config
+
+        doc = load_json(args.config)
+        fit_config = read_fit_config(doc)
+    result = fit_piecewise(trace, fit_config)
+    mle = None
+    if args.mle:
+        from .config import read_mle_grid
+
+        grid = read_mle_grid({} if doc is None else doc)
+        try:
+            mle = grid_mle(trace, grid)
+        except DomainError as exc:  # the grid passed its checks above
+            raise InvalidTraceError(f"{args.trace}: {exc}") from exc
     write_fit_result_json(result, args.out, mle)
     return 0
 

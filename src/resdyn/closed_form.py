@@ -19,11 +19,7 @@ import math
 import numpy as np
 
 from .core import (
-    ConstantImpacts,
     FunctionalityTrace,
-    LinearImpacts,
-    PiecewiseConstantSchedule,
-    PiecewiseLinearSchedule,
     _check_f0,
     _check_level,
     _clamp_to_bounds,
@@ -33,6 +29,12 @@ from .core import (
     _steady_level,
 )
 from .errors import DomainError, UndefinedSteadyStateError
+from .impacts import (
+    ConstantImpacts,
+    LinearImpacts,
+    PiecewiseConstantSchedule,
+    PiecewiseLinearSchedule,
+)
 
 # Combined fade rate below which the linear model degenerates to constant
 # rates; the error-function form divides by omega**1.5 and loses meaning

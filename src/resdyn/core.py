@@ -1,6 +1,6 @@
-"""Domain types and resilience metrics.
+"""The functionality trace, and the record type and checks every layer uses.
 
-The objects here model the functionality F(t) of a system under attack:
+The package models the functionality F(t) of a system under attack:
 malware removes functionality in proportion to what is left, while the
 defending ensemble ("bonware") restores it in proportion to the gap below
 the normal level f0,
@@ -8,8 +8,9 @@ the normal level f0,
     dF/dt = (f0 - F(t)) * b(t) - F(t) * m(t),
 
 with both impact rates nonnegative, so that 0 <= F(t) <= f0 always holds.
-All times are in seconds and every value type is immutable after
-construction.
+The rates are in :mod:`resdyn.impacts` and the resilience metrics in
+:mod:`resdyn.metrics`.  All times are in seconds and every value type is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import operator
 import os
 import stat
 from array import array
-from bisect import bisect_right
-from functools import cached_property, reduce
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, ClassVar
 
 from .errors import DomainError, InvalidTraceError
@@ -84,15 +84,6 @@ def _check_fields(obj, names, ok, requirement: str) -> None:
         object.__setattr__(obj, name, v)
         if not ok(v):
             raise DomainError(f"{name} must {requirement}, got {v}")
-
-
-def _check_sum(obj, total: str, fields: str) -> None:
-    """Refuse a record whose property ``total``, the sum ``fields`` of its
-    finite fields, overflows: ``"<total> = <fields> must be finite, got
-    <value>"``."""
-    v = getattr(obj, total)
-    if not math.isfinite(v):
-        raise DomainError(f"{total} = {fields} must be finite, got {v}")
 
 
 def _check_f0(f0: float, error: type = DomainError) -> None:
@@ -313,196 +304,6 @@ class FunctionalityTrace(_Record, eq=False):
     @property
     def duration(self) -> float:
         return self._times[-1] - self._times[0]
-
-
-class ConstantImpacts(_Record):
-    """Constant per-second impact rates of malware and bonware."""
-
-    malware_impact: float
-    bonware_impact: float
-
-    def __post_init__(self):
-        _check_fields(self, ("malware_impact", "bonware_impact"),
-                      lambda v: math.isfinite(v) and v >= 0.0,
-                      "be finite and >= 0")
-        _check_sum(self, "total_impact", "malware_impact + bonware_impact")
-
-    @property
-    def total_impact(self) -> float:
-        """Combined rate m + b, which sets the approach speed to steady state."""
-        return self.malware_impact + self.bonware_impact
-
-
-class _PiecewiseSchedule(_Record, eq=False):
-    """Impacts on consecutive windows [t_j, t_{j+1}), one segment each.
-
-    Subclasses set ``_segment_type``, the impacts type every segment must
-    be an instance of.  They inherit the record's frozen attributes, so
-    none of their attributes can be rebound.  ``breakpoints`` is a read-only
-    view, as a trace's arrays are.  Schedules compare and hash by
-    identity, as traces do.
-    """
-
-    _breakpoints: _SampleAxis
-    segments: tuple
-
-    _segment_type: ClassVar[type]
-
-    def __init__(self, breakpoints, segments):
-        segments = tuple(segments)
-        kind = self._segment_type
-        for seg in segments:
-            if not isinstance(seg, kind):
-                raise DomainError(f"segments must be {kind.__name__} instances")
-        pts = _sample_axis(breakpoints, "breakpoints")
-        if len(pts) != len(segments) + 1:
-            raise DomainError(
-                f"expected {len(pts) - 1} segments for {len(pts)} breakpoints, "
-                f"got {len(segments)}"
-            )
-        object.__setattr__(self, "_breakpoints", pts)
-        object.__setattr__(self, "segments", segments)
-
-    @cached_property
-    def breakpoints(self) -> np.ndarray:
-        return _readonly(self._breakpoints)
-
-    @property
-    def start_time(self) -> float:
-        return self._breakpoints[0]
-
-    @property
-    def end_time(self) -> float:
-        return self._breakpoints[-1]
-
-    def segment_index(self, t: float) -> int:
-        """Index of the window owning time t; the final right endpoint
-        belongs to the last window."""
-        idx = bisect_right(self._breakpoints, t) - 1
-        return min(max(idx, 0), len(self.segments) - 1)
-
-
-class PiecewiseConstantSchedule(_PiecewiseSchedule, eq=False):
-    """Constant impacts on consecutive windows [t_j, t_{j+1})."""
-
-    _segment_type = ConstantImpacts
-
-
-class LinearImpacts(_Record):
-    """Impact rates that change linearly over a window.
-
-    Rates are functions of window-local time tau (seconds since the
-    window start): ``bonware(tau) = bonware_intercept - bonware_slope*tau``
-    and likewise for malware, so a positive slope models an impact that
-    fades.  Both rates must remain nonnegative over the window they are
-    solved on.
-    """
-
-    bonware_intercept: float
-    bonware_slope: float
-    malware_intercept: float
-    malware_slope: float
-
-    def __post_init__(self):
-        _check_fields(self, ("bonware_intercept", "bonware_slope",
-                             "malware_intercept", "malware_slope"),
-                      math.isfinite, "be finite")
-        _check_fields(self, ("bonware_intercept", "malware_intercept"),
-                      lambda v: v >= 0.0, "be >= 0")
-        _check_sum(self, "total_intercept",
-                   "bonware_intercept + malware_intercept")
-        _check_sum(self, "total_slope", "bonware_slope + malware_slope")
-
-    @property
-    def total_intercept(self) -> float:
-        """Combined starting rate (malware + bonware)."""
-        return self.bonware_intercept + self.malware_intercept
-
-    @property
-    def total_slope(self) -> float:
-        """Combined fade rate; positive when the overall impact decays."""
-        return self.bonware_slope + self.malware_slope
-
-    def bonware_at(self, tau: float) -> float:
-        return self.bonware_intercept - self.bonware_slope * tau
-
-    def malware_at(self, tau: float) -> float:
-        return self.malware_intercept - self.malware_slope * tau
-
-    def validate_window(self, duration: float) -> None:
-        """Require both rates nonnegative on [0, duration].
-
-        The rates are linear, so endpoint nonnegativity implies the whole
-        interval.
-        """
-        for agent, rate in (("bonware", self.bonware_at(duration)),
-                            ("malware", self.malware_at(duration))):
-            if rate < 0.0:
-                raise DomainError(
-                    f"{agent} impact goes negative within {duration} s "
-                    f"(reaches {rate:.6g})"
-                )
-
-
-class PiecewiseLinearSchedule(_PiecewiseSchedule, eq=False):
-    """Linearly varying impacts on consecutive windows, local time per window."""
-
-    _segment_type = LinearImpacts
-
-
-def _pairwise_sum(terms, lo: int, n: int) -> float:
-    """The sum of ``terms[lo:lo + n]`` as numpy's pairwise summation adds
-    float64s: a plain loop below 8 terms; up to 128, eight strided running
-    sums combined as a tree, then the rest in order; above 128, the sums of
-    two halves split at a multiple of 8."""
-    if n < 8:
-        return reduce(operator.add, terms[lo:lo + n], 0.0)
-    if n <= 128:
-        end = lo + n - n % 8
-        r = [reduce(operator.add, terms[i:end:8]) for i in range(lo, lo + 8)]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(operator.add, terms[end:lo + n], res)
-    half = n // 2
-    half -= half % 8
-    return (_pairwise_sum(terms, lo, half)
-            + _pairwise_sum(terms, lo + half, n - half))
-
-
-def accomplishment(trace: FunctionalityTrace) -> float:
-    """Cumulative accomplishment: the integral of functionality over time.
-
-    Uses trapezoidal quadrature on the trace's own grid, so the metric is
-    first-order correct on irregular grids.  An integral that overflows
-    a float raises DomainError.
-
-    The terms (t[i+1] - t[i]) * (v[i+1] + v[i]) / 2 and their pairwise sum,
-    added to 0.0 as numpy's reduction adds it, are those of
-    ``np.trapezoid(values, times)``, so the result has its bits.
-    """
-    t, v = trace._times, trace._values
-    terms = array("d", map(operator.truediv,
-                           map(operator.mul, map(operator.sub, t[1:], t),
-                               map(operator.add, v[1:], v)),
-                           repeat(2.0)))
-    total = 0.0 + _pairwise_sum(terms, 0, len(terms))
-    if not math.isfinite(total):
-        raise DomainError(f"accomplishment must be finite, got {total}")
-    return total
-
-
-def auc_resilience(trace: FunctionalityTrace) -> float:
-    """Average functionality over the mission divided by the normal level.
-
-    Dimensionless, in [0, 1]; 1.0 means no functionality was lost.  Values
-    at most f0 bound the exact ratio by 1, so a quadrature roundoff above
-    it reads 1.0.  A product ``f0 * duration`` that underflows to 0 or
-    overflows raises DomainError.
-    """
-    scale = trace.f0 * trace.duration
-    if not (0.0 < scale < math.inf):
-        raise DomainError(
-            f"f0 * duration must be positive and finite, got {scale}")
-    return min(1.0, accomplishment(trace) / scale)
 
 
 def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:

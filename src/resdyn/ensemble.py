@@ -19,7 +19,6 @@ from itertools import chain
 import numpy as np
 
 from .core import (
-    ConstantImpacts,
     FunctionalityTrace,
     _check_level,
     _readonly,
@@ -28,6 +27,7 @@ from .core import (
     _write_text,
 )
 from .errors import DomainError, InvalidTraceError
+from .impacts import ConstantImpacts
 from .stochastic import (
     _MASK64,
     SdeParams,

@@ -25,9 +25,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .core import (
-    ConstantImpacts,
     FunctionalityTrace,
-    PiecewiseConstantSchedule,
     _check_f0,
     _check_fields,
     _Record,
@@ -35,6 +33,7 @@ from .core import (
     _write_text,
 )
 from .errors import DomainError, FitFailureError, NoSwitchError
+from .impacts import ConstantImpacts, PiecewiseConstantSchedule
 
 if TYPE_CHECKING:
     from .likelihood import MleResult

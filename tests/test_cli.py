@@ -389,6 +389,20 @@ class TestFit:
                      "--mle"]) != 0
         assert "mle_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mle", [[], ["--mle"]], ids=["plain", "mle"])
+    def test_empty_config_path_fails_as_solve_does(self, tmp_path, capsys,
+                                                   mle):
+        # An empty --config names no file: fit exits 1 with the OS error,
+        # as solve does, instead of fitting with the defaults.
+        out = tmp_path / "fit.json"
+        assert main(["solve", "--config", "", "--out", str(out)]) == 1
+        refusal = capsys.readouterr().err
+        assert refusal == "error: [Errno 2] No such file or directory: ''\n"
+        assert main(["fit", str(NOTIONAL_CSV), "--config", "",
+                     "--out", str(out), *mle]) == 1
+        assert capsys.readouterr().err == refusal
+        assert not out.exists()
+
     def test_count_end_before_switch_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "fit.json", {"activity_count_end": 12.0})
         out = tmp_path / "fit.json.out"
@@ -1001,30 +1015,36 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
     (["--import", "resdyn"], None, None),
     (["--import", "resdyn.cli"], None, ()),
     (["--help"], None, ()),
-    (["metrics", str(NOTIONAL_CSV)], None, ("_trace_read",)),
-    (["metrics", "{trace}"], None, ("_trace_read",)),
+    (["metrics", str(NOTIONAL_CSV)], None, ("_trace_read", "metrics")),
+    (["metrics", "{trace}"], None, ("_trace_read", "metrics")),
     (["fit", str(NOTIONAL_CSV), "--out", "{out}"], None,
-     ("_trace_read", "estimation")),
+     ("_trace_read", "estimation", "impacts")),
+    (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--out", "{out}"],
+     FIT_MLE_CONFIG, ("_trace_read", "config", "estimation", "impacts")),
     (["solve", "--config", "{cfg}", "--out", "{out}"],
-     constant_config(0.1, 0.02), ("closed_form",)),
+     constant_config(0.1, 0.02), ("config", "impacts", "closed_form")),
     (["solve", "--config", "{cfg}", "--out", "{out}"],
-     LINEAR_CONFIG, ("closed_form", "_faddeeva")),
+     LINEAR_CONFIG, ("config", "impacts", "closed_form", "_faddeeva")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
-     sde_config(), ("stochastic", "_philox")),
+     sde_config(), ("config", "stochastic", "_philox")),
     (["simulate", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
-     sde_config(), ("stochastic", "_philox")),
+     sde_config(), ("config", "stochastic", "_philox")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
-     sde_config(n=3, steps=5), ("stochastic", "ensemble")),
+     sde_config(n=3, steps=5), ("config", "stochastic", "ensemble",
+                                "impacts")),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
-     FIT_MLE_CONFIG, ("_trace_read", "estimation", "likelihood",
-                      "stochastic")),
+     FIT_MLE_CONFIG, ("_trace_read", "config", "estimation", "impacts",
+                      "likelihood", "stochastic")),
 ], ids=["import", "import-cli", "help", "metrics", "metrics-long", "fit",
-        "solve", "solve-linear", "simulate", "simulate-seed",
+        "fit-config", "solve", "solve-linear", "simulate", "simulate-seed",
         "simulate-ensemble", "fit-mle"])
 def test_import_footprint(tmp_path, argv, config, layers):
     # Each command loads only the layers it runs (the linear solver's erfcx
     # table only when it solves a linear window, the Philox port only for
-    # one realization) and none loads scipy.  Only an ensemble draws from
+    # one realization) and none loads scipy.  The config reader loads only
+    # for a command given a config, the impact and schedule records only
+    # for the closed forms, the two-phase fit and an ensemble, and the
+    # metrics only for ``metrics``.  Only an ensemble draws from
     # numpy.random, and only the commands that compute on arrays (solve,
     # the ensemble and the likelihood grid) load numpy at all: one
     # realization, seeded or not, runs on Python ints and floats, and the
@@ -1047,8 +1067,14 @@ def test_import_footprint(tmp_path, argv, config, layers):
     want = {"resdyn"} if layers is None else (
         CLI_MODULES | {f"resdyn.{layer}" for layer in layers})
     assert {m for m in loaded if m.startswith("resdyn")} == want
+    command = argv[0]
+    ensemble = command == "simulate" and config["params"]["n"] > 1
+    assert ("resdyn.config" in loaded) == (
+        command in ("solve", "simulate") or "--config" in argv)
+    assert ("resdyn.impacts" in loaded) == (
+        command in ("solve", "fit") or ensemble)
+    assert ("resdyn.metrics" in loaded) == (command == "metrics")
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
-    ensemble = argv[0] == "simulate" and config["params"]["n"] > 1
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
     arrays = argv[0] == "solve" or ensemble or "--mle" in argv
     assert ("numpy" in loaded) == arrays

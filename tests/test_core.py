@@ -37,10 +37,10 @@ from resdyn import (
 from resdyn.core import (
     BOUND_SLACK,
     _clamp_to_bounds,
-    _pairwise_sum,
     _sample_axis,
     _SampleAxis,
 )
+from resdyn.metrics import _pairwise_sum
 
 
 def flat_trace(level, f0=1.0, end=10.0, n=11):

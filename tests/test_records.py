@@ -23,7 +23,8 @@ from resdyn import (
     SdeParams,
     SteadyState,
 )
-from resdyn.core import _PiecewiseSchedule, _Record
+from resdyn.core import _Record
+from resdyn.impacts import _PiecewiseSchedule
 
 # The records that compare and hash by identity (``eq=False``).
 BY_IDENTITY = {FunctionalityTrace, _PiecewiseSchedule,

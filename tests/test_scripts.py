@@ -139,33 +139,40 @@ def test_bench_pairs_seed_ranges():
 def bench_record(walls, warmups=()):
     """A ``perfbench/run.py`` run record whose timed commands took
     ``walls``, after set-up warm-ups that took ``warmups``, each a list of
-    (name, seconds) or (name, seconds, peak RSS in MiB); the RSS is 15 MiB
-    where none is given."""
+    (name, seconds), (name, seconds, peak RSS in MiB) or (name, seconds,
+    peak RSS, CPU seconds); the RSS is 15 MiB and the CPU time the wall
+    time where none is given."""
     return {"workload": "cli-short", "seed": 1, "trace": 0,
             "extra": {"timed_commands": len(walls)},
-            "commands": [{"name": name, "wall": wall, "code": 0, "cpu": wall,
-                          "rss_mib": (*rss, 15.0)[0], "stdout": None,
+            "commands": [{"name": name, "wall": wall, "code": 0,
+                          "cpu": (*more[1:], wall)[0],
+                          "rss_mib": (*more, 15.0)[0], "stdout": None,
                           "digest": "", "error": None}
-                         for name, wall, *rss in [*warmups, *walls]]}
+                         for name, wall, *more in [*warmups, *walls]]}
 
 
 def test_bench_pairs_command_medians():
     bench_pairs = load_script("bench_pairs")
-    record = bench_record([("fit", 0.040, 15.2), ("metrics", 0.030, 14.8),
-                           ("fit", 0.036, 15.0), ("metrics", 0.034, 14.9),
-                           ("fit", 0.038, 15.1)])
+    record = bench_record([("fit", 0.040, 15.2, 0.039),
+                           ("metrics", 0.030, 14.8, 0.028),
+                           ("fit", 0.036, 15.0, 0.035),
+                           ("metrics", 0.034, 14.9, 0.031),
+                           ("fit", 0.038, 15.1, 0.030)])
     assert bench_pairs.command_medians(record) == {
-        "fit": (0.038, 15.1), "metrics": (0.032, pytest.approx(14.85))}
+        "fit": (0.038, 0.035, 15.1),
+        "metrics": (0.032, pytest.approx(0.0295), pytest.approx(14.85))}
     # Set-up warm-ups come first in a record and are not timed commands.
     record = bench_record([("fit", 0.040), ("metrics", 0.030)],
-                          warmups=[("fit", 0.090, 40.0)] * 3)
-    assert bench_pairs.command_medians(record) == {"fit": (0.040, 15.0),
-                                                   "metrics": (0.030, 15.0)}
+                          warmups=[("fit", 0.090, 40.0, 0.080)] * 3)
+    assert bench_pairs.command_medians(record) == {
+        "fit": (0.040, 0.040, 15.0), "metrics": (0.030, 0.030, 15.0)}
     # Three pairs: fit is faster in the change in two, metrics in none; a
-    # side's median is the median of its runs' medians, for the wall time
-    # and for the RSS alike.
-    pairs = [(bench_record([("fit", p, 15.0 + d), ("metrics", 0.030)]),
-              bench_record([("fit", c, 15.5 - d), ("metrics", 0.031, 14.5)]))
+    # side's median is the median of its runs' medians, for the wall time,
+    # the CPU time and the RSS alike.
+    pairs = [(bench_record([("fit", p, 15.0 + d, p - 0.002),
+                            ("metrics", 0.030)]),
+              bench_record([("fit", c, 15.5 - d, c - 2 * d / 100),
+                            ("metrics", 0.031, 14.5)]))
              for p, c, d in ((0.040, 0.035, 0.0), (0.036, 0.037, 0.25),
                              (0.038, 0.033, 0.5))]
     rows = bench_pairs.summarize_commands(pairs)
@@ -173,16 +180,22 @@ def test_bench_pairs_command_medians():
     fit, metrics = rows
     assert (fit["parent"], fit["change"], fit["wins"], fit["pairs"]) == (
         0.038, 0.035, 2, 3)
+    # The change's CPU median is its second run's, its wall median its
+    # first run's.
+    assert (fit["parent_cpu"], fit["change_cpu"]) == pytest.approx(
+        (0.036, 0.032))
     assert (fit["parent_rss_mib"], fit["change_rss_mib"]) == (15.25, 15.25)
     assert (metrics["parent"], metrics["change"], metrics["wins"]) == (
         0.030, 0.031, 0)
+    assert (metrics["parent_cpu"], metrics["change_cpu"]) == (0.030, 0.031)
     assert (metrics["parent_rss_mib"], metrics["change_rss_mib"]) == (
         15.0, 14.5)
     table = bench_pairs.format_commands(rows).splitlines()
     assert table[0].split() == ["command", "parent", "ms", "change", "ms",
-                                "change", "wins", "parent", "MiB", "change",
-                                "MiB"]
+                                "change", "wins", "parent", "CPU", "ms",
+                                "change", "CPU", "ms", "parent", "MiB",
+                                "change", "MiB"]
     assert table[1].split() == ["fit", "38.00", "35.00", "-7.9%", "2/3",
-                                "15.25", "15.25"]
+                                "36.00", "32.00", "15.25", "15.25"]
     assert table[2].split() == ["metrics", "30.00", "31.00", "+3.3%", "0/3",
-                                "15.00", "14.50"]
+                                "30.00", "31.00", "15.00", "14.50"]

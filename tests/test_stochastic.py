@@ -27,12 +27,8 @@ from resdyn import (
     write_ensemble_csv,
 )
 from resdyn._philox import _CHUNK
-from resdyn.core import (
-    MAX_GRID_POINTS,
-    ConstantImpacts,
-    _sample_axis,
-    _SampleAxis,
-)
+from resdyn.core import MAX_GRID_POINTS, _sample_axis, _SampleAxis
+from resdyn.impacts import ConstantImpacts
 
 BASE = SdeParams(malware_activity=0.08, bonware_activity=0.12,
                  malware_effectiveness=0.34, bonware_effectiveness=0.71)

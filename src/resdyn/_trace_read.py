@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from array import array
 
-from .core import TRACE_CSV_HEADER, FunctionalityTrace
-from .errors import InvalidTraceError
+from .core import TRACE_CSV_HEADER, FunctionalityTrace, InvalidTraceError
 
 
 def _check_ascii_number(raw: str) -> None:

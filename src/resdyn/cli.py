@@ -20,31 +20,26 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import _EXPORTS
-from .core import write_trace_csv
-from .errors import DomainError, InvalidTraceError, ResdynError
+from .core import DomainError, InvalidTraceError, ResdynError, write_trace_csv
 
 if TYPE_CHECKING:
     import argparse
 
 
 def _deferred(name: str):
-    """A stand-in for the public ``name`` that imports its module when called.
+    """A stand-in for the public ``resdyn.<name>``, looked up when called.
 
-    The module is the one ``resdyn._EXPORTS`` maps ``name`` to.  Each
-    command then loads only the layers it runs.  The stand-in is bound
-    under the same name in this module, and the handlers look the name up
-    at call time, so rebinding it (as tracing tools do) still takes effect.
+    The package imports the name's module on that first lookup, so each
+    command loads only the layers it runs.  The stand-in is bound under the
+    same name in this module, and the handlers look the name up at call
+    time, so rebinding it (as tracing tools do) still takes effect.
     """
-    module = f".{_EXPORTS[name]}"
 
     def stand_in(*args, **kwargs):
-        return getattr(import_module(module, __package__), name)(
-            *args, **kwargs)
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
 
     return stand_in
 

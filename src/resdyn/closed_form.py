@@ -19,7 +19,9 @@ import math
 import numpy as np
 
 from .core import (
+    DomainError,
     FunctionalityTrace,
+    UndefinedSteadyStateError,
     _check_f0,
     _check_level,
     _clamp_to_bounds,
@@ -28,7 +30,6 @@ from .core import (
     _sample_axis,
     _steady_level,
 )
-from .errors import DomainError, UndefinedSteadyStateError
 from .impacts import (
     ConstantImpacts,
     LinearImpacts,

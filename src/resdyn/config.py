@@ -13,8 +13,7 @@ import json
 import math
 from typing import TYPE_CHECKING
 
-from .core import MAX_GRID_POINTS
-from .errors import ResdynError
+from .core import MAX_GRID_POINTS, ResdynError
 
 if TYPE_CHECKING:
     import numpy as np

@@ -1,4 +1,5 @@
-"""The functionality trace, and the record type and checks every layer uses.
+"""The functionality trace, and the record type, checks and exception
+types every layer uses.
 
 The package models the functionality F(t) of a system under attack:
 malware removes functionality in proportion to what is left, while the
@@ -25,10 +26,37 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, ClassVar
 
-from .errors import DomainError, InvalidTraceError
-
 if TYPE_CHECKING:
     import numpy as np
+
+
+class ResdynError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class InvalidTraceError(ResdynError, ValueError):
+    """A functionality trace violates its structural invariants."""
+
+
+class DomainError(ResdynError, ValueError):
+    """An input lies outside the domain a model or operation supports."""
+
+
+class UndefinedSteadyStateError(DomainError):
+    """Both impact rates are zero, so no unique long-run level exists."""
+
+
+class NoSwitchError(ResdynError, ValueError):
+    """A trace has no interior minimum, so no switching time can be located."""
+
+
+class FitFailureError(ResdynError, RuntimeError):
+    """A fit system could not be solved to tolerance or gave infeasible rates."""
+
+    def __init__(self, message, residuals=None):
+        super().__init__(message)
+        self.residuals = residuals
+
 
 # Excursion outside [0, f0], relative to f0, tolerated before clamping.
 BOUND_SLACK = 1e-12

@@ -25,14 +25,16 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .core import (
+    DomainError,
+    FitFailureError,
     FunctionalityTrace,
+    NoSwitchError,
     _check_f0,
     _check_fields,
     _Record,
     _steady_level,
     _write_text,
 )
-from .errors import DomainError, FitFailureError, NoSwitchError
 from .impacts import ConstantImpacts, PiecewiseConstantSchedule
 
 if TYPE_CHECKING:

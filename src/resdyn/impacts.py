@@ -13,8 +13,14 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
-from .core import _check_fields, _readonly, _Record, _sample_axis, _SampleAxis
-from .errors import DomainError
+from .core import (
+    DomainError,
+    _check_fields,
+    _readonly,
+    _Record,
+    _sample_axis,
+    _SampleAxis,
+)
 
 if TYPE_CHECKING:
     import numpy as np

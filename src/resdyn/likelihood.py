@@ -19,12 +19,12 @@ import numpy as np
 
 from .core import (
     MAX_GRID_POINTS,
+    DomainError,
     FunctionalityTrace,
     _check_fields,
     _check_level,
     _Record,
 )
-from .errors import DomainError
 from .stochastic import SdeParams, _check_range
 
 # Increments at most this close to zero, relative to f0, are scored

@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .core import DomainError
 
 if TYPE_CHECKING:
     from .core import FunctionalityTrace

@@ -12,13 +12,13 @@ import math
 import numpy as np
 
 from .core import (
+    DomainError,
     FunctionalityTrace,
     _check_level,
     _clamp_to_bounds,
     _readonly,
     _sample_axis,
 )
-from .errors import DomainError
 
 # Fixed step ceiling of the reference integrator; a fixed step keeps the
 # oracle bit-reproducible run to run.

@@ -33,13 +33,13 @@ from bisect import bisect_left
 
 from .core import (
     MAX_GRID_POINTS,
+    DomainError,
     FunctionalityTrace,
     _check_fields,
     _check_level,
     _Record,
     _SampleAxis,
 )
-from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 # A Philox word's top 53 bits times this are its uniform double.

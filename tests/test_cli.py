@@ -537,7 +537,8 @@ class TestConfigValidation:
 
     # Grids of 1e300 points, of one point over the limit, and of an
     # infinite or undefined span are refused before anything is allocated,
-    # as are spans that are not a whole number of steps, or none at all.
+    # as are spans that are not a whole number of steps, or none at all,
+    # and ends that are not past the start.
     @pytest.mark.parametrize("field, value, message", [
         ("end", 1e300, "grid.end/grid.step: grid of more than"),
         ("end", float(MAX_GRID_POINTS), "grid.end/grid.step: grid of more than"),
@@ -548,6 +549,9 @@ class TestConfigValidation:
         ("end", 10.5, "grid.step: span (end - start) must be a whole number "
                       "of steps"),
         ("end", 1e-10, "grid.step: grid needs at least two samples"),
+        ("end", 0.0, "grid.end: must exceed grid.start, got 0.0"),
+        ("end", -1.0, "grid.end: must exceed grid.start, got -1.0"),
+        ("end", math.nan, "grid.end: must exceed grid.start, got nan"),
     ])
     def test_unbounded_grid_rejected(self, tmp_path, capsys, field, value,
                                      message):
@@ -1008,7 +1012,7 @@ print(json.dumps([m for m in sys.modules
 """
 
 # What every command loads; each adds the layers it runs.
-CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core", "resdyn.errors"}
+CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core"}
 
 
 @pytest.mark.parametrize("argv, config, layers", [
@@ -1060,13 +1064,20 @@ def test_import_footprint(tmp_path, argv, config, layers):
                      + "".join(f"{i},0.5\n" for i in range(20001)))
     argv = [arg.format(cfg=cfg, out=tmp_path / "out", trace=trace)
             for arg in argv]
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
-                          capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", FOOTPRINT, *argv],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stderr.splitlines()[-1])
+    *log, last = proc.stderr.splitlines()
+    loaded = json.loads(last)
     want = {"resdyn"} if layers is None else (
         CLI_MODULES | {f"resdyn.{layer}" for layer in layers})
     assert {m for m in loaded if m.startswith("resdyn")} == want
+    # Every module loaded is loaded by an import statement, so
+    # ``-X importtime`` shows where a command's import time goes.
+    logged = {line.rpartition("|")[2].strip() for line in log
+              if line.startswith("import time:")}
+    assert {m for m in logged if m.startswith("resdyn")} == want
     command = argv[0]
     ensemble = command == "simulate" and config["params"]["n"] > 1
     assert ("resdyn.config" in loaded) == (

@@ -51,8 +51,8 @@ def test_unknown_attribute_raises():
 
 
 def test_submodules_reachable_after_plain_import():
-    layers = ["closed_form", "core", "ensemble", "errors", "estimation",
-              "impacts", "likelihood", "metrics", "oracle", "stochastic"]
+    layers = ["closed_form", "core", "ensemble", "estimation", "impacts",
+              "likelihood", "metrics", "oracle", "stochastic"]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, resdyn; "

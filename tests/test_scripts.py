@@ -1,5 +1,6 @@
 """The checked-in files that ``scripts/`` regenerate match what the
-scripts regenerate today, and the paired-bench summary applies its rule."""
+scripts regenerate today, the paired-bench summary applies its rule, and
+the import-time comparison reads ``-X importtime`` logs."""
 
 import importlib.util
 import statistics
@@ -199,3 +200,41 @@ def test_bench_pairs_command_medians():
                                 "36.00", "32.00", "15.25", "15.25"]
     assert table[2].split() == ["metrics", "30.00", "31.00", "+3.3%", "0/3",
                                 "30.00", "31.00", "15.00", "14.50"]
+
+
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       615 |        615 | resdyn
+import time:       238 |        238 |   __future__
+import time:       380 |        380 |     array
+import time:      3319 |       3699 |   resdyn.core
+import time:      2148 |       6085 | resdyn.cli
+error: trace.csv: values must lie in [0, f0], got 1.5
+import time:      1650 |       1650 | resdyn._trace_read
+"""
+
+
+def test_import_times_reads_resdyn_self_times():
+    import_times = load_script("import_times")
+    # Only resdyn's modules count; the command's own stderr is skipped.
+    assert import_times.self_times(IMPORTTIME) == {
+        "resdyn": 615, "resdyn.core": 3319, "resdyn.cli": 2148,
+        "resdyn._trace_read": 1650}
+    assert import_times.self_times("import time: self [us] | cumulative | "
+                                   "imported package\n") == {}
+    # Medians per side, a module one side never logs shown as "-", and the
+    # median of each run's total.
+    parent = [{"resdyn": 600, "resdyn.errors": 500, "resdyn.core": c}
+              for c in (4000, 4200, 4400)]
+    change = [import_times.self_times(IMPORTTIME)] * 2
+    table = import_times.summarize({"parent": parent, "change": change})
+    assert [line.split() for line in table.splitlines()] == [
+        ["module", "parent", "ms", "change", "ms"],
+        ["resdyn", "0.60", "0.61"],
+        ["resdyn.errors", "0.50", "-"],
+        ["resdyn.core", "4.20", "3.32"],
+        ["resdyn.cli", "-", "2.15"],
+        ["resdyn._trace_read", "-", "1.65"],
+        ["total", "5.30", "7.73"]]
+    # The two checkouts and the command line are all it takes.
+    assert import_times.main(["parent", "change", "metrics"]) == 2

@@ -9,7 +9,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import reference_ensemble
@@ -461,6 +461,73 @@ def test_ensemble_at_f0_below_one_stays_in_range():
                               0.7, 0.7, 200, n=100, master_seed=1)
     assert result.mean_trace.values.max() == 0.7
     assert result.per_step_stderr[-1] == 0.0
+
+
+def step_scalar(f, f0, kicks):
+    """One step of ``simulate`` from level ``f``: ``kicks`` holds each
+    agent's (effect word, effectiveness, hit) in draw order."""
+    (m_word, e_m, m_hit), (b_word, e_b, b_hit) = kicks
+    delta = 0.0
+    if m_hit:
+        delta -= (m_word >> 11) * stochastic._UNIT * e_m * f
+    if b_hit:
+        delta += (b_word >> 11) * stochastic._UNIT * e_b * (f0 - f)
+    return f + delta
+
+
+def step_block(f, f0, kicks):
+    """The same step in ``_step_blocks``' order, on length-1 vectors."""
+    # Each effect factor times its hit mask, 1.0 or 0.0.
+    km, kb = (np.array([(word >> 11) * stochastic._UNIT * effectiveness])
+              * np.array([hit]) for word, effectiveness, hit in kicks)
+    f = np.array([f])
+    y = np.subtract(f0, f)
+    y *= kb
+    x = np.multiply(km, f)
+    y -= x
+    return float(np.add(f, y)[0])
+
+
+# An odd 53-bit mantissa, often next to a power of two: a sum half an ulp
+# above such an f0 is a tie, which rounds up to the even neighbour.
+MANTISSA = (st.integers(0, 7).map(lambda j: 2**52 + 2 * j + 1)
+            | st.integers(0, 7).map(lambda j: 2**53 - 2 * j - 1)
+            | st.integers(2**51, 2**52 - 1).map(lambda k: 2 * k + 1))
+# An effect word whose draw is among the largest, or any word.
+EFFECT_WORD = st.builds(lambda top, low: top << 11 | low,
+                        st.integers(0, 7).map(lambda j: 2**53 - 1 - j)
+                        | st.integers(0, 2**53 - 1),
+                        st.integers(0, 2**11 - 1))
+KICK = st.tuples(EFFECT_WORD, st.just(1.0) | EFFECTIVENESS, st.booleans())
+
+
+@st.composite
+def step_levels(draw):
+    """f0, from subnormal to 1e308, and a level in [0, f0]: a few half ulps
+    of f0, a few ulps below f0, or any."""
+    f0 = draw(st.builds(math.ldexp, MANTISSA, st.integers(-1126, 970))
+              | st.floats(5e-324, 1e308))
+    ulp = math.ulp(f0)
+    f = draw(st.integers(0, 8).map(lambda k: min(k * ulp / 2, f0))
+             | st.integers(0, 8).map(lambda k: max(f0 - k * ulp, 0.0))
+             | st.floats(0.0, f0))
+    return f0, f
+
+
+# A bonware effect draw of 1.0, which no word gives, would step this level
+# to 1.8179523415634315e-100, above f0.
+@example(levels=(1.8179523415634312e-100, 3.806912755973474e-116),
+         kicks=((0, 1.0, False), ((2**53 - 1) << 11, 1.0, True)))
+@given(levels=step_levels(), kicks=st.tuples(KICK, KICK))
+def test_one_step_stays_within_f0(levels, kicks):
+    # Each effect factor is at most 1 - 2**-53, so the bonware term never
+    # exceeds f0 - f and the malware term never exceeds f; from a level in
+    # [0, f0] a step of either engine stays there, with the same bits.
+    # ensemble_average makes no range check of its own because of this.
+    f0, f = levels
+    stepped = step_scalar(f, f0, kicks)
+    assert 0.0 <= stepped <= f0
+    assert stepped.hex() == step_block(f, f0, kicks).hex()
 
 
 @given(

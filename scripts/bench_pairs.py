@@ -33,11 +33,12 @@ time, median CPU time and median peak RSS, so a ``cmd_p50_s``,
 ``cmd_cpu_s`` or ``peak_rss_mib`` result shows which commands moved.  A
 side's median is the median over its runs of each run's own median, read
 from the record the run writes, ``.bench_out/<workload>-seed<N>-trace0.json``
-in its checkout.  These are raw seconds, not scaled by the reference
-command as the end-to-end metrics are.  A record lists its set-up
-warm-ups of the workload's first command before the timed commands, and
-counts the timed ones in ``extra.timed_commands``, so only those last
-commands count here, as they do in ``cmd_p50_s``.
+in its checkout.  Each run's times are scaled as its end-to-end metrics
+are, to a host on which the reference command takes 0.2 s: by 0.2 s over
+the run's median reference time, ``extra.reference_p50_s``.  A record
+lists its set-up warm-ups of the workload's first command before the
+timed commands, and counts the timed ones in ``extra.timed_commands``, so
+only those last commands count here, as they do in ``cmd_p50_s``.
 """
 
 from __future__ import annotations
@@ -144,13 +145,18 @@ def format_rows(rows: list[dict]) -> str:
 def command_medians(record: dict) -> dict[str, tuple[float, float, float]]:
     """Each command name's median wall time, median CPU time and median
     peak RSS (MiB) over the timed commands of the run ``record``, the JSON
-    object
-    ``perfbench/run.py`` writes to its ``.bench_out`` directory: its last
-    ``extra.timed_commands`` commands, after the set-up warm-ups."""
+    object ``perfbench/run.py`` writes to its ``.bench_out`` directory: its
+    last ``extra.timed_commands`` commands, after the set-up warm-ups.  The
+    times are scaled to the 0.2 s reference host, by 0.2 s over the run's
+    ``extra.reference_p50_s``."""
+    # perfbench/run.py's REFERENCE_S, the host its end-to-end times are
+    # scaled to.
+    scale = 0.2 / record["extra"]["reference_p50_s"]
     runs: dict[str, list[tuple[float, float, float]]] = {}
     for command in record["commands"][-record["extra"]["timed_commands"]:]:
         runs.setdefault(command["name"], []).append(
-            (command["wall"], command["cpu"], command["rss_mib"]))
+            (command["wall"] * scale, command["cpu"] * scale,
+             command["rss_mib"]))
     return {name: tuple(map(statistics.median, zip(*r)))
             for name, r in runs.items()}
 
@@ -179,21 +185,22 @@ def summarize_commands(pairs: list[tuple[dict, dict]]) -> list[dict]:
 
 
 def format_commands(rows: list[dict]) -> str:
-    """``rows`` of :func:`summarize_commands` as a table: wall times in
-    milliseconds, with the change's median relative to the parent's, CPU
-    times in milliseconds, and peak RSS in MiB."""
+    """``rows`` of :func:`summarize_commands` as a table: scaled wall
+    times in milliseconds, with the change's median relative to the
+    parent's, scaled CPU times in milliseconds, and peak RSS in MiB."""
     width = max(len("command"), *(len(row["command"]) for row in rows))
-    lines = [f"{'command':<{width}} {'parent ms':>10} {'change ms':>10} "
-             f"{'change':>8} {'wins':>5} {'parent CPU ms':>14} "
-             f"{'change CPU ms':>14} {'parent MiB':>11} {'change MiB':>11}"]
+    lines = [f"{'command':<{width}} {'parent scaled ms':>16} "
+             f"{'change scaled ms':>16} {'change':>8} {'wins':>5} "
+             f"{'parent scaled CPU ms':>20} {'change scaled CPU ms':>20} "
+             f"{'parent MiB':>11} {'change MiB':>11}"]
     for row in rows:
         lines.append(
-            f"{row['command']:<{width}} {1e3 * row['parent']:>10.2f} "
-            f"{1e3 * row['change']:>10.2f} "
+            f"{row['command']:<{width}} {1e3 * row['parent']:>16.2f} "
+            f"{1e3 * row['change']:>16.2f} "
             f"{row['change'] / row['parent'] - 1.0:>+8.1%} "
             f"{row['wins']:>2}/{row['pairs']:<2} "
-            f"{1e3 * row['parent_cpu']:>14.2f} "
-            f"{1e3 * row['change_cpu']:>14.2f} "
+            f"{1e3 * row['parent_cpu']:>20.2f} "
+            f"{1e3 * row['change_cpu']:>20.2f} "
             f"{row['parent_rss_mib']:>11.2f} {row['change_rss_mib']:>11.2f}")
     return "\n".join(lines)
 

@@ -27,7 +27,6 @@ from .core import (
     _steady_level,
     _write_text,
 )
-from .impacts import ConstantImpacts
 from .stochastic import (
     _MASK64,
     SdeParams,
@@ -39,10 +38,11 @@ from .stochastic import (
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
-# Scratch budget of one ensemble block, steps * 32 bytes a realization: its
-# steps * 2 effect factors and steps + 1 levels take 3/4 of that, and its
-# steps * 4 draws are made at most _DRAW_ROWS (and half a block) at a time.
-_BLOCK_BYTES = 4 << 20
+# Budget of one ensemble block's two time-major effect factors, steps * 16
+# bytes a realization (262 realizations at 250 steps).  Its steps * 4 draws
+# are made, and its levels reduced and stored, at most _DRAW_ROWS (and half
+# a block) realizations at a time.
+_BLOCK_BYTES = 1 << 20
 _DRAW_ROWS = 64
 
 
@@ -106,14 +106,14 @@ def _rekeyable():
 
 
 def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
-                 master_seed: int, n: int, steps: int, rows: int):
+                 master_seed: int, n: int, steps: int, rows: int, half: int):
     """Step the ``n`` realizations on from ``f_init`` over the sample
-    ``times``, ``rows`` at a time; yield each block's levels at steps 1 to
-    ``steps``, time-major."""
+    ``times``, ``rows`` at a time, drawing for ``half`` of them at a time;
+    yield their levels at steps 1 to ``steps``, time-major, ``half``
+    realizations at a time."""
     live = _live(params, times[:-1])
     bitgen, state, key = _rekeyable()
     random = np.random.Generator(bitgen).random
-    half = min((rows + 1) // 2, _DRAW_ROWS)
     draws = np.empty((half, steps, 4))
     draw_rows = list(draws)
     hit = np.empty((half, steps), dtype=bool)
@@ -152,7 +152,8 @@ def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
             np.multiply(km, f, out=x)
             y -= x
             f = np.add(f, y, out=km)
-        yield levels
+        for h in range(0, m, half):
+            yield levels[:, h:h + half]
 
 
 def _changes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +193,11 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     the step before, and only those levels are stored.  Peak memory is that
     store, (steps + 1) / 8 bytes per realization and 8 per change (1/64
     more than an ``(n, steps + 1)`` stack when every step changes), plus a
-    fixed scratch of at most about 5 MiB: a block's effect factors and
-    levels, and the draws of 64 realizations or half a block if fewer (one
-    realization's worth, if that is larger).
+    fixed scratch of at most about 2.6 MiB: a block's two effect factors
+    (about 1 MiB), the draws of 64 realizations or of half a block if fewer
+    (at most about 1 MiB), and the levels of as many realizations as are
+    drawn at a time, with their packed and expanded copies (one
+    realization's worth of each, if that is larger).
     ``n * (steps + 1)`` may not exceed ``MAX_GRID_POINTS``.
 
     The aggregation is a pure function of the inputs: the realizations are
@@ -212,35 +215,36 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
     master_seed = _seed_key("master_seed", master_seed)
     f_init, f0 = float(f_init), float(f0)
     times = _clock(dt, steps)
-    rows = min(n, max(1, _BLOCK_BYTES // (steps * 32)))
-    # A block of realizations below a row that carries the running sum into
-    # each block's axis-0 reduce, so the rows are added in index order, as
-    # the reduce of the whole stack adds them.
-    buf = np.empty((rows + 1, steps + 1))
+    rows = min(n, max(1, _BLOCK_BYTES // (steps * 16)))
+    half = min((rows + 1) // 2, _DRAW_ROWS)
+    # A sub-block of realizations below a row that carries the running sum
+    # into each sub-block's axis-0 reduce, so the rows are added in index
+    # order, as the reduce of the whole stack adds them.
+    buf = np.empty((half + 1, steps + 1))
     buf[:, 0] = f_init
     total = np.zeros(steps + 1)
     low, high = np.full(steps + 1, np.inf), np.full(steps + 1, -np.inf)
     store = []
     for levels in _step_blocks(params, f_init, f0, times, master_seed, n,
-                               steps, rows):
+                               steps, rows, half):
         block = buf[1:levels.shape[1] + 1]
         block[:, 1:] = levels.T
         np.minimum(low, block.min(axis=0), out=low)
         np.maximum(high, block.max(axis=0), out=high)
         buf[0] = total
         np.add.reduce(buf[:len(block) + 1], axis=0, out=total)
-        store.append(_changes(block))
+        store.append((len(block), *_changes(block)))
 
     # Every level stays in [0, f0]; test_one_step_stays_within_f0 shows why.
     # -0.0 shared by every realization is kept, though the sum gives 0.0.
     mean = np.clip(total / n, low, high)
     stderr = np.zeros(steps + 1)
     if n > 1:
-        # The squared deviations about the mean, one block at a time.
+        # The squared deviations about the mean, one sub-block at a time.
         squares = np.zeros(steps + 1)
-        for lo, changes in zip(range(0, n, rows), store):
-            block = buf[1:min(rows, n - lo) + 1]
-            _expand(*changes, block)
+        for m, changed, values in store:
+            block = buf[1:m + 1]
+            _expand(changed, values, block)
             buf[0] = squares
             np.subtract(block, mean, out=block)
             block *= block
@@ -267,6 +271,9 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
     at time k (one step per second), and ``steps`` is refused as
     :func:`resdyn.stochastic.simulate` refuses it.
     """
+    # Imported only here, so an ensemble does not load the impact records.
+    from .impacts import ConstantImpacts
+
     q = ConstantImpacts(malware_impact, bonware_impact).total_impact
     if q >= 1.0:
         raise DomainError(f"combined per-step impact must be < 1, got {q}")

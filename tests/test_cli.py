@@ -1034,8 +1034,7 @@ CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core"}
     (["simulate", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
      sde_config(), ("config", "stochastic", "_philox")),
     (["simulate", "--config", "{cfg}", "--out", "{out}"],
-     sde_config(n=3, steps=5), ("config", "stochastic", "ensemble",
-                                "impacts")),
+     sde_config(n=3, steps=5), ("config", "stochastic", "ensemble")),
     (["fit", str(NOTIONAL_CSV), "--config", "{cfg}", "--mle", "--out", "{out}"],
      FIT_MLE_CONFIG, ("_trace_read", "config", "estimation", "impacts",
                       "likelihood", "stochastic")),
@@ -1047,9 +1046,9 @@ def test_import_footprint(tmp_path, argv, config, layers):
     # table only when it solves a linear window, the Philox port only for
     # one realization) and none loads scipy.  The config reader loads only
     # for a command given a config, the impact and schedule records only
-    # for the closed forms, the two-phase fit and an ensemble, and the
-    # metrics only for ``metrics``.  Only an ensemble draws from
-    # numpy.random, and only the commands that compute on arrays (solve,
+    # for the closed forms and the two-phase fit (an ensemble never needs
+    # them), and the metrics only for ``metrics``.  Only an ensemble draws
+    # from numpy.random, and only the commands that compute on arrays (solve,
     # the ensemble and the likelihood grid) load numpy at all: one
     # realization, seeded or not, runs on Python ints and floats, and the
     # trace reader reads a trace of many blocks ("{trace}") without numpy.
@@ -1082,8 +1081,7 @@ def test_import_footprint(tmp_path, argv, config, layers):
     ensemble = command == "simulate" and config["params"]["n"] > 1
     assert ("resdyn.config" in loaded) == (
         command in ("solve", "simulate") or "--config" in argv)
-    assert ("resdyn.impacts" in loaded) == (
-        command in ("solve", "fit") or ensemble)
+    assert ("resdyn.impacts" in loaded) == (command in ("solve", "fit"))
     assert ("resdyn.metrics" in loaded) == (command == "metrics")
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble

@@ -137,14 +137,16 @@ def test_bench_pairs_seed_ranges():
     assert bench_pairs.parse_seeds("7") == range(7, 8)
 
 
-def bench_record(walls, warmups=()):
+def bench_record(walls, warmups=(), reference=0.2):
     """A ``perfbench/run.py`` run record whose timed commands took
     ``walls``, after set-up warm-ups that took ``warmups``, each a list of
     (name, seconds), (name, seconds, peak RSS in MiB) or (name, seconds,
     peak RSS, CPU seconds); the RSS is 15 MiB and the CPU time the wall
-    time where none is given."""
+    time where none is given.  Its reference command took ``reference``
+    seconds in the median."""
     return {"workload": "cli-short", "seed": 1, "trace": 0,
-            "extra": {"timed_commands": len(walls)},
+            "extra": {"timed_commands": len(walls),
+                      "reference_p50_s": reference},
             "commands": [{"name": name, "wall": wall, "code": 0,
                           "cpu": (*more[1:], wall)[0],
                           "rss_mib": (*more, 15.0)[0], "stdout": None,
@@ -167,6 +169,12 @@ def test_bench_pairs_command_medians():
                           warmups=[("fit", 0.090, 40.0, 0.080)] * 3)
     assert bench_pairs.command_medians(record) == {
         "fit": (0.040, 0.040, 15.0), "metrics": (0.030, 0.030, 15.0)}
+    # Times are scaled to the host on which the reference takes 0.2 s, as
+    # the end-to-end metrics are: on a host where it took 0.4 s, a command
+    # reads half its raw time.  Peak RSS is not scaled.
+    record = bench_record([("fit", 0.040, 15.2, 0.030)], reference=0.4)
+    assert bench_pairs.command_medians(record) == {
+        "fit": (0.020, 0.015, 15.2)}
     # Three pairs: fit is faster in the change in two, metrics in none; a
     # side's median is the median of its runs' medians, for the wall time,
     # the CPU time and the RSS alike.
@@ -192,9 +200,10 @@ def test_bench_pairs_command_medians():
     assert (metrics["parent_rss_mib"], metrics["change_rss_mib"]) == (
         15.0, 14.5)
     table = bench_pairs.format_commands(rows).splitlines()
-    assert table[0].split() == ["command", "parent", "ms", "change", "ms",
-                                "change", "wins", "parent", "CPU", "ms",
-                                "change", "CPU", "ms", "parent", "MiB",
+    assert table[0].split() == ["command", "parent", "scaled", "ms",
+                                "change", "scaled", "ms", "change", "wins",
+                                "parent", "scaled", "CPU", "ms", "change",
+                                "scaled", "CPU", "ms", "parent", "MiB",
                                 "change", "MiB"]
     assert table[1].split() == ["fit", "38.00", "35.00", "-7.9%", "2/3",
                                 "36.00", "32.00", "15.25", "15.25"]

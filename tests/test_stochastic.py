@@ -366,8 +366,9 @@ def test_rekey_restarts_philox_stream(key):
     assert rng.random((5, 4)).tobytes() == want.tobytes()
 
 
-# Default block size: 600 rows of 250 steps are one full block and one
-# partial one.
+# Default sizes: 600 rows of 250 steps are two full blocks of 262 rows and
+# a partial one of 76.  Each block is drawn and reduced 64 rows at a time,
+# so the full blocks end on 6 rows and the partial one on 12.
 @pytest.mark.parametrize("params, f_init, master_seed", [
     (SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
                interaction_cutoff=200.0), 1.0, 2024),
@@ -386,7 +387,10 @@ def test_rekey_restarts_philox_stream(key):
         "negative-zero"])
 def test_block_engine_pinned_cases(params, f_init, master_seed):
     n, steps = 600, 250
-    assert 0 < n - ensemble._BLOCK_BYTES // (steps * 32) < n
+    rows = ensemble._BLOCK_BYTES // (steps * 16)
+    draw = ensemble._DRAW_ROWS
+    assert (n // rows, n % rows, rows % draw, n % rows % draw) == (
+        2, 76, 6, 12)
     result = ensemble_average(params, f_init, 1.0, steps, n=n,
                               master_seed=master_seed)
     mean, stderr = reference_ensemble(params, f_init, 1.0, steps, n=n,
@@ -396,25 +400,35 @@ def test_block_engine_pinned_cases(params, f_init, master_seed):
     assert result.per_step_stderr.tobytes() == stderr.tobytes()
 
 
-# A dense (n, steps + 1) stack and the block budget: what the ensemble
-# held before it kept only each realization's changes.
-@pytest.mark.parametrize("params, share", [
+@pytest.mark.parametrize("params", [
     # The bench input, on which about 1 entry in 6 changes.
-    (SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
-               interaction_cutoff=200.0), 0.5),
-    # Every entry changes, so the store is the stack and 1/64 more.
-    (SdeParams(1.0, 1.0, 1.0, 1.0), 1.1),
+    SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=5.0,
+              interaction_cutoff=200.0),
+    # Every entry changes, so the store is a dense stack and 1/64 more.
+    SdeParams(1.0, 1.0, 1.0, 1.0),
 ], ids=["bench", "certain-hits"])
-def test_ensemble_peak_memory(params, share):
+def test_ensemble_peak_memory(params):
+    # Peak memory is the store of changes and the documented fixed scratch
+    # of at most about 2.6 MiB, whatever the store's size.
     n, steps = 10_000, 250
-    stack_peak = n * (steps + 1) * 8 + ensemble._BLOCK_BYTES
-    tracemalloc.start()
-    try:
-        ensemble_average(params, 1.0, 1.0, steps, n=n, master_seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= share * stack_peak
+    store, take = [], ensemble._changes
+
+    def changes(block):
+        changed, values = take(block)
+        store.append(changed.nbytes + values.nbytes)
+        return changed, values
+
+    # A first call loads what the engine imports on first use.
+    ensemble_average(params, 1.0, 1.0, 2, n=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "_changes", changes)
+        tracemalloc.start()
+        try:
+            ensemble_average(params, 1.0, 1.0, steps, n=n, master_seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= sum(store) + 2.6 * 2**20
 
 
 PROBABILITY = st.floats(0.0, 1.0)
@@ -441,9 +455,9 @@ def test_block_engine_matches_per_realization_loop(params, f0, fraction, dt,
                                                    block_rows, draw_rows):
     f_init = fraction * f0
     # A budget of block_rows rows (at least one) splits n into many blocks,
-    # and draw_rows splits a block's draws.
+    # and draw_rows splits a block's draws and its reduce.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "_BLOCK_BYTES", block_rows * steps * 32)
+        mp.setattr(ensemble, "_BLOCK_BYTES", block_rows * steps * 16)
         mp.setattr(ensemble, "_DRAW_ROWS", draw_rows)
         result = ensemble_average(params, f_init, f0, steps, dt, n=n,
                                   master_seed=master_seed)

@@ -2,7 +2,8 @@
 """Read the Faddeeva Package's erfcx coefficient table out of scipy's binary.
 
 ``resdyn._faddeeva`` evaluates erfcx exactly as scipy compiles it, and its
-100 x 7 table of Chebyshev-fit coefficients is checked in as float literals.
+100 x 7 table of Chebyshev-fit coefficients is checked in as decimal text,
+one line of seven numbers per interval, that ``float`` parses at import.
 This script recovers that table from the installed
 ``scipy/special/_ufuncs`` extension, where the compiler stored it as
 little-endian doubles:
@@ -18,7 +19,7 @@ erfcx built from the table matches scipy bit for bit is what
 ``tests/test_faddeeva.py`` checks.  Only the standard library and numpy are
 used; scipy is located, not imported.
 
-    python scripts/faddeeva_table.py          # print the table as Python
+    python scripts/faddeeva_table.py          # print the _Y100 assignment
     python scripts/faddeeva_table.py --check  # diff it against resdyn._faddeeva
 """
 
@@ -66,16 +67,13 @@ def extract(path: Path) -> np.ndarray:
 
 
 def source(table: np.ndarray) -> str:
-    """``table`` as the ``_Y100`` assignment of ``resdyn._faddeeva``."""
-    lines = ["_Y100 = np.array(["]
-    for k, row in enumerate(table):
-        cells = [repr(float(c)) for c in row]
-        lines.append(f"    # k = {k}")
-        lines.append(f"    ({', '.join(cells[:3])},")
-        lines.append(f"     {', '.join(cells[3:6])},")
-        lines.append(f"     {cells[6]}),")
-    lines.append("])")
-    return "\n".join(lines)
+    """``table`` as the ``_Y100`` assignment of ``resdyn._faddeeva``: line
+    k holds interval k's c0 to c6, each the shortest decimal that ``float``
+    reads back to the same double."""
+    rows = "\n".join(" ".join(repr(float(c)) for c in row) for row in table)
+    return ('_Y100 = np.array(list(map(float, """\n'
+            f'{rows}\n'
+            f'""".split()))).reshape({INTERVALS}, {TERMS})')
 
 
 def main(argv=None) -> int:

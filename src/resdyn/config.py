@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from typing import TYPE_CHECKING
 
 from .core import MAX_GRID_POINTS, ResdynError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .estimation import FitConfig
     from .likelihood import MleGrid
     from .stochastic import SdeParams
@@ -128,9 +127,15 @@ def load_json(path: str) -> dict:
     return doc
 
 
-def _build_grid(config: dict) -> np.ndarray:
-    import numpy as np
+def _build_grid(config: dict) -> array:
+    """The ``grid`` block's samples start + step * k, k = 0 to count, as an
+    ``array('d')``, built without numpy.
 
+    Each sample has the bits of ``start + step * np.arange(count + 1)``:
+    k is exact as a float, and both round the product, then the sum.  The
+    samples are generated one at a time, so a grid of MAX_GRID_POINTS
+    costs its 8 bytes a point and no list of float objects.
+    """
     grid = _get(config, "grid", "", dict)
     start = _get(grid, "start", "grid.", float)
     end = _get(grid, "end", "grid.", float)
@@ -155,7 +160,7 @@ def _build_grid(config: dict) -> np.ndarray:
         )
     if count < 1:
         raise ConfigError("grid.step: grid needs at least two samples")
-    return start + step * np.arange(count + 1)
+    return array("d", (start + step * k for k in range(count + 1)))
 
 
 def _schedule(cls, params: dict):

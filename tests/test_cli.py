@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import resdyn.cli
@@ -32,6 +32,7 @@ from resdyn import (
     write_trace_csv,
 )
 from resdyn.cli import main
+from resdyn.config import ConfigError, _build_grid
 from resdyn.core import MAX_GRID_POINTS, FunctionalityTrace
 from conftest import NOTIONAL_CSV, REPO_ROOT
 
@@ -563,6 +564,19 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @given(start=st.floats(-1e12, 1e12), step=st.floats(1e-6, 1e6),
+           count=st.integers(1, 3000))
+    def test_grid_has_numpy_bits(self, start, step, count):
+        # The grid is built without numpy, one sample at a time; every grid
+        # the reader accepts has the bits of numpy's start + step * k.
+        block = {"start": start, "end": start + count * step, "step": step}
+        try:
+            grid = _build_grid({"grid": block})
+        except ConfigError:
+            assume(False)
+        want = start + step * np.arange(len(grid))
+        assert grid.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("stop", [1e300, float(MAX_GRID_POINTS)])
     def test_unbounded_mle_grid_rejected(self, tmp_path, capsys, stop):
         doc = copy.deepcopy(FIT_MLE_CONFIG)
@@ -1015,6 +1029,23 @@ print(json.dumps([m for m in sys.modules
 CLI_MODULES = {"resdyn", "resdyn.cli", "resdyn.core"}
 
 
+def imported_by(log, parent):
+    """The modules that the ``-X importtime`` lines ``log`` show first
+    imported while the body of ``parent`` ran."""
+    names = [line.rpartition("|")[2] for line in log
+             if line.startswith("import time:")]
+    # A module's line follows those of the modules its body imported,
+    # which are indented further.
+    at = [name.strip() for name in names].index(parent)
+    depth = len(names[at]) - len(names[at].lstrip())
+    under = []
+    for name in reversed(names[:at]):
+        if len(name) - len(name.lstrip()) <= depth:
+            break
+        under.append(name.strip())
+    return under
+
+
 @pytest.mark.parametrize("argv, config, layers", [
     (["--import", "resdyn"], None, None),
     (["--import", "resdyn.cli"], None, ()),
@@ -1049,7 +1080,7 @@ def test_import_footprint(tmp_path, argv, config, layers):
     # for the closed forms and the two-phase fit (an ensemble never needs
     # them), and the metrics only for ``metrics``.  Only an ensemble draws
     # from numpy.random, and only the commands that compute on arrays (solve,
-    # the ensemble and the likelihood grid) load numpy at all: one
+    # in its solver, the ensemble and the likelihood grid) load numpy: one
     # realization, seeded or not, runs on Python ints and floats, and the
     # trace reader reads a trace of many blocks ("{trace}") without numpy.
     # The records are not dataclasses, so a command without numpy (which
@@ -1087,9 +1118,26 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert bool([m for m in loaded if m.startswith("numpy.random")]) == ensemble
     arrays = argv[0] == "solve" or ensemble or "--mle" in argv
     assert ("numpy" in loaded) == arrays
+    if command == "solve":
+        # The config reader builds the grid without numpy, so the solver's
+        # own body loads it.
+        assert "numpy" in imported_by(log, "resdyn.closed_form")
     if not arrays:
         assert not {"dataclasses", "inspect"} & set(loaded)
     assert ("argparse" in loaded) == (argv == ["--help"])
+
+
+def test_config_reader_imports_no_numpy():
+    # ``solve`` and ``simulate`` read their configs first, so a config
+    # reader that loaded numpy would load it for every config they read.
+    tree = ast.parse((REPO_ROOT / "src" / "resdyn" / "config.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert "numpy" not in {name.partition(".")[0] for name in imported}
 
 
 # Runs ``python -m resdyn ARGS`` in-process, as FOOTPRINT does, under an

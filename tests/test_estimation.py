@@ -75,6 +75,19 @@ class TestDetectSwitchTime:
         trace = FunctionalityTrace(np.arange(6.0), values, 1.0)
         assert detect_switch_time(trace) == 2.5
 
+    def test_plateau_tolerance_is_one_part_in_1e9(self):
+        # Samples within 1e-9 * f0 of the minimum join its plateau, those
+        # 5e-8 and 5e-7 * f0 above it do not; a plateau tolerance of 1e-7
+        # would take sample 13 in and give 11.5.
+        f0, m = 2.0, 0.75
+        times = np.arange(0.0, 21.0)
+        values = np.abs(times - 11.0) * 0.01 + m
+        values[10:13] = [m, m + 5e-10 * f0, m]
+        values[13] = m + 5e-8 * f0
+        values[9] = m + 5e-7 * f0
+        trace = FunctionalityTrace(times, values, f0)
+        assert detect_switch_time(trace) == 11.0
+
     def test_boundary_minimum_rejected(self):
         times = np.arange(0.0, 20.0)
         trace = FunctionalityTrace(times, 1.0 - times * 0.04, 1.0)

@@ -7,9 +7,11 @@ import statistics
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import NOTIONAL_CSV, REPO_ROOT
+from resdyn._faddeeva import _Y100
 from resdyn.core import write_trace_csv
 
 SCRIPTS = REPO_ROOT / "scripts"
@@ -31,6 +33,18 @@ def test_faddeeva_table_matches_scipy():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("0 of 700 coefficients differ")
+
+
+def test_faddeeva_table_text_reads_back_bit_for_bit():
+    # The table is checked in as the text the script prints, so a table
+    # read out of scipy is pasted in whole; that text parses back to the
+    # same doubles.  Needs no scipy.
+    text = load_script("faddeeva_table").source(_Y100)
+    assert text in (REPO_ROOT / "src" / "resdyn" / "_faddeeva.py").read_text()
+    namespace = {"np": np}
+    exec(text, namespace)
+    assert namespace["_Y100"].shape == _Y100.shape
+    assert namespace["_Y100"].tobytes() == _Y100.tobytes()
 
 
 def test_notional_fixture_regenerates_byte_for_byte(tmp_path, monkeypatch):

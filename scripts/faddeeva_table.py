@@ -3,7 +3,8 @@
 
 ``resdyn._faddeeva`` evaluates erfcx exactly as scipy compiles it, and its
 100 x 7 table of Chebyshev-fit coefficients is checked in as decimal text,
-one line of seven numbers per interval, that ``float`` parses at import.
+one line of seven numbers per interval, that ``float`` parses at import
+into a tuple of 100 rows.
 This script recovers that table from the installed
 ``scipy/special/_ufuncs`` extension, where the compiler stored it as
 little-endian doubles:
@@ -66,14 +67,15 @@ def extract(path: Path) -> np.ndarray:
     return coefs.astype(np.float64).reshape(INTERVALS, TERMS)[:, ::-1]
 
 
-def source(table: np.ndarray) -> str:
-    """``table`` as the ``_Y100`` assignment of ``resdyn._faddeeva``: line
-    k holds interval k's c0 to c6, each the shortest decimal that ``float``
-    reads back to the same double."""
+def source(table) -> str:
+    """``table``, an array or ``resdyn._faddeeva._Y100`` itself, as the
+    ``_Y100`` assignment of ``resdyn._faddeeva``: line k holds interval k's
+    c0 to c6, each the shortest decimal that ``float`` reads back to the
+    same double."""
     rows = "\n".join(" ".join(repr(float(c)) for c in row) for row in table)
-    return ('_Y100 = np.array(list(map(float, """\n'
+    return ('_Y100 = tuple(zip(*[map(float, """\n'
             f'{rows}\n'
-            f'""".split()))).reshape({INTERVALS}, {TERMS})')
+            f'""".split())] * {TERMS}))')
 
 
 def main(argv=None) -> int:
@@ -91,9 +93,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from resdyn._faddeeva import _Y100
 
-    differ = np.argwhere(table.view(np.uint64) != _Y100.view(np.uint64))
+    checked_in = np.array(_Y100)
+    differ = np.argwhere(table.view(np.uint64) != checked_in.view(np.uint64))
     for k, j in differ:
-        print(f"interval {k} c{j}: checked in {_Y100[k, j]!r}, "
+        print(f"interval {k} c{j}: checked in {checked_in[k, j]!r}, "
               f"{path.name} has {table[k, j]!r}")
     print(f"{len(differ)} of {table.size} coefficients differ from {path}")
     return 1 if len(differ) else 0

@@ -15,6 +15,8 @@ RK4 oracle in :mod:`resdyn.oracle`.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -24,8 +26,7 @@ from .core import (
     UndefinedSteadyStateError,
     _check_f0,
     _check_level,
-    _clamp_to_bounds,
-    _readonly,
+    _extremes,
     _Record,
     _sample_axis,
     _steady_level,
@@ -36,6 +37,9 @@ from .impacts import (
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
 )
+
+# Excursion outside [0, f0], relative to f0, tolerated before clamping.
+BOUND_SLACK = 1e-12
 
 # Combined fade rate below which the linear model degenerates to constant
 # rates; the error-function form divides by omega**1.5 and loses meaning
@@ -80,14 +84,45 @@ def steady_state(impacts: ConstantImpacts, f0: float) -> SteadyState:
     )
 
 
+def _exp(x: array) -> array:
+    """``x`` with each sample replaced by its exponential, in place.
+
+    numpy's ``exp`` is the closed forms' only numpy operation: everything
+    else is IEEE +, -, *, / and comparisons on Python floats, whose bits
+    numpy's would match.
+    """
+    view = np.frombuffer(x)
+    np.exp(view, out=view)
+    return x
+
+
+def _clamp_to_bounds(values: array, f0: float) -> array:
+    """Clip excursions of at most ``BOUND_SLACK * f0`` outside [0, f0], with
+    the bits of ``np.clip(values, 0.0, f0)`` (so -0.0 stays -0.0); anything
+    larger, or a NaN, which both ends report, raises DomainError.  Values
+    that need no clip are returned as they are."""
+    lo, hi = _extremes(values)
+    slack = BOUND_SLACK * f0
+    if not (-slack <= lo and hi <= f0 + slack):
+        raise DomainError(
+            f"solution left [0, f0] by more than {BOUND_SLACK}: range [{lo}, {hi}]"
+        )
+    if 0.0 <= lo and hi <= f0:
+        return values
+    return array("d", (0.0 if v < 0.0 else f0 if v > f0 else v
+                       for v in values))
+
+
 def _constant_values(impacts: ConstantImpacts, f_start: float, f0: float,
-                     tau: np.ndarray) -> np.ndarray:
+                     tau: array) -> array:
     """Constant-rate solution at elapsed times tau >= 0 from value f_start."""
     q = impacts.total_impact
     if q == 0.0:
-        return np.full(tau.shape, f_start)
+        return array("d", [f_start]) * len(tau)
     level = _steady_level(f0, impacts.bonware_impact, q)
-    return (f_start - level) * np.exp(-q * tau) + level
+    gap = f_start - level
+    decay = _exp(array("d", (-q * t for t in tau)))
+    return array("d", (gap * e + level for e in decay))
 
 
 def solve_constant(impacts: ConstantImpacts, f_init: float, f0: float,
@@ -115,28 +150,32 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
     inside the schedule's span.
     """
     axis = _sample_axis(grid, "grid")
-    g = _readonly(axis)
     _check_level("f_init", f0, f_init)
     span = max(1.0, abs(schedule.start_time), abs(schedule.end_time))
     tol = 1e-9 * span
-    if g[0] < schedule.start_time - tol or g[-1] > schedule.end_time + tol:
+    if axis[0] < schedule.start_time - tol or axis[-1] > schedule.end_time + tol:
         raise DomainError(
-            f"grid [{g[0]}, {g[-1]}] extends outside the schedule window "
+            f"grid [{axis[0]}, {axis[-1]}] extends outside the schedule window "
             f"[{schedule.start_time}, {schedule.end_time}]"
         )
 
-    pts = schedule.breakpoints
+    pts = schedule._breakpoints
     # Window j owns the grid times in [pts[j], pts[j + 1]); the first and
     # last windows also own the times within tol outside the span.
-    cuts = np.concatenate(([0], np.searchsorted(g, pts[1:-1]), [g.size]))
-    values = np.empty(g.size)
+    cuts = [0, *(bisect_left(axis, p) for p in pts[1:-1]), len(axis)]
+    values = array("d")
     f_start = float(f_init)
-    for j, seg in enumerate(schedule.segments):
-        lo, hi = cuts[j], cuts[j + 1]
-        tau = np.append(np.maximum(g[lo:hi] - pts[j], 0.0), pts[j + 1] - pts[j])
-        window = window_values(seg, f_start, f0, tau)
-        values[lo:hi] = window[:-1]
-        f_start = float(window[-1])
+    with memoryview(axis) as view:
+        for j, seg in enumerate(schedule.segments):
+            start = pts[j]
+            # Local times max(g - pts[j], 0), as np.maximum gives them (+0.0
+            # for -0.0), then the window's width.
+            tau = array("d", (d if (d := g - start) > 0.0 else 0.0
+                              for g in view[cuts[j]:cuts[j + 1]]))
+            tau.append(pts[j + 1] - start)
+            window = window_values(seg, f_start, f0, tau)
+            f_start = window.pop()
+            values += window
     return FunctionalityTrace(axis, _clamp_to_bounds(values, f0), f0)
 
 
@@ -160,7 +199,7 @@ def solve_piecewise_constant(schedule: PiecewiseConstantSchedule, f_init: float,
 
 
 def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
-                   tau: np.ndarray) -> np.ndarray:
+                   tau: array) -> array:
     """Error-function solution for one linearly-fading window.
 
     With lam = combined intercept and om = combined slope, the integrating
@@ -188,23 +227,27 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
     from ._faddeeva import erfcx
 
     big_lam = lam / math.sqrt(2.0 * om)
-    x = math.sqrt(om / 2.0) * tau
+    x_scale = math.sqrt(om / 2.0)
+    half_om = 0.5 * om
     # 1/Omega(tau) = exp(-(integral of the combined rate)) <= 1 on a valid
     # window, so nothing here overflows.
-    inv_omega = np.exp(-(lam * tau - 0.5 * om * tau * tau))
+    inv_omega = _exp(array("d", (-(lam * t - half_om * t * t) for t in tau)))
     coef = (alpha * om - beta * lam) * math.sqrt(math.pi / 2.0) / om ** 1.5
-    # big_lam - x is the combined rate at tau over sqrt(2*om), >= 0 on a
-    # valid window; it dips below 0 only by roundoff, or at a grid time
-    # within the 1e-9 * span tolerance past the last window, where the
-    # rates are extrapolated.
-    bracket = (erfcx(np.maximum(big_lam - x, 0.0))
-               - erfcx(big_lam) * inv_omega)
-    ratio = (
-        (f_start / f0) * inv_omega
-        + (beta / om) * (1.0 - inv_omega)
-        + coef * bracket
-    )
-    return f0 * ratio
+    start = f_start / f0
+    share = beta / om
+    far = erfcx(big_lam)
+    values = array("d")
+    for t, v in zip(tau, inv_omega):
+        # big_lam - x_scale * t is the combined rate at t over sqrt(2*om),
+        # >= 0 on a valid window; it dips below 0 only by roundoff, or at a
+        # grid time within the 1e-9 * span tolerance past the last window,
+        # where the rates are extrapolated.  It is clamped at +0.0, as
+        # np.maximum clamps.
+        gap = big_lam - x_scale * t
+        near = erfcx(gap if gap > 0.0 else 0.0)
+        values.append(
+            f0 * (start * v + share * (1.0 - v) + coef * (near - far * v)))
+    return values
 
 
 def solve_linear(impacts: LinearImpacts, f_init: float, f0: float,
@@ -232,10 +275,10 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
     slope below OMEGA_MIN is solved as constant rates on its intercepts).
     """
     _require_schedule(schedule, PiecewiseLinearSchedule)
-    pts = schedule.breakpoints
+    pts = schedule._breakpoints
     for j, seg in enumerate(schedule.segments):
         try:
-            seg.validate_window(float(pts[j + 1] - pts[j]))
+            seg.validate_window(pts[j + 1] - pts[j])
         except DomainError as exc:
             raise DomainError(f"segment {j}: {exc}") from None
         om = seg.total_slope

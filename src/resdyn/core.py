@@ -58,9 +58,6 @@ class FitFailureError(ResdynError, RuntimeError):
         self.residuals = residuals
 
 
-# Excursion outside [0, f0], relative to f0, tolerated before clamping.
-BOUND_SLACK = 1e-12
-
 # Most points a grid built from configured start, stop and step may have;
 # the count is checked before anything is allocated.
 MAX_GRID_POINTS = 10**7
@@ -332,21 +329,6 @@ class FunctionalityTrace(_Record, eq=False):
     @property
     def duration(self) -> float:
         return self._times[-1] - self._times[0]
-
-
-def _clamp_to_bounds(values: np.ndarray, f0: float) -> np.ndarray:
-    """Clip excursions of at most ``BOUND_SLACK * f0`` outside [0, f0];
-    anything larger, or a NaN, which both ends report, raises DomainError."""
-    import numpy as np
-
-    lo = float(values.min())
-    hi = float(values.max())
-    slack = BOUND_SLACK * f0
-    if not (-slack <= lo and hi <= f0 + slack):
-        raise DomainError(
-            f"solution left [0, f0] by more than {BOUND_SLACK}: range [{lo}, {hi}]"
-        )
-    return np.clip(values, 0.0, f0)
 
 
 def _write_text(path, chunks) -> None:

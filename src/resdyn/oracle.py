@@ -8,14 +8,13 @@ command compiles.
 from __future__ import annotations
 
 import math
+from array import array
 
-import numpy as np
-
+from .closed_form import _clamp_to_bounds
 from .core import (
     DomainError,
     FunctionalityTrace,
     _check_level,
-    _clamp_to_bounds,
     _readonly,
     _sample_axis,
 )
@@ -46,9 +45,8 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
             raise DomainError(f"malware impact is negative at t={t}: {m}")
         return b, m
 
-    values = np.empty(g.size)
     f = float(f_init)
-    values[0] = f
+    values = array("d", [f]) * g.size
     for i in range(g.size - 1):
         t = g[i]
         dt = g[i + 1] - g[i]

@@ -1127,17 +1127,41 @@ def test_import_footprint(tmp_path, argv, config, layers):
     assert ("argparse" in loaded) == (argv == ["--help"])
 
 
+def numpy_imports(tree):
+    """The import statements of ``tree`` that import numpy or a submodule."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(
+                alias.name.partition(".")[0] == "numpy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").partition(".")[0] == "numpy"]
+
+
+def source_tree(module):
+    return ast.parse((REPO_ROOT / "src" / "resdyn" / f"{module}.py").read_text())
+
+
 def test_config_reader_imports_no_numpy():
     # ``solve`` and ``simulate`` read their configs first, so a config
     # reader that loaded numpy would load it for every config they read.
-    tree = ast.parse((REPO_ROOT / "src" / "resdyn" / "config.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module)
-    assert "numpy" not in {name.partition(".")[0] for name in imported}
+    assert numpy_imports(source_tree("config")) == []
+
+
+def test_closed_forms_use_numpy_only_for_exp():
+    # The erfcx replay imports no numpy, and the closed forms import it
+    # once, as np, and name it only inside ``_exp``: exp is their one numpy
+    # operation, so replacing it is a change to one function.
+    assert numpy_imports(source_tree("_faddeeva")) == []
+    tree = source_tree("closed_form")
+    [imported] = numpy_imports(tree)
+    assert imported in tree.body
+    assert [(a.name, a.asname) for a in imported.names] == [("numpy", "np")]
+    exp = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_exp")
+    inside = set(map(id, ast.walk(exp)))
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "np"]
+    assert uses
+    assert [node.lineno for node in uses if id(node) not in inside] == []
 
 
 # Runs ``python -m resdyn ARGS`` in-process, as FOOTPRINT does, under an

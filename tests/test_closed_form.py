@@ -1,11 +1,13 @@
 """Closed-form solvers against the RK4 oracle and analytic identities."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from resdyn import (
@@ -30,6 +32,7 @@ from resdyn import (
     steady_state,
 )
 from conftest import reference_piecewise
+from resdyn.closed_form import OMEGA_MIN
 
 
 class TestSolveConstant:
@@ -487,3 +490,128 @@ def test_rates_ending_at_zero_match_oracle(problem):
         assert np.isfinite(values).all()
         assert ((values >= 0.0) & (values <= f0)).all()
         assert np.abs(values - oracle).max() <= 1e-6 * f0
+
+
+# The numpy formulation of the closed forms, as the solvers computed them
+# before they moved to builtins with numpy's exp as their only numpy
+# operation.  scipy's erfcx stands in for the vectorized replay they called,
+# which matched it bit for bit (tests/test_faddeeva.py).  The range check of
+# the clamp is left out: the property draws only solvable problems.
+def reference_constant(impacts, f_start, f0, tau):
+    q = impacts.total_impact
+    if q == 0.0:
+        return np.full(tau.shape, f_start)
+    level = f0 * (impacts.bonware_impact / q)
+    return (f_start - level) * np.exp(-q * tau) + level
+
+
+def reference_linear(impacts, f_start, f0, tau):
+    lam = impacts.total_intercept
+    om = impacts.total_slope
+    alpha = impacts.bonware_intercept
+    beta = impacts.bonware_slope
+    if om <= OMEGA_MIN:
+        fallback = ConstantImpacts(impacts.malware_intercept,
+                                   impacts.bonware_intercept)
+        return reference_constant(fallback, f_start, f0, tau)
+    big_lam = lam / math.sqrt(2.0 * om)
+    x = math.sqrt(om / 2.0) * tau
+    inv_omega = np.exp(-(lam * tau - 0.5 * om * tau * tau))
+    coef = (alpha * om - beta * lam) * math.sqrt(math.pi / 2.0) / om ** 1.5
+    bracket = (special.erfcx(np.maximum(big_lam - x, 0.0))
+               - special.erfcx(big_lam) * inv_omega)
+    ratio = (
+        (f_start / f0) * inv_omega
+        + (beta / om) * (1.0 - inv_omega)
+        + coef * bracket
+    )
+    return f0 * ratio
+
+
+def reference_solve(schedule, f_init, f0, grid):
+    g = np.asarray(grid, dtype=float)
+    pts = schedule.breakpoints
+    window_values = (reference_constant
+                     if isinstance(schedule, PiecewiseConstantSchedule)
+                     else reference_linear)
+    cuts = np.concatenate(([0], np.searchsorted(g, pts[1:-1]), [g.size]))
+    values = np.empty(g.size)
+    f_start = float(f_init)
+    for j, seg in enumerate(schedule.segments):
+        lo, hi = cuts[j], cuts[j + 1]
+        tau = np.append(np.maximum(g[lo:hi] - pts[j], 0.0),
+                        pts[j + 1] - pts[j])
+        window = window_values(seg, f_start, f0, tau)
+        values[lo:hi] = window[:-1]
+        f_start = float(window[-1])
+    return np.clip(values, 0.0, f0)
+
+
+@st.composite
+def schedule_problems(draw):
+    """A piecewise-constant or piecewise-linear schedule of one to four
+    windows, some with zero rates, f0 from 1e-3 to 1e12, f_init in
+    [0, f0], and a grid inside the span that may hold breakpoints exactly
+    and may reach up to 0.9 of the 1e-9 * span tolerance past either end."""
+    t0 = draw(st.just(0.0) | st.floats(-100.0, 100.0))
+    widths = draw(st.lists(st.floats(0.05, 40.0), min_size=1, max_size=4))
+    pts = np.cumsum([t0, *widths])
+    rate = st.just(0.0) | st.floats(0.0, 2.0)
+    if draw(st.booleans()):
+        schedule = PiecewiseConstantSchedule(pts, tuple(
+            ConstantImpacts(draw(rate), draw(rate)) for _ in widths))
+    else:
+        fade = st.just(0.0) | st.floats(0.0, 0.999)
+        segments = []
+        for width in np.diff(pts):
+            bonware, malware = draw(rate), draw(rate)
+            segments.append(LinearImpacts(
+                bonware, draw(fade) * bonware / width,
+                malware, draw(fade) * malware / width))
+        schedule = PiecewiseLinearSchedule(pts, tuple(segments))
+    f0 = 10.0 ** draw(st.floats(-3.0, 12.0))
+    f_init = f0 * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    start, end = pts[0], pts[-1]
+    tol = 1e-9 * max(1.0, abs(start), abs(end))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=30))
+    ends = [start - draw(st.floats(0.0, 0.9)) * tol,
+            end + draw(st.floats(0.0, 0.9)) * tol]
+    hits = [p for p in pts if draw(st.booleans())]
+    grid = np.unique([*ends, *hits, *(start + u * (end - start) for u in inner)])
+    return schedule, f_init, f0, grid
+
+
+@example(problem=(PiecewiseConstantSchedule([0.0, 2.0], (ConstantImpacts(
+    0.0, 0.0),)), -0.0, 1.0, array("d", [0.0, 1.0, 2.0])))
+@example(problem=(PiecewiseLinearSchedule([0.0, 2.0], (LinearImpacts(
+    0.0, 0.0, 0.0, 0.0),)), -0.0, 1.0, array("d", [-0.0, 1.0, 2.0])))
+@example(problem=(PiecewiseConstantSchedule([0.0, 1.0, 2.0], (
+    ConstantImpacts(0.0, 0.0), ConstantImpacts(0.3, 0.0))), -0.0, 2.0,
+    array("d", [-0.0, 0.5, 1.0, 2.0])))
+@given(problem=schedule_problems())
+def test_solvers_match_numpy_formulation_byte_for_byte(problem):
+    # Every value is computed with the operations of the numpy formulation,
+    # in its order, so the bytes are the same, signed zeros included.
+    schedule, f_init, f0, grid = problem
+    piecewise = (solve_piecewise_constant
+                 if isinstance(schedule, PiecewiseConstantSchedule)
+                 else solve_piecewise_linear)
+    single = (solve_constant if isinstance(schedule, PiecewiseConstantSchedule)
+              else solve_linear)
+    try:
+        trace = piecewise(schedule, f_init, f0, grid)
+    except DomainError:
+        reject()
+    assert trace.values.tobytes() == reference_solve(
+        schedule, f_init, f0, grid).tobytes()
+    if len(schedule.segments) == 1:
+        # The one-window solvers take the grid's span as the window.
+        g = np.asarray(grid, dtype=float)
+        spanned = type(schedule)([g[0], g[-1]], schedule.segments)
+        try:
+            trace = single(schedule.segments[0], f_init, f0, grid)
+        except DomainError:
+            return
+        assert trace.values.tobytes() == reference_solve(
+            spanned, f_init, f0, grid).tobytes()
+

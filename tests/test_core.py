@@ -34,12 +34,8 @@ from resdyn import (
     solve_piecewise_constant,
     write_trace_csv,
 )
-from resdyn.core import (
-    BOUND_SLACK,
-    _clamp_to_bounds,
-    _sample_axis,
-    _SampleAxis,
-)
+from resdyn.closed_form import BOUND_SLACK, _clamp_to_bounds
+from resdyn.core import _sample_axis, _SampleAxis
 from resdyn.metrics import _pairwise_sum
 
 
@@ -465,12 +461,12 @@ class TestAucResilience:
 def test_clamp_refuses_excursion_beyond_slack(excursion):
     # The slack is relative to f0; scaling by a power of two is exact.
     for f0 in (1.0, 2.0**40, 2.0**-40):
-        inside = np.array([-0.5 * BOUND_SLACK, 0.5, 1.0 + 0.5 * BOUND_SLACK])
-        assert _clamp_to_bounds(inside * f0, f0).tolist() == [0.0, 0.5 * f0,
-                                                              f0]
+        inside = [-0.5 * BOUND_SLACK, 0.5, 1.0 + 0.5 * BOUND_SLACK]
+        clamped = _clamp_to_bounds(array("d", [v * f0 for v in inside]), f0)
+        assert clamped.tolist() == [0.0, 0.5 * f0, f0]
         with pytest.raises(DomainError, match=(
                 r"^solution left \[0, f0\] by more than 1e-12")):
-            _clamp_to_bounds(np.array([0.5, excursion]) * f0, f0)
+            _clamp_to_bounds(array("d", [0.5 * f0, excursion * f0]), f0)
 
 
 class TestIntegrateReference:

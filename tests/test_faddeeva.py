@@ -1,8 +1,8 @@
-"""The numpy erfcx against scipy's, bit for bit.
+"""The builtin erfcx against scipy's, bit for bit.
 
 ``resdyn._faddeeva.erfcx`` replays the Faddeeva Package code that scipy
-compiles for x >= 0, operation for operation, so every comparison here is
-of the float64 bit patterns, with no tolerance.
+compiles for x >= 0, operation for operation, on Python floats, so every
+comparison here is of the float64 bit patterns, with no tolerance.
 """
 
 import math
@@ -17,7 +17,8 @@ from resdyn._faddeeva import erfcx
 
 
 def assert_same_bits(x):
-    got, want = erfcx(x), special.erfcx(x)
+    got = np.array([erfcx(v) for v in x.tolist()])
+    want = special.erfcx(x)
     differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
     assert differ.size == 0, (
         f"{differ.size} of {x.size} differ, first at x={x[differ[0]]!r}: "
@@ -58,17 +59,16 @@ def test_matches_scipy_bits(values):
     x = np.array(values)
     assert_same_bits(x)
     scalar = erfcx(values[0])
-    assert isinstance(scalar, np.float64)
-    assert scalar.view(np.uint64) == special.erfcx(values[0]).view(np.uint64)
+    assert type(scalar) is float
+    assert (np.float64(scalar).view(np.uint64)
+            == special.erfcx(values[0]).view(np.uint64))
 
 
 def test_nan_stays_nan():
-    assert np.isnan(erfcx(np.array([np.nan, 1.0])))[0]
     assert math.isnan(erfcx(math.nan))
 
 
 def test_negative_arguments_give_nan():
-    got = erfcx(np.array([-5e-324, -4.4e-16, -1.0, -30.0, -np.inf, 0.5]))
-    assert np.isnan(got[:-1]).all()
-    assert got[-1] == special.erfcx(0.5)
-    assert math.isnan(erfcx(-1e-300))
+    for x in (-5e-324, -4.4e-16, -1.0, -30.0, -math.inf, -1e-300):
+        assert math.isnan(erfcx(x)), x
+    assert erfcx(0.5) == special.erfcx(0.5)

@@ -111,7 +111,7 @@ def _step_blocks(params: SdeParams, f_init: float, f0: float, times: array,
     ``times``, ``rows`` at a time, drawing for ``half`` of them at a time;
     yield their levels at steps 1 to ``steps``, time-major, ``half``
     realizations at a time."""
-    live = _live(params, times[:-1])
+    live = _live(params, memoryview(times)[:-1])
     bitgen, state, key = _rekeyable()
     random = np.random.Generator(bitgen).random
     draws = np.empty((half, steps, 4))
@@ -279,13 +279,13 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
         raise DomainError(f"combined per-step impact must be < 1, got {q}")
     steps, _ = _check_run(steps, 1.0)
     _check_level("f_init", f0, f_init)
-    k = np.arange(steps + 1, dtype=float)
+    times = _clock(1.0, steps)
     if q == 0.0:
         values = np.full(steps + 1, float(f_init))
     else:
         level = _steady_level(f0, bonware_impact, q)
-        values = (f_init - level) * (1.0 - q) ** k + level
-    return FunctionalityTrace(k, values, f0)
+        values = (f_init - level) * (1.0 - q) ** np.frombuffer(times) + level
+    return FunctionalityTrace(times, values, f0)
 
 
 def write_ensemble_csv(result: EnsembleResult, path) -> None:

@@ -158,7 +158,7 @@ def _clock(dt: float, steps: int) -> _SampleAxis:
     than dt * (1 - 2**-28) > 0 apart: the times strictly increase.
     """
     dt = float(dt)
-    return _SampleAxis("d", [dt * k for k in range(steps + 1)])
+    return _SampleAxis("d", (dt * k for k in range(steps + 1)))
 
 
 def _roll_bound(activity: float) -> int:
@@ -187,8 +187,9 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     numpy's ``Generator(Philox(key=seed)).random((steps, 4))``, the stream
     :func:`resdyn.ensemble.ensemble_average` draws; here it is computed a
     fixed chunk of steps at a time, without importing numpy.  An activity
-    draw is compared as its word (see :func:`_roll_bound`), and an effect
-    word becomes a double only when its agent hits.
+    draw is compared as its word (see :func:`_roll_bound`) and hits only
+    while its agent is live (see :func:`_live`), and an effect word
+    becomes a double only when its agent hits.
 
     Identical (params, seed) give bit-identical traces.  ``steps + 1`` may
     not exceed ``MAX_GRID_POINTS``, and ``dt * steps`` must be finite.
@@ -200,23 +201,17 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     _check_level("f_init", f0, f_init)
     rows = words(_seed_key("seed", seed), steps)
     times = _clock(dt, steps)
-    # Per step, the bound under which each agent's roll word hits; 0, which
-    # no word is under, where the agent is off.
-    m_bounds, b_bounds = (
-        [0] * live.start + [_roll_bound(activity)] * len(live)
-        + [0] * (steps - live.stop)
-        for live, activity in zip(_live(params, times[:-1]),
-                                  (params.malware_activity,
-                                   params.bonware_activity)))
+    m_live, b_live = _live(params, memoryview(times)[:-1])
+    m_bound = _roll_bound(params.malware_activity)
+    b_bound = _roll_bound(params.bonware_activity)
     e_m, e_b = params.malware_effectiveness, params.bonware_effectiveness
     f = float(f_init)
     values = array("d", [f])
-    for m_bound, b_bound, (m_roll, m_effect, b_roll, b_effect) in zip(
-            m_bounds, b_bounds, rows):
+    for k, (m_roll, m_effect, b_roll, b_effect) in enumerate(rows):
         delta = 0.0
-        if m_roll < m_bound:
+        if m_roll < m_bound and k in m_live:
             delta -= (m_effect >> 11) * _UNIT * e_m * f
-        if b_roll < b_bound:
+        if b_roll < b_bound and k in b_live:
             delta += (b_effect >> 11) * _UNIT * e_b * (f0 - f)
         f += delta
         values.append(f)

@@ -26,7 +26,8 @@ from resdyn import (
     stochastic,
     write_ensemble_csv,
 )
-from resdyn._philox import _CHUNK
+from resdyn import _philox
+from resdyn._philox import _CHUNK, words
 from resdyn.core import MAX_GRID_POINTS, _sample_axis, _SampleAxis
 from resdyn.impacts import ConstantImpacts
 
@@ -160,6 +161,22 @@ class TestSimulate:
         assert stochastic._roll_bound(0.0) == 0
         assert stochastic._roll_bound(1.0) == 2**64
 
+    def test_roll_word_at_its_bound_misses(self, monkeypatch):
+        # Fed words at and just below each agent's bound, simulate moves
+        # only on the steps whose roll word is below it; a word of 0 hits
+        # no agent of activity 0.
+        p = SdeParams(0.25, 0.0, 1.0, 1.0)
+        m = stochastic._roll_bound(0.25)
+        half = 1 << 63  # an effect word drawing 0.5
+        rows = [(m, half, 0, half), (m - 1, half, 0, half)]
+        monkeypatch.setattr(_philox, "words",
+                            lambda key, steps: iter(rows[:steps]))
+        assert simulate(p, 0.5, 1.0, 2).values.tolist() == [0.5, 0.5, 0.25]
+        p = SdeParams(0.0, 0.5, 1.0, 1.0)
+        b = stochastic._roll_bound(0.5)
+        rows = [(0, half, b, half), (0, half, b - 1, half)]
+        assert simulate(p, 0.5, 1.0, 2).values.tolist() == [0.5, 0.5, 0.75]
+
     def test_unused_effect_draws_keep_stream_aligned(self):
         # With bonware silent, its effectiveness bound must not matter:
         # the effect draw is consumed either way.
@@ -225,6 +242,90 @@ class TestSimulate:
             simulate(BASE, 1.0, 1.0, steps=10, dt=1e308)
         with pytest.raises(DomainError, match=match):
             ensemble_average(BASE, 1.0, 1.0, steps=10, dt=1e308, n=4)
+
+
+def list_gated_simulate(params, f_init, f0, steps, dt, seed):
+    """``simulate``'s times and levels as it computed them when it wrote
+    each agent's live window out as a per-step list of roll bounds, from a
+    list of every sample time."""
+    times = [float(dt) * k for k in range(steps + 1)]
+    # Per step, the bound under which each agent's roll word hits; 0, which
+    # no word is under, where the agent is off.
+    m_bounds, b_bounds = (
+        [0] * live.start + [stochastic._roll_bound(activity)] * len(live)
+        + [0] * (steps - live.stop)
+        for live, activity in zip(stochastic._live(params, times[:-1]),
+                                  (params.malware_activity,
+                                   params.bonware_activity)))
+    e_m, e_b = params.malware_effectiveness, params.bonware_effectiveness
+    f = float(f_init)
+    values = [f]
+    for m_bound, b_bound, (m_roll, m_effect, b_roll, b_effect) in zip(
+            m_bounds, b_bounds, words(seed % 2**64, steps)):
+        delta = 0.0
+        if m_roll < m_bound:
+            delta -= (m_effect >> 11) * 2.0**-53 * e_m * f
+        if b_roll < b_bound:
+            delta += (b_effect >> 11) * 2.0**-53 * e_b * (f0 - f)
+        f += delta
+        values.append(f)
+    return array("d", times), array("d", values)
+
+
+@st.composite
+def gated_runs(draw):
+    """A run whose onsets and cutoff lie before, inside or past its clock,
+    on a step or between steps, with a cutoff that may come at or before
+    the malware onset, so that a live range may be empty."""
+    steps = draw(st.integers(1, 300))
+    dt = draw(st.floats(3e-7, 10.0))
+    clock = (st.integers(-3, steps + 3).map(lambda k: k * dt)
+             | st.floats(-0.5, 1.5).map(lambda x: x * dt * steps))
+    activity = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    effectiveness = st.floats(0.0, 1.0, exclude_min=True)
+    malware_onset = draw(clock)
+    cutoff = draw(st.none() | clock | st.floats(0.0, 2.0).map(
+        lambda back: malware_onset - back * dt))
+    params = SdeParams(draw(activity), draw(activity), draw(effectiveness),
+                       draw(effectiveness), malware_onset, draw(clock), cutoff)
+    f0 = draw(st.floats(1e-3, 1e3))
+    return (params, draw(st.floats(0.0, 1.0)) * f0, f0, steps, dt,
+            draw(st.integers(0, 2**64 - 1)))
+
+
+@given(run=gated_runs())
+@example(run=(SdeParams(1.0, 1.0, 0.5, 0.5, 4.0, 2.0, 4.0), 0.5, 1.0, 9,
+              1.0, 3))  # the cutoff at the onset: malware never acts
+@example(run=(SdeParams(1.0, 1.0, 0.5, 0.5, 12.0, 10.0, 3.0), 0.5, 1.0, 9,
+              1.0, 3))  # both agents start past the run
+@example(run=(SdeParams(1.0, 0.0, 1.0, 1.0, -1.0, 0.0, 9.0), 1.0, 1.0, 9,
+              1.0, 3))  # malware live throughout, the cutoff at the end
+def test_range_gate_matches_list_gate(run):
+    # Gating each roll by its agent's live range gives the bytes of the
+    # per-step bound lists it replaced.
+    times, values = list_gated_simulate(*run)
+    params, f_init, f0, steps, dt, seed = run
+    trace = simulate(params, f_init, f0, steps, dt, seed=seed)
+    assert trace.times.tobytes() == times.tobytes()
+    assert trace.values.tobytes() == values.tobytes()
+
+
+def test_simulate_peak_memory():
+    # A run holds its clock and its levels, 8 bytes a step each, and for a
+    # moment the trace's copy of its levels: 24 bytes a step and slack.
+    steps = 200_000
+    params = SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=0.1 * steps,
+                       bonware_onset=0.05 * steps,
+                       interaction_cutoff=0.8 * steps)
+    # A first call loads what simulate imports on first use.
+    simulate(params, 1.0, 1.0, 10, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(params, 1.0, 1.0, steps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * steps
 
 
 def largest_dt(steps):

@@ -26,10 +26,8 @@ class _TraceLines:
 
     Holds what earlier lines set: the ``f0`` metadata, whether the header
     was seen, and the samples read so far, as ``times`` and ``values``
-    columns.  :meth:`read` reads lines in file order and raises
-    InvalidTraceError naming ``path:lineno`` at the first bad one;
-    :meth:`read_block` reads the sample lines after the header a block at
-    a time, to the same effect.
+    columns.  :meth:`read` reads blocks of lines in file order and raises
+    InvalidTraceError naming ``path:lineno`` at the first bad line.
     """
 
     def __init__(self, path):
@@ -40,8 +38,31 @@ class _TraceLines:
         self.values = array("d")
 
     def read(self, lines, first: int) -> None:
-        """Add the samples in ``lines``, the first of which is line
-        ``first``, to the columns."""
+        """Add the samples in ``lines``, a list of lines the first of which
+        is line ``first``, to the columns.
+
+        Once the header has been read, a block is first tried in one pass
+        of :func:`float`.  The one pass takes only ASCII lines without
+        ``_`` that hold exactly one comma each, and :func:`float` then
+        refuses any field that is not a number between spaces it strips (a
+        comment, for one), so it accepts a subset of the lines the line
+        grammar accepts, with the same values.  A block it declines is read
+        line by line, which names the bad line, if there is one; the lines
+        after the header's own are read through this method again.
+        """
+        if self.saw_header:
+            text = "".join(lines)
+            if (text.isascii() and "_" not in text
+                    and text.count(",") == len(lines)
+                    and all("," in line for line in lines)):
+                try:
+                    fields = array("d", map(float, ",".join(lines).split(",")))
+                except ValueError:
+                    pass
+                else:
+                    self.times += fields[0::2]
+                    self.values += fields[1::2]
+                    return
         path = self.path
         for lineno, raw in enumerate(lines, start=first):
             line = raw.strip()
@@ -65,7 +86,8 @@ class _TraceLines:
                         f"{TRACE_CSV_HEADER!r}, got {line!r}"
                     )
                 self.saw_header = True
-                continue
+                self.read(lines[lineno - first + 1:], lineno + 1)
+                return
             parts = line.split(",")
             if len(parts) != 2:
                 raise InvalidTraceError(f"{path}:{lineno}: expected two fields")
@@ -78,34 +100,6 @@ class _TraceLines:
                 ) from exc
             self.times.append(t)
             self.values.append(v)
-
-    def read_block(self, lines, first: int) -> None:
-        """Add the samples in ``lines``, the first of which is line
-        ``first``, as :meth:`read` would: in one pass of :func:`float` when
-        every line is ``number,number``, else through :meth:`read`.  The
-        header must have been read, since the one pass takes every line
-        for a sample.
-
-        The one pass takes only ASCII lines without ``_`` that hold exactly
-        one comma each, and :func:`float` then refuses any field that is
-        not a number between spaces it strips (a comment, for one), so it
-        accepts a subset of the lines :meth:`read` accepts, with the same
-        values.  A block it declines goes through :meth:`read`, which
-        names the bad line, if there is one.
-        """
-        text = "".join(lines)
-        if (text.isascii() and "_" not in text
-                and text.count(",") == len(lines)
-                and all("," in line for line in lines)):
-            try:
-                fields = array("d", map(float, ",".join(lines).split(",")))
-            except ValueError:
-                pass
-            else:
-                self.times += fields[0::2]
-                self.values += fields[1::2]
-                return
-        self.read(lines, first)
 
 
 # Sample lines are read in blocks of about this many characters.
@@ -133,20 +127,15 @@ def read_trace_csv(path) -> FunctionalityTrace:
     reader = _TraceLines(path)
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lineno = 0
-            while not reader.saw_header:
-                raw = fh.readline()
-                if not raw:
-                    raise InvalidTraceError(
-                        f"{path}: missing {TRACE_CSV_HEADER!r} header")
-                lineno += 1
-                reader.read((raw,), lineno)
+            lineno = 1
             while chunk := fh.readlines(_BLOCK_CHARS):
-                reader.read_block(chunk, lineno + 1)
+                reader.read(chunk, lineno)
                 lineno += len(chunk)
     except UnicodeDecodeError as exc:
         raise InvalidTraceError(
             f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not reader.saw_header:
+        raise InvalidTraceError(f"{path}: missing {TRACE_CSV_HEADER!r} header")
     try:
         return FunctionalityTrace(reader.times, reader.values, reader.f0)
     except InvalidTraceError as exc:

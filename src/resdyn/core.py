@@ -23,7 +23,7 @@ import os
 import stat
 from array import array
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:
@@ -175,7 +175,7 @@ def _sample_axis(x, name: str, error: type = DomainError) -> _SampleAxis:
     # A NaN fails every comparison, so a strictly increasing axis with
     # finite ends is finite throughout.
     if not (math.isfinite(axis[0]) and math.isfinite(axis[-1])
-            and all(map(operator.lt, axis[:-1], axis[1:]))):
+            and all(map(operator.lt, axis, islice(axis, 1, None)))):
         raise error(f"{name} must be finite and strictly increasing")
     # Finite points may lie further apart than the largest float.
     if not math.isfinite(axis[-1] - axis[0]):
@@ -186,19 +186,21 @@ def _sample_axis(x, name: str, error: type = DomainError) -> _SampleAxis:
 class _Record:
     """Base of the frozen value types: what ``@dataclass(frozen=True)``
     gives a class, without importing ``dataclasses`` (which imports
-    ``inspect``) or compiling methods with ``exec``.
+    ``inspect``) or compiling methods with ``exec`` for a well-formed
+    call.
 
     A subclass's fields are its bases' fields, then its own annotated
     class attributes other than ``ClassVar``s; a class attribute of the
     same name is the field's default.  ``_fields`` holds the names in
     order, and ``_defaults`` the default of each optional field.
     ``__init__`` takes the fields by position or keyword, refuses a call
-    with the ``TypeError`` a ``def`` with those parameters raises, stores
-    them and runs ``__post_init__`` last; a subclass may define its own
-    ``__init__`` instead.  ``repr`` is the dataclass one.  Records compare
-    and hash as the tuple of their fields, within one class, unless the
-    class is declared with ``eq=False``, which keeps identity.  Setting or
-    deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    with the ``TypeError`` a ``def`` with those parameters raises (see
+    :meth:`_misuse`), stores them and runs ``__post_init__`` last; a
+    subclass may define its own ``__init__`` instead.  ``repr`` is the
+    dataclass one.  Records compare and hash as the tuple of their fields,
+    within one class, unless the class is declared with ``eq=False``,
+    which keeps identity.  Setting or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.
     """
 
     _fields: ClassVar[tuple[str, ...]] = ()
@@ -216,39 +218,27 @@ class _Record:
         kind = _Record if eq else object
         cls.__eq__, cls.__hash__ = kind.__eq__, kind.__hash__
 
-    def __init__(self, *args, **kwargs):
-        names, defaults = self._fields, self._defaults
-        given = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise self._misuse(
-                    f"got an unexpected keyword argument {name!r}")
-            if name in given:
-                raise self._misuse(
-                    f"got multiple values for argument {name!r}")
-            given[name] = value
-        if len(args) > len(names):
-            most = len(names) + 1
-            least = most - len(defaults)
-            takes = f"from {least} to {most}" if least < most else most
-            raise self._misuse(f"takes {takes} positional arguments "
-                               f"but {len(args) + 1} were given")
-        missing = [repr(name) for name in names
-                   if name not in given and name not in defaults]
-        if missing:
-            *head, last = missing
-            listed = (f"{', '.join(head)}{',' * (len(head) > 1)} and {last}"
-                      if head else last)
-            raise self._misuse(
-                f"missing {len(missing)} required positional "
-                f"argument{'s' * (len(missing) > 1)}: {listed}")
-        values = {**defaults, **given}
+    def __init__(self, /, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            self._misuse(args, kwargs)
         for name in names:
             object.__setattr__(self, name, values[name])
         self.__post_init__()
 
-    def _misuse(self, problem: str) -> TypeError:
-        return TypeError(f"{type(self).__qualname__}.__init__() {problem}")
+    def _misuse(self, args, kwargs) -> None:
+        """Raise the ``TypeError`` that the call ``(*args, **kwargs)``
+        gets from a ``def`` of the fields, as ``dataclasses`` writes one:
+        such a ``def`` is compiled and called, so CPython words it."""
+        params = "".join(f", {name}" + "=None" * (name in self._defaults)
+                         for name in self._fields)
+        scope = {}
+        exec(f"def __init__(self{params}): pass", scope)
+        init = scope["__init__"]
+        init.__qualname__ = f"{type(self).__qualname__}.__init__"
+        init(self, *args, **kwargs)
 
     def __post_init__(self) -> None:
         """Check the stored fields; a subclass with checks overrides it."""

@@ -165,8 +165,8 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
             f"count_end {count_end} lies past the trace end {trace.end_time}"
         )
     # Move j ends at sample j + 1; the times are sorted, so each phase's
-    # moves are one run of indices.
-    values, times = trace._values, trace._times
+    # moves are one run of indices, sliced from a memoryview without a copy.
+    values, times = memoryview(trace._values), trace._times
     tol = EVENT_TOL * trace.f0
     split = bisect_right(times, switch_time) - 1
     stop = bisect_right(times, count_end) - 1

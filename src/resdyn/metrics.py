@@ -6,7 +6,7 @@ import math
 import operator
 from array import array
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 from .core import DomainError
@@ -46,8 +46,9 @@ def accomplishment(trace: FunctionalityTrace) -> float:
     """
     t, v = trace._times, trace._values
     terms = array("d", map(operator.truediv,
-                           map(operator.mul, map(operator.sub, t[1:], t),
-                               map(operator.add, v[1:], v)),
+                           map(operator.mul,
+                               map(operator.sub, islice(t, 1, None), t),
+                               map(operator.add, islice(v, 1, None), v)),
                            repeat(2.0)))
     total = 0.0 + _pairwise_sum(terms, 0, len(terms))
     if not math.isfinite(total):

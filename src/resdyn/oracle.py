@@ -15,7 +15,6 @@ from .core import (
     DomainError,
     FunctionalityTrace,
     _check_level,
-    _readonly,
     _sample_axis,
 )
 
@@ -32,8 +31,7 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
     than RK4_MAX_STEP, so results are bit-reproducible.  Sampling a
     negative impact rate raises DomainError.
     """
-    axis = _sample_axis(grid, "grid")
-    g = _readonly(axis)
+    g = _sample_axis(grid, "grid")
     _check_level("f_init", f0, f_init)
 
     def rates(t: float) -> tuple[float, float]:
@@ -46,8 +44,8 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
         return b, m
 
     f = float(f_init)
-    values = array("d", [f]) * g.size
-    for i in range(g.size - 1):
+    values = array("d", [f]) * len(g)
+    for i in range(len(g) - 1):
         t = g[i]
         dt = g[i + 1] - g[i]
         nsub = max(1, math.ceil(dt / RK4_MAX_STEP - 1e-12))
@@ -67,4 +65,4 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
             f += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         values[i + 1] = f
 
-    return FunctionalityTrace(axis, _clamp_to_bounds(values, f0), f0)
+    return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -406,6 +407,27 @@ def test_accomplishment_is_numpy_trapezoid(n, seed, zeros, scale, f0):
         assert float_bits(accomplishment(trace)) == float_bits(want)
 
 
+# Neighbouring samples are paired in place: the axis check holds only its
+# own copy of the samples, and the trapezoid only its terms, 8 bytes a
+# point each; slicing out the neighbours would add 16 more.
+@pytest.mark.parametrize("run", [
+    lambda times, trace: _sample_axis(times, "times"),
+    lambda times, trace: accomplishment(trace),
+], ids=["sample_axis", "accomplishment"])
+def test_pair_passes_copy_no_samples(run):
+    n = 200_000
+    times = array("d", map(float, range(n)))
+    trace = FunctionalityTrace(times, array("d", [0.5]) * n)
+    run(times, trace)
+    tracemalloc.start()
+    try:
+        run(times, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n
+
+
 class TestAucResilience:
     def test_flat_at_normal(self):
         assert auc_resilience(flat_trace(1.0)) == pytest.approx(1.0)
@@ -548,6 +570,12 @@ class TestTraceCsv:
         path.write_text("0,1\n1,0.5\n")
         with pytest.raises(InvalidTraceError, match="header"):
             read_trace_csv(path)
+        # A file of comments and blank lines only has no line at fault.
+        for text in ["", "# f0=2\n", "\n# note\n  \n# f0=3\n"]:
+            path.write_text(text)
+            with pytest.raises(InvalidTraceError, match=(
+                    "bad.csv: missing 'time,functionality' header$")):
+                read_trace_csv(path)
 
     def test_malformed_row_rejected(self, tmp_path):
         # float() alone would read all but the first: 1_0 as 10, a
@@ -635,6 +663,47 @@ class TestTraceCsv:
             read_trace_csv(path)
         assert read_outcome(read_trace_csv, path) == read_outcome(
             reference_read_trace_csv, path)
+
+    # In blocks of 20 characters, the header ends the first block after
+    # "# f0=2\n", shares it with a comment or a bad sample, or comes after
+    # a first block of samples alone.
+    @pytest.mark.parametrize("text, want", [
+        ("# f0=2\ntime,functionality\n0,1\n1,2\n", None),
+        ("# f0=2\ntime,functionality\n0,1\n1,oops\n", ":4: non-numeric"),
+        ("time,functionality\n# note\n0,1\n1,0.5\n", None),
+        ("time,functionality\n0,x\n1,0.5\n", ":2: non-numeric"),
+        ("time,functionality\n0,1\n1,0.5\n2,0.5\n3,0.5\n4,x\n",
+         ":6: non-numeric"),
+        ("0,1\n1,0.5\n2,0.5\n3,0.5\ntime,functionality\n4,0.5\n",
+         ":1: expected header 'time,functionality', got '0,1'$"),
+    ], ids=["header-ends-block", "bad-sample-in-next-block",
+            "comment-after-header", "bad-sample-in-header-block",
+            "bad-sample-after-good-ones", "samples-before-header"])
+    def test_header_block_boundaries(self, tmp_path, text, want):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with mock.patch.object(resdyn._trace_read, "_BLOCK_CHARS", 20):
+            got = read_outcome(read_trace_csv, path)
+        assert got == read_outcome(reference_read_trace_csv, path)
+        if want is None:
+            assert isinstance(got[0], bytes)
+        else:
+            assert got[0] is InvalidTraceError
+            assert re.search(f"trace.csv{want}", got[1])
+
+    def test_encoding_is_checked_before_a_bad_header(self, tmp_path):
+        # The first block decodes about 64 KiB of text before its first
+        # line is read, so a byte that is not UTF-8 within it is refused
+        # ahead of a bad header on line 1; one further on is not reached.
+        path = tmp_path / "trace.csv"
+        rows = "".join(f"{i},0.5\n" for i in range(20000)).encode()
+        for at, want in [(1_000, "not UTF-8"), (20_000, "not UTF-8"),
+                         (100_000, "expected header")]:
+            path.write_bytes(b"time,value\n" + rows[:at] + b"\xff"
+                             + rows[at:])
+            with pytest.raises(InvalidTraceError,
+                               match=f"^{re.escape(str(path))}:.*{want}"):
+                read_trace_csv(path)
 
 
 def read_outcome(read, path):

@@ -1,6 +1,10 @@
 """The frozen records behave as the frozen dataclasses they replace."""
 
 import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +127,9 @@ def test_record_behaves_as_its_dataclass_twin(cls):
              (args[:max(required - 1, 0)], {}), (args + (None,), {}),
              (args + (None, None), {}), (args, {"other": 1}),
              (args, {names[0]: args[0]}), ((), dict(zip(names, args))),
-             (args[:1], {names[1]: args[1], "other": 1})]
+             (args[:1], {names[1]: args[1], "other": 1}),
+             (args, {"self": 1}),
+             (args[:max(required - 1, 0)], {"other": 1})]
     for a, kw in calls:
         assert outcome(cls, *a, **kw) == outcome(dc, *a, **kw), (a, kw)
 
@@ -146,3 +152,33 @@ def test_record_behaves_as_its_dataclass_twin(cls):
             assert got == want
             assert got[0] is dataclasses.FrozenInstanceError
     assert repr(rec) == repr(dc_rec)
+
+
+# Builds every record of ``cases()`` as declared, then misuses one, and
+# writes the code-compiling audit events each step raised as JSON.
+AUDIT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_records import cases
+from resdyn import ConstantImpacts
+events = []
+sys.addaudithook(lambda event, args: event in ("compile", "exec")
+                 and events.append(event))
+for cls, (args, _) in cases().items():
+    cls(*args)
+built, events[:] = list(events), []
+try:
+    ConstantImpacts(0.1)
+except TypeError:
+    pass
+print(json.dumps([built, events]))
+"""
+
+
+def test_only_a_misused_record_compiles_code():
+    proc = subprocess.run(
+        [sys.executable, "-c", AUDIT, str(Path(__file__).parent)],
+        capture_output=True, text=True, check=True)
+    built, misused = json.loads(proc.stdout)
+    assert built == []
+    assert misused.count("compile") == 1

@@ -27,6 +27,7 @@ from .core import (
     _check_f0,
     _check_level,
     _extremes,
+    _Levels,
     _Record,
     _sample_axis,
     _steady_level,
@@ -96,21 +97,22 @@ def _exp(x: array) -> array:
     return x
 
 
-def _clamp_to_bounds(values: array, f0: float) -> array:
+def _clamp_to_bounds(values: _Levels, f0: float) -> _Levels:
     """Clip excursions of at most ``BOUND_SLACK * f0`` outside [0, f0], with
     the bits of ``np.clip(values, 0.0, f0)`` (so -0.0 stays -0.0); anything
-    larger, or a NaN, which both ends report, raises DomainError.  Values
-    that need no clip are returned as they are."""
+    larger, or a NaN, which both ends report, raises DomainError.  The
+    result, ``values`` if none needs a clip, is a ``_Levels`` of ``f0``."""
     lo, hi = _extremes(values)
     slack = BOUND_SLACK * f0
     if not (-slack <= lo and hi <= f0 + slack):
         raise DomainError(
             f"solution left [0, f0] by more than {BOUND_SLACK}: range [{lo}, {hi}]"
         )
-    if 0.0 <= lo and hi <= f0:
-        return values
-    return array("d", (0.0 if v < 0.0 else f0 if v > f0 else v
-                       for v in values))
+    if not (0.0 <= lo and hi <= f0):
+        values = _Levels("d", (0.0 if v < 0.0 else f0 if v > f0 else v
+                               for v in values))
+    values.f0 = f0
+    return values
 
 
 def _constant_values(impacts: ConstantImpacts, f_start: float, f0: float,
@@ -163,7 +165,7 @@ def _solve_piecewise(schedule, window_values, f_init: float, f0: float,
     # Window j owns the grid times in [pts[j], pts[j + 1]); the first and
     # last windows also own the times within tol outside the span.
     cuts = [0, *(bisect_left(axis, p) for p in pts[1:-1]), len(axis)]
-    values = array("d")
+    values = _Levels("d")
     f_start = float(f_init)
     with memoryview(axis) as view:
         for j, seg in enumerate(schedule.segments):

@@ -161,6 +161,13 @@ class _SampleAxis(array):
     __slots__ = ()
 
 
+class _Levels(array):
+    """Levels a producer has shown to lie in [0, f0], which a trace of that
+    ``f0`` shares; a slice, a copy or a pickled one is checked again."""
+
+    __slots__ = ("f0",)
+
+
 def _sample_axis(x, name: str, error: type = DomainError) -> _SampleAxis:
     """``x`` if it is a :class:`_SampleAxis`; else ``x`` as a new one,
     refused unless it is a sample axis: one-dimensional, at least two
@@ -274,13 +281,13 @@ class FunctionalityTrace(_Record, eq=False):
     """A time-ordered sampling of functionality, with its normal level.
 
     ``times`` must be strictly increasing with at least two samples and
-    ``values`` must stay within ``[0, f0]``.  The samples are copied into
-    ``array('d')`` buffers, except ``times`` given as a
-    :class:`_SampleAxis`, which is shared; ``times`` and ``values`` are
-    read-only numpy views of them, each made on first access, so code that
-    never reads them does not load numpy.  Instances are immutable and safe
-    to share across threads.  They compare and hash by identity, as an
-    array has no one truth value.
+    ``values`` must stay within ``[0, f0]``.  Both are checked and copied
+    into ``array('d')`` buffers, but a :class:`_SampleAxis` or a
+    :class:`_Levels` of this ``f0`` is shared; ``times`` and ``values`` are
+    read-only numpy views of them, made on first access, so code that never
+    reads them does not load numpy.  Instances are immutable, safe to share
+    across threads, and compare and hash by identity, as an array has no
+    one truth value.
     """
 
     _times: _SampleAxis
@@ -289,13 +296,16 @@ class FunctionalityTrace(_Record, eq=False):
 
     def __init__(self, times, values, f0: float = 1.0):
         times = _sample_axis(times, "times", InvalidTraceError)
-        values, shape = _floats(values)
+        shared = (type(values) is _Levels
+                  and getattr(values, "f0", None) == float(f0))
+        values, shape = (values, (len(values),)) if shared else _floats(values)
         f0 = float(f0)
         if shape != (len(times),):
             raise InvalidTraceError(
                 f"times and values differ in shape: {(len(times),)} vs {shape}"
             )
-        _check_level("values", f0, *_extremes(values), error=InvalidTraceError)
+        _check_level("values", f0, *(() if shared else _extremes(values)),
+                     error=InvalidTraceError)
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "f0", f0)

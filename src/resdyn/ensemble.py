@@ -22,6 +22,8 @@ from .core import (
     DomainError,
     FunctionalityTrace,
     _check_level,
+    _floats,
+    _Levels,
     _readonly,
     _Record,
     _steady_level,
@@ -250,7 +252,9 @@ def ensemble_average(params: SdeParams, f_init: float, f0: float, steps: int,
             block *= block
             np.add.reduce(buf[:len(block) + 1], axis=0, out=squares)
         stderr = np.sqrt(squares / (n - 1)) / math.sqrt(n)
-    mean_trace = FunctionalityTrace(times, mean, f0)
+    levels, _ = _floats(mean, _Levels)
+    levels.f0 = f0
+    mean_trace = FunctionalityTrace(times, levels, f0)
     return EnsembleResult(mean_trace=mean_trace, per_step_stderr=stderr,
                           n=n, master_seed=master_seed)
 
@@ -285,6 +289,7 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
     else:
         level = _steady_level(f0, bonware_impact, q)
         values = (f_init - level) * (1.0 - q) ** np.frombuffer(times) + level
+        values = np.clip(values, *sorted((f_init, level)))  # the mean's range
     return FunctionalityTrace(times, values, f0)
 
 

@@ -21,7 +21,6 @@ import json
 import math
 import operator
 from bisect import bisect_right
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -173,12 +172,15 @@ def count_activities(trace: FunctionalityTrace, switch_time: float,
 
     def counts(lo: int, hi: int) -> tuple[int, int]:
         """Down and up moves among moves ``lo`` to ``hi - 1``."""
-        # Most steps do not move, and a move of 0 is no event, so the
-        # zeros are dropped before the moves are compared.
-        moves = list(filter(None, map(operator.sub, values[lo + 1:hi + 1],
-                                      values[lo:hi])))
-        return (sum(map(operator.lt, moves, repeat(-tol))),
-                sum(map(operator.gt, moves, repeat(tol))))
+        down = up = 0
+        # A move of 0, as most are, is no event: zeros are dropped first.
+        for move in filter(None, map(operator.sub, values[lo + 1:hi + 1],
+                                     values[lo:hi])):
+            if move < -tol:
+                down += 1
+            elif move > tol:
+                up += 1
+        return down, up
 
     down1, up1 = counts(0, split)
     down2, up2 = counts(split, stop)

@@ -8,13 +8,13 @@ command compiles.
 from __future__ import annotations
 
 import math
-from array import array
 
 from .closed_form import _clamp_to_bounds
 from .core import (
     DomainError,
     FunctionalityTrace,
     _check_level,
+    _Levels,
     _sample_axis,
 )
 
@@ -44,7 +44,7 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
         return b, m
 
     f = float(f_init)
-    values = array("d", [f]) * len(g)
+    values = _Levels("d", [f])
     for i in range(len(g) - 1):
         t = g[i]
         dt = g[i + 1] - g[i]
@@ -63,6 +63,6 @@ def integrate_reference(bonware_fn, malware_fn, f_init, f0, grid) -> Functionali
             y4 = f + h * k3
             k4 = (f0 - y4) * b2 - y4 * m2
             f += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        values[i + 1] = f
+        values.append(f)
 
     return FunctionalityTrace(g, _clamp_to_bounds(values, f0), f0)

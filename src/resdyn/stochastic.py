@@ -28,7 +28,6 @@ only the code that calls them compiles.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 
 from .core import (
@@ -37,6 +36,7 @@ from .core import (
     FunctionalityTrace,
     _check_fields,
     _check_level,
+    _Levels,
     _Record,
     _SampleAxis,
 )
@@ -206,7 +206,8 @@ def simulate(params: SdeParams, f_init: float, f0: float, steps: int,
     b_bound = _roll_bound(params.bonware_activity)
     e_m, e_b = params.malware_effectiveness, params.bonware_effectiveness
     f = float(f_init)
-    values = array("d", [f])
+    values = _Levels("d", [f])
+    values.f0 = f0  # test_one_step_stays_within_f0 shows the range
     for k, (m_roll, m_effect, b_roll, b_effect) in enumerate(rows):
         delta = 0.0
         if m_roll < m_bound and k in m_live:

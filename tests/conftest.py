@@ -2,6 +2,7 @@
 
 import math
 import os
+from decimal import Decimal, localcontext
 from itertools import product
 from pathlib import Path
 
@@ -74,6 +75,51 @@ def reference_piecewise(schedule, f_init, f0, grid):
         values[i_lo:i_hi + 1] = piece.values
         f = float(piece.values[-1])
     return values
+
+
+def reference_constant_rates(f0, windows, f_init, times, per_step=False):
+    """The constant-rate solution at ``times``, in 40-digit ``decimal``.
+
+    ``windows`` lists ``(start, malware, bonware)`` in time order: window j
+    runs from its start to the next window's, and the last one on to the
+    end of ``times``, which lie at or after the first start.  In a window
+    the value is the level L = f0*b/(m+b) plus its gap f_start - L times
+    exp(-r*(t - start)), and its value at the next start seeds the next
+    window; with m = b = 0 it holds f_start.  The rate r is m + b, or with
+    ``per_step`` -ln(1 - (m + b)), the decay of one step of the mean
+    recursion.  The floats are taken exactly, and ``Decimal.exp`` and
+    ``Decimal.ln`` round correctly, so each value is exact to about 1e-40
+    of f0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        solved = []
+        for start, m, b in windows:
+            q = Decimal(m) + Decimal(b)
+            rate = -(1 - q).ln() if per_step else q
+            solved.append((Decimal(start), rate,
+                           Decimal(f0) * Decimal(b) / q if q else 0))
+
+        def value(j, f_start, t):
+            start, rate, level = solved[j]
+            if rate == 0:
+                return f_start
+            return level + (f_start - level) * (-rate * (t - start)).exp()
+
+        out, j, f = [], 0, Decimal(f_init)
+        for t in map(Decimal, times):
+            while j + 1 < len(windows) and t >= solved[j + 1][0]:
+                f = value(j, f, solved[j + 1][0])
+                j += 1
+            out.append(value(j, f, t))
+        return out
+
+
+def units_off(values, reference, f0):
+    """The largest distance of ``values`` from the decimal ``reference``,
+    in units of 2**-52 * f0."""
+    return float(max(abs(Decimal(v) - r) for v, r in zip(values, reference))
+                 / (Decimal(2) ** -52 * Decimal(f0)))
 
 
 def reference_ensemble(params, f_init, f0, steps, dt=1.0, n=1, master_seed=0):

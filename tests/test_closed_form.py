@@ -1,6 +1,7 @@
 """Closed-form solvers against the RK4 oracle and analytic identities."""
 
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -31,8 +32,9 @@ from resdyn import (
     solve_piecewise_linear,
     steady_state,
 )
-from conftest import reference_piecewise
+from conftest import reference_constant_rates, reference_piecewise, units_off
 from resdyn.closed_form import OMEGA_MIN
+from resdyn.core import _sample_axis
 
 
 class TestSolveConstant:
@@ -75,6 +77,24 @@ class TestSolveConstant:
         assert (
             np.abs(fast.values[1:] - level) < np.abs(slow.values[1:] - level)
         ).all()
+
+
+def test_solve_constant_peak_memory():
+    # A solve holds at most three arrays of a point's size at once: the
+    # window's local times, their exponentials or the window's levels, and
+    # the levels it returns, which the trace shares, as it shares the
+    # caller's checked axis.  That is 24 bytes a point and growth slack.
+    n = 200_001
+    grid = _sample_axis(np.linspace(0.0, 1000.0, n), "grid")
+    impacts = ConstantImpacts(0.02, 0.05)
+    solve_constant(impacts, 0.3, 1.0, grid)
+    tracemalloc.start()
+    try:
+        solve_constant(impacts, 0.3, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * n
 
 
 class TestSteadyState:
@@ -121,6 +141,89 @@ def test_constant_rate_producers_stay_within_f0(problem):
     solve_constant(impacts, f_init, f0, np.linspace(0.0, 2000.0, 2001))
     expectation_recursion(impacts.malware_impact, impacts.bonware_impact,
                           f_init, f0, steps=2000)
+
+
+# Bounds on a constant-rate producer's distance from the 40-digit decimal
+# reference, in units of 2**-52 * f0: at most four times the worst
+# distance over the 2000 derandomized examples of each property below
+# (1.04 for the solvers and steady_state; 0.83 for expectation_recursion,
+# past the part that the rounding of its per-step factor carries).
+CONSTANT_FORM_BOUND = 3.5
+RECURSION_BOUND = 3.0
+
+
+@st.composite
+def constant_rate_schedules(draw):
+    """One to four windows of constant rates in [0, 2] (0 and subnormal
+    rates included), f0 log-uniform in [1e-3, 1e12], f_init in [0, f0],
+    and a grid inside the span that holds every breakpoint."""
+    t0 = draw(st.floats(-100.0, 100.0))
+    widths = draw(st.lists(st.floats(0.05, 40.0), min_size=1, max_size=4))
+    pts = np.cumsum([t0, *widths])
+    rate = st.floats(0.0, 2.0)
+    schedule = PiecewiseConstantSchedule(pts, tuple(
+        ConstantImpacts(draw(rate), draw(rate)) for _ in widths))
+    f0 = 10.0 ** draw(st.floats(-3.0, 12.0))
+    f_init = f0 * draw(st.floats(0.0, 1.0))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+    grid = np.unique([*pts, *(pts[0] + u * (pts[-1] - pts[0]) for u in inner)])
+    return schedule, f_init, f0, grid
+
+
+@settings(max_examples=2000)
+@given(problem=constant_rate_schedules())
+def test_constant_forms_within_bound_of_decimal_reference(problem):
+    schedule, f_init, f0, grid = problem
+    segments = schedule.segments
+    windows = [(start, s.malware_impact, s.bonware_impact)
+               for start, s in zip(schedule.breakpoints, segments)]
+    want = reference_constant_rates(f0, windows, f_init, grid)
+    traces = [solve_piecewise_constant(schedule, f_init, f0, grid)]
+    if len(segments) == 1:
+        traces.append(solve_constant(segments[0], f_init, f0, grid))
+    for trace in traces:
+        assert units_off(trace.values, want, f0) <= CONSTANT_FORM_BOUND
+    for _, malware, bonware in windows:
+        if malware + bonware > 0.0:
+            # The level is the solution at t = inf, from any start.
+            level = steady_state(ConstantImpacts(malware, bonware), f0)
+            assert units_off([level.f_infinity], reference_constant_rates(
+                f0, [(0.0, malware, bonware)], 0.0, [math.inf]),
+                f0) <= CONSTANT_FORM_BOUND
+
+
+@st.composite
+def recursion_problems(draw):
+    """Per-step impacts in [0, 0.5) (0 and subnormal impacts included), f0
+    log-uniform in [1e-3, 1e12], f_init in [0, f0], and up to 2000 steps."""
+    rate = st.floats(0.0, 0.5, exclude_max=True)
+    malware, bonware = draw(rate), draw(rate)
+    f0 = 10.0 ** draw(st.floats(-3.0, 12.0))
+    f_init = f0 * draw(st.floats(0.0, 1.0))
+    steps = draw(st.integers(1, 2000))
+    return malware, bonware, f_init, f0, steps
+
+
+@settings(max_examples=2000)
+@example(problem=(0.28125, 0.1171875, 56234132519.034904, 56234132519.034904,
+                  1))  # the sum rounded one unit past f0
+@given(problem=recursion_problems())
+def test_recursion_within_bound_of_decimal_reference(problem):
+    # The factor 1 - q of E[F_k] = L + (f_init - L) * (1 - q)**k is rounded
+    # by up to 2**-53 before its power is taken, and the k-th power carries
+    # that k * (1 - q)**(k - 1) times over: up to about 2**-53 / (e * q) of
+    # the gap.  The bound is RECURSION_BOUND past that part.
+    malware, bonware, f_init, f0, steps = problem
+    values = expectation_recursion(malware, bonware, f_init, f0, steps).values
+    looks = sorted({*range(0, steps, max(1, steps // 16)), steps})
+    want = reference_constant_rates(f0, [(0.0, malware, bonware)], f_init,
+                                    looks, per_step=True)
+    q = malware + bonware
+    gap = abs(f_init - f0 * (bonware / q)) / f0 if q else 0.0
+    for k, reference in zip(looks, want):
+        carried = k * (1.0 - q) ** (k - 1) * gap / 2.0 if k else 0.0
+        assert units_off([values[k]], [reference], f0) <= (
+            RECURSION_BOUND + carried)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Domain types, metrics, reference integrator, and trace CSV I/O."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -36,8 +38,16 @@ from resdyn import (
     write_trace_csv,
 )
 from resdyn.closed_form import BOUND_SLACK, _clamp_to_bounds
-from resdyn.core import _sample_axis, _SampleAxis
+from resdyn.core import _Levels, _sample_axis, _SampleAxis
 from resdyn.metrics import _pairwise_sum
+
+
+def levels(values, f0):
+    """``values`` as a ``_Levels`` of ``f0``, whatever their range: only a
+    producer that has shown them to lie in [0, f0] makes one otherwise."""
+    made = _Levels("d", values)
+    made.f0 = f0
+    return made
 
 
 def flat_trace(level, f0=1.0, end=10.0, n=11):
@@ -151,6 +161,16 @@ class TestFunctionalityTrace:
             assert type(got) is kind
             assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
+    def test_levels_of_its_f0_are_shared(self):
+        # A _Levels of the trace's f0 is taken as it is, checked for its
+        # length alone; its producer has shown its range.
+        forged = levels([0.5, 1.5], 1.0)
+        trace = FunctionalityTrace([0.0, 1.0], forged, 1)
+        assert trace._values is forged
+        with pytest.raises(InvalidTraceError, match=(
+                r"^times and values differ in shape: \(3,\) vs \(2,\)$")):
+            FunctionalityTrace([0.0, 1.0, 2.0], forged, 1.0)
+
     def test_inputs_are_copied(self):
         times, values = array("d", [0.0, 1.0]), np.array([1.0, 0.5])
         trace = FunctionalityTrace(times, values)
@@ -159,7 +179,10 @@ class TestFunctionalityTrace:
         assert list(trace.values) == [1.0, 0.5]
 
     # Wherever a NaN sits, and whatever infinities share the trace with it,
-    # it is the level reported, as numpy's min reports it.
+    # it is the level reported, as numpy's min reports it.  Only a _Levels
+    # of the trace's f0 is shared unchecked: one of another f0 is checked,
+    # and so is a slice, a concatenation or a copy of one of this f0, each
+    # a plain array('d'), or one read back by pickle, which has no f0.
     @pytest.mark.parametrize("values, got", [
         ([math.nan, 0.5, 0.5], "nan"),
         ([0.5, math.nan, 0.5], "nan"),
@@ -171,7 +194,15 @@ class TestFunctionalityTrace:
         ([-0.5, 0.5, 1.5], "-0.5"),
         ([0.5, 1.5, 0.5], "1.5"),
     ])
-    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("make", [
+        list, np.array, tuple, lambda x: array("d", x),
+        lambda x: levels(x, 2.0), lambda x: levels(x, 1.0)[:],
+        lambda x: levels(x, 1.0) + levels([], 1.0),
+        lambda x: copy.copy(levels(x, 1.0)),
+        lambda x: pickle.loads(pickle.dumps(levels(x, 1.0))),
+    ], ids=["list", "array", "tuple", "array-d", "levels-of-another-f0",
+            "levels-slice", "levels-concatenated", "levels-copy",
+            "levels-pickled"])
     def test_level_refusal_names_nan_first(self, make, values, got):
         with pytest.raises(InvalidTraceError,
                            match=rf"^values must lie in \[0, f0\], got {got}$"):

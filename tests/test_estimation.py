@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ class TestCountActivities:
         with pytest.raises(DomainError, match=(
                 rf"^count_end must be finite, got {count_end}$")):
             count_activities(notional_trace, 69.5, count_end)
+
+    def test_moves_are_counted_without_a_list(self):
+        # Each phase's moves are counted as they are formed; a list of them
+        # would hold a float object per move (about 19% of the steps here).
+        steps = 200_000
+        trace = simulate(SdeParams(0.1, 0.1, 0.3, 0.3), 0.5, 1.0, steps,
+                         seed=3)
+        count_activities(trace, steps / 2 + 0.5, steps - 0.5)
+        tracemalloc.start()
+        try:
+            count_activities(trace, steps / 2 + 0.5, steps - 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     def test_count_end_past_trace_end_names_field(self, notional_trace):
         # Phase 2 would be divided by seconds the trace never covers.

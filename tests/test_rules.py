@@ -4,6 +4,7 @@ every site that applies it."""
 
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from resdyn import (
     fit_phase1,
     fit_phase2,
     integrate_reference,
+    read_trace_csv,
     simulate,
     solve_constant,
     solve_linear,
@@ -33,7 +35,8 @@ from resdyn import (
     step_log_density,
     stochastic,
 )
-from resdyn import core
+from conftest import NOTIONAL_CSV
+from resdyn import closed_form, core
 from resdyn.cli import main
 
 IMPACTS = ConstantImpacts(0.1, 0.2)
@@ -122,6 +125,56 @@ def test_grid_checked_once(site, make, monkeypatch):
     trace = GRID_SITES[site](make(GRID.tolist()))
     assert len(grids) == 1
     assert trace._times is grids[0]
+
+
+@pytest.mark.parametrize("site", GRID_SITES)
+def test_levels_range_checked_once(site, monkeypatch):
+    # A solve's bound clamp is the one range pass over its levels: the
+    # trace it returns shares them, checked for their length alone.
+    scans = []
+    extremes = core._extremes
+
+    def counting(samples):
+        scans.append(samples)
+        return extremes(samples)
+
+    monkeypatch.setattr(core, "_extremes", counting)
+    monkeypatch.setattr(closed_form, "_extremes", counting)
+    trace = GRID_SITES[site](GRID)
+    assert len(scans) == 1 and scans[0] is trace._values
+
+
+# Each producer whose levels are shown to lie in [0, f0] hands them to its
+# trace, which shares them; levels read from a file, or computed without
+# such a showing, are checked and copied.
+PRODUCER_SITES = {
+    "solve_constant": (GRID_SITES["solve_constant"], True),
+    "integrate_reference": (GRID_SITES["integrate_reference"], True),
+    "simulate": (lambda g: simulate(PARAMS, 0.5, 1.0, 10, seed=1), True),
+    "ensemble_average": (lambda g: ensemble_average(
+        PARAMS, 0.5, 1.0, 10, n=3).mean_trace, True),
+    "expectation_recursion": (
+        lambda g: expectation_recursion(0.1, 0.2, 0.5, 1.0, 10), False),
+    "read_trace_csv": (lambda g: read_trace_csv(NOTIONAL_CSV), False),
+}
+
+
+@pytest.mark.parametrize("site", PRODUCER_SITES)
+def test_producers_share_their_levels(site, monkeypatch):
+    make, shared = PRODUCER_SITES[site]
+    given = []
+    init = FunctionalityTrace.__init__
+
+    def recording(self, times, values, f0=1.0):
+        given.append(values)
+        init(self, times, values, f0)
+
+    monkeypatch.setattr(FunctionalityTrace, "__init__", recording)
+    trace = make(GRID)
+    assert (trace._values is given[-1]) is shared
+    assert type(trace._values) is (core._Levels if shared else array)
+    if shared:
+        assert trace._values.f0 == trace.f0
 
 
 def unit_grid(**axes):

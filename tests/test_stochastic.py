@@ -311,8 +311,8 @@ def test_range_gate_matches_list_gate(run):
 
 
 def test_simulate_peak_memory():
-    # A run holds its clock and its levels, 8 bytes a step each, and for a
-    # moment the trace's copy of its levels: 24 bytes a step and slack.
+    # A run holds its clock and its levels, 8 bytes a step each, and their
+    # growth slack; the trace shares both: 16 bytes a step and slack.
     steps = 200_000
     params = SdeParams(0.08, 0.12, 0.34, 0.71, malware_onset=0.1 * steps,
                        bonware_onset=0.05 * steps,
@@ -325,7 +325,7 @@ def test_simulate_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * steps
+    assert peak <= 20 * steps
 
 
 def largest_dt(steps):

@@ -4,13 +4,16 @@
     python scripts/import_times.py PARENT_DIR CHANGE_DIR -- ARGS...
 
 Both directories are checkouts of this repository.  The script runs
-``python -X importtime -m resdyn ARGS`` 11 times in each, alternating
+``python -X importtime -m resdyn ARGS`` 41 times in each, alternating
 which runs first, from the current directory (so relative paths in ARGS
 name the same files for both), with ``PYTHONPATH`` set to the checkout's
 ``src`` and ``PYTHONDONTWRITEBYTECODE=1``.  A run that exits non-zero
 stops the script.  It then prints, for each resdyn module either side
-logs, both sides' median self time in milliseconds, and last the median
-of each run's total over those modules.
+logs, both sides' minimum and median self time in milliseconds, and last
+the minimum and median of each run's total over those modules.  On a
+shared host a median moves by a millisecond or more from one round to
+the next on the same code; the minimum, the run least disturbed, is the
+steadier figure for a change of a fraction of a millisecond.
 
 With bytecode writes off, a module's self time includes compiling it,
 unless its checkout already holds a ``__pycache__`` for it; run the
@@ -31,7 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUNS = 11
+RUNS = 41
 
 
 def self_times(stderr: str) -> dict[str, int]:
@@ -62,28 +65,32 @@ def run_once(checkout: Path, args: list[str]) -> dict[str, int]:
     return self_times(proc.stderr)
 
 
-def median_ms(values: list[int]) -> str:
-    """The median of ``values`` (microseconds) in milliseconds, or ``-``
-    for none, right-aligned in a column of 10."""
-    return f"{statistics.median(values) / 1e3:>10.2f}" if values else (
-        f"{'-':>10}")
+def min_median_ms(values: list[int]) -> str:
+    """The minimum and the median of ``values`` (microseconds) in
+    milliseconds, or ``-`` for none, each right-aligned in a column of 13."""
+    if not values:
+        return f"{'-':>13} {'-':>13}"
+    return " ".join(f"{ms / 1e3:>13.2f}"
+                    for ms in (min(values), statistics.median(values)))
 
 
 def summarize(runs: dict[str, list[dict[str, int]]]) -> str:
-    """A table of each module's median self time per side, ``runs`` being
-    each side's :func:`self_times` results: the modules in the order they
-    are first logged, parent runs first, then the median of each run's
-    total."""
+    """A table of each module's minimum and median self time per side,
+    ``runs`` being each side's :func:`self_times` results: the modules in
+    the order they are first logged, parent runs first, then the minimum
+    and median of each run's total."""
     names = dict.fromkeys(
         name for side in runs.values() for run in side for name in run)
     width = max(len("module"), *map(len, names))
-    lines = [f"{'module':<{width}} {'parent ms':>10} {'change ms':>10}"]
+    lines = [f"{'module':<{width}} " + " ".join(
+        f"{side + ' ' + stat:>13}" for side in runs
+        for stat in ("min", "median"))]
     for name in names:
         lines.append(f"{name:<{width}} " + " ".join(
-            median_ms([run[name] for run in side if name in run])
+            min_median_ms([run[name] for run in side if name in run])
             for side in runs.values()))
     lines.append(f"{'total':<{width}} " + " ".join(
-        median_ms([sum(run.values()) for run in side])
+        min_median_ms([sum(run.values()) for run in side])
         for side in runs.values()))
     return "\n".join(lines)
 

@@ -4,10 +4,11 @@ Realization i of an ensemble is :func:`resdyn.stochastic.simulate` with
 seed ``split_seed(master_seed, i)``, bit for bit.  Its draws come from
 ``numpy.random.Philox``, the stream ``simulate`` computes in packed Python
 integers: numpy's C computes the millions of blocks an ensemble needs
-about twenty times faster.  Everything here computes on numpy arrays, so
+about twenty times faster.  The ensemble computes on numpy arrays, so
 this module is apart from :mod:`resdyn.stochastic`, whose one realization
 runs without numpy, and only the code that runs an ensemble, splits a seed
-or asks for :func:`expectation_recursion` compiles it.
+or asks for :func:`expectation_recursion` compiles it.  That exact mean is
+a constant-rate closed form of :mod:`resdyn.closed_form`, at mapped rates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     _Levels,
     _readonly,
     _Record,
-    _steady_level,
     _write_text,
 )
 from .stochastic import (
@@ -264,33 +264,31 @@ def expectation_recursion(malware_impact: float, bonware_impact: float,
                           steps: int) -> FunctionalityTrace:
     """Exact mean trajectory of the constant-parameter stochastic model.
 
-    Taking expectations of the step update gives the recursion
-    E[F_k] - E[F_{k-1}] + q*E[F_{k-1}] = f0*b with q = m + b (impacts are
-    per-step fractions), whose solution is
-
-        E[F_k] = (f_init - f0*b/q) * (1 - q)**k + f0*b/q.
+    Taking expectations of the step update gives E[F_k] = E[F_{k-1}] *
+    (1 - q) + f0*b with q = m + b (impacts are per-step fractions): a
+    decay by 1 - q a step to the level f0*b/q.  That is
+    :func:`resdyn.closed_form.solve_constant` at the rates m*s and b*s,
+    s = -log1p(-q)/q (1 at q = 0), which keep the level and decay by
+    exp(-q*s) = 1 - q a step; so no rounding of 1 - q is carried over k
+    steps, and the levels are the solve's, shown to lie in [0, f0].
 
     Requires q < 1; at q >= 1 the factor (1 - q) stops being a decay and
     the recursion leaves the model's intended regime.  Sample k is placed
     at time k (one step per second), and ``steps`` is refused as
     :func:`resdyn.stochastic.simulate` refuses it.
     """
-    # Imported only here, so an ensemble does not load the impact records.
+    # Imported only here, so an ensemble does not load the solvers.
+    from .closed_form import solve_constant
     from .impacts import ConstantImpacts
 
     q = ConstantImpacts(malware_impact, bonware_impact).total_impact
     if q >= 1.0:
         raise DomainError(f"combined per-step impact must be < 1, got {q}")
     steps, _ = _check_run(steps, 1.0)
-    _check_level("f_init", f0, f_init)
-    times = _clock(1.0, steps)
-    if q == 0.0:
-        values = np.full(steps + 1, float(f_init))
-    else:
-        level = _steady_level(f0, bonware_impact, q)
-        values = (f_init - level) * (1.0 - q) ** np.frombuffer(times) + level
-        values = np.clip(values, *sorted((f_init, level)))  # the mean's range
-    return FunctionalityTrace(times, values, f0)
+    s = -math.log1p(-q) / q if q else 1.0
+    return solve_constant(ConstantImpacts(malware_impact * s,
+                                          bonware_impact * s),
+                          f_init, f0, _clock(1.0, steps))
 
 
 def write_ensemble_csv(result: EnsembleResult, path) -> None:

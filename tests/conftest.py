@@ -115,6 +115,49 @@ def reference_constant_rates(f0, windows, f_init, times, per_step=False):
         return out
 
 
+# pi to 60 digits, for the decimal erfc.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def reference_erfc(x, scaled=False):
+    """erfc(x) for a float x >= 0 in 40-digit ``decimal``, or with
+    ``scaled`` erfcx(x) = exp(x**2) * erfc(x).
+
+    Below 3 it is 1 - erf(x), from erf's Taylor series
+    2/sqrt(pi) * sum (-1)**n x**(2n+1) / (n! (2n+1)), summed at 60 digits:
+    its terms grow to about exp(x**2) < 1e4 before they fall, and the
+    difference cancels to about 2e-5 at 3, so 40 digits survive.  From 3
+    up it is Laplace's continued fraction (Abramowitz & Stegun 7.1.14),
+
+        sqrt(pi) * exp(x**2) * erfc(x)
+            = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + 2/(x + ...))))),
+
+    evaluated from its 400th term back (200 already give 40 digits at 3,
+    and fewer are needed further out), so erfcx needs no exp there.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        if x < 3:
+            x2, term, n, total = x * x, x, 0, x
+            while abs(term) > Decimal(10) ** -70:
+                n += 1
+                term = -term * x2 / n
+                total += term / (2 * n + 1)
+            value = 1 - 2 * total / _PI.sqrt()
+            if scaled:
+                value *= x2.exp()
+        else:
+            t = x
+            for n in range(400, 0, -1):
+                t = x + Decimal(n) / 2 / t
+            value = 1 / (t * _PI.sqrt())
+            if not scaled:
+                value *= (-x * x).exp()
+        ctx.prec = 40
+        return +value
+
+
 def units_off(values, reference, f0):
     """The largest distance of ``values`` from the decimal ``reference``,
     in units of 2**-52 * f0."""

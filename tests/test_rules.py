@@ -127,7 +127,12 @@ def test_grid_checked_once(site, make, monkeypatch):
     assert trace._times is grids[0]
 
 
-@pytest.mark.parametrize("site", GRID_SITES)
+# The mean recursion solves at its mapped rates, through the same clamp.
+RANGE_PASS_SITES = {**GRID_SITES, "expectation_recursion": (
+    lambda g: expectation_recursion(0.1, 0.2, 0.5, 1.0, len(g) - 1))}
+
+
+@pytest.mark.parametrize("site", RANGE_PASS_SITES)
 def test_levels_range_checked_once(site, monkeypatch):
     # A solve's bound clamp is the one range pass over its levels: the
     # trace it returns shares them, checked for their length alone.
@@ -140,13 +145,13 @@ def test_levels_range_checked_once(site, monkeypatch):
 
     monkeypatch.setattr(core, "_extremes", counting)
     monkeypatch.setattr(closed_form, "_extremes", counting)
-    trace = GRID_SITES[site](GRID)
+    trace = RANGE_PASS_SITES[site](GRID)
     assert len(scans) == 1 and scans[0] is trace._values
 
 
-# Each producer whose levels are shown to lie in [0, f0] hands them to its
-# trace, which shares them; levels read from a file, or computed without
-# such a showing, are checked and copied.
+# Each producer shows its levels to lie in [0, f0] and hands them to its
+# trace, which shares them; only levels read from a file are checked and
+# copied.
 PRODUCER_SITES = {
     "solve_constant": (GRID_SITES["solve_constant"], True),
     "integrate_reference": (GRID_SITES["integrate_reference"], True),
@@ -154,7 +159,7 @@ PRODUCER_SITES = {
     "ensemble_average": (lambda g: ensemble_average(
         PARAMS, 0.5, 1.0, 10, n=3).mean_trace, True),
     "expectation_recursion": (
-        lambda g: expectation_recursion(0.1, 0.2, 0.5, 1.0, 10), False),
+        lambda g: expectation_recursion(0.1, 0.2, 0.5, 1.0, 10), True),
     "read_trace_csv": (lambda g: read_trace_csv(NOTIONAL_CSV), False),
 }
 

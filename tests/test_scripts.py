@@ -245,19 +245,20 @@ def test_import_times_reads_resdyn_self_times():
         "resdyn._trace_read": 1650}
     assert import_times.self_times("import time: self [us] | cumulative | "
                                    "imported package\n") == {}
-    # Medians per side, a module one side never logs shown as "-", and the
-    # median of each run's total.
+    # Minimums and medians per side, a module one side never logs shown as
+    # "-", and the minimum and median of each run's total.
     parent = [{"resdyn": 600, "resdyn.errors": 500, "resdyn.core": c}
-              for c in (4000, 4200, 4400)]
+              for c in (4400, 4000, 4200)]
     change = [import_times.self_times(IMPORTTIME)] * 2
     table = import_times.summarize({"parent": parent, "change": change})
     assert [line.split() for line in table.splitlines()] == [
-        ["module", "parent", "ms", "change", "ms"],
-        ["resdyn", "0.60", "0.61"],
-        ["resdyn.errors", "0.50", "-"],
-        ["resdyn.core", "4.20", "3.32"],
-        ["resdyn.cli", "-", "2.15"],
-        ["resdyn._trace_read", "-", "1.65"],
-        ["total", "5.30", "7.73"]]
+        ["module", "parent", "min", "parent", "median", "change", "min",
+         "change", "median"],
+        ["resdyn", "0.60", "0.60", "0.61", "0.61"],
+        ["resdyn.errors", "0.50", "0.50", "-", "-"],
+        ["resdyn.core", "4.00", "4.20", "3.32", "3.32"],
+        ["resdyn.cli", "-", "-", "2.15", "2.15"],
+        ["resdyn._trace_read", "-", "-", "1.65", "1.65"],
+        ["total", "5.10", "5.30", "7.73", "7.73"]]
     # The two checkouts and the command line are all it takes.
     assert import_times.main(["parent", "change", "metrics"]) == 2

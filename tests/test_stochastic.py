@@ -717,6 +717,21 @@ class TestExpectationRecursion:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_peak_memory(self):
+        # At most four arrays of 8 bytes a step, and their growth slack, are
+        # held at once: the clock, the solve's local times, its decays and
+        # its levels.
+        steps = 200_000
+        # A first call loads what the recursion imports on first use.
+        expectation_recursion(0.01, 0.02, 0.5, 1.0, 10)
+        tracemalloc.start()
+        try:
+            expectation_recursion(0.01, 0.02, 0.5, 1.0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * steps
+
     def test_small_q_tracks_continuous_model(self):
         # (1-q)^k vs exp(-q*t) differ at O(q^2 k) for q = 0.01.
         trace = expectation_recursion(0.004, 0.006, 1.0, 1.0, steps=500)

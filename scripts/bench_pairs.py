@@ -34,8 +34,9 @@ time, median CPU time and median peak RSS, so a ``cmd_p50_s``,
 side's median is the median over its runs of each run's own median, read
 from the record the run writes, ``.bench_out/<workload>-seed<N>-trace0.json``
 in its checkout.  Each run's times are scaled as its end-to-end metrics
-are, to a host on which the reference command takes 0.2 s: by 0.2 s over
-the run's median reference time, ``extra.reference_p50_s``.  A record
+are, to a host on which the reference command takes ``REFERENCE_S`` (read
+from ``perfbench/run.py``): by ``REFERENCE_S`` over the run's median
+reference time, ``extra.reference_p50_s``.  A record
 lists its set-up warm-ups of the workload's first command before the
 timed commands, and counts the timed ones in ``extra.timed_commands``, so
 only those last commands count here, as they do in ``cmd_p50_s``.
@@ -44,6 +45,7 @@ only those last commands count here, as they do in ``cmd_p50_s``.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -51,6 +53,21 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_seconds(run_py: Path) -> float:
+    """The module-level ``REFERENCE_S = <number>`` of the benchmark runner
+    ``run_py``, read without running it: the reference command's time on
+    the host to which the runner scales its end-to-end times."""
+    for node in ast.parse(run_py.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["REFERENCE_S"]):
+            return float(ast.literal_eval(node.value))
+    raise ValueError(f"{run_py}: no module-level REFERENCE_S assignment")
+
+
+REFERENCE_S = reference_seconds(REPO_ROOT / "perfbench" / "run.py")
 
 
 def parse_seeds(text: str) -> range:
@@ -147,11 +164,9 @@ def command_medians(record: dict) -> dict[str, tuple[float, float, float]]:
     peak RSS (MiB) over the timed commands of the run ``record``, the JSON
     object ``perfbench/run.py`` writes to its ``.bench_out`` directory: its
     last ``extra.timed_commands`` commands, after the set-up warm-ups.  The
-    times are scaled to the 0.2 s reference host, by 0.2 s over the run's
-    ``extra.reference_p50_s``."""
-    # perfbench/run.py's REFERENCE_S, the host its end-to-end times are
-    # scaled to.
-    scale = 0.2 / record["extra"]["reference_p50_s"]
+    times are scaled to the reference host, by ``REFERENCE_S`` over the
+    run's ``extra.reference_p50_s``."""
+    scale = REFERENCE_S / record["extra"]["reference_p50_s"]
     runs: dict[str, list[tuple[float, float, float]]] = {}
     for command in record["commands"][-record["extra"]["timed_commands"]:]:
         runs.setdefault(command["name"], []).append(

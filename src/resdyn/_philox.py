@@ -13,10 +13,12 @@ before each block, so block j is counter (j + 1, 0, 0, 0), and
 A chunk of blocks goes through the rounds together, each block's word in
 its own 128-bit lane of one Python int: a 64 x 64-bit product is below
 2**128, so one ``x * M`` gives every lane's product with no carry into the
-next lane, and masks split it into its low and high words.  Per block this
-costs about twenty times numpy's C, so the ensemble, which draws millions
-of blocks, keeps ``numpy.random``; a single realization of a few thousand
-steps draws its blocks in less time than ``import numpy`` takes.
+next lane, and masks split it into its low and high words.  Every chunk of
+a run has the same lanes, the last one too: it computes a whole chunk and
+keeps the blocks before the run's end.  Per block this costs about twenty
+times numpy's C, so the ensemble, which draws millions of blocks, keeps
+``numpy.random``; a single realization of a few thousand steps draws its
+blocks in less time than ``import numpy`` takes.
 """
 
 from __future__ import annotations
@@ -36,15 +38,16 @@ _CHUNK = 512
 
 
 def _unpack(x: int, count: int) -> array:
-    """The ``count`` 64-bit words of ``x``, least significant first."""
+    """The ``count`` low 64-bit words of ``x``, least significant first."""
+    x &= (1 << 64 * count) - 1
     words = array("Q", x.to_bytes(8 * count, "little"))
     if sys.byteorder != "little":
         words.byteswap()
     return words
 
 
-def _chunk(counters: int, low: int, keys: list[tuple[int, int]], count: int):
-    """The ``count`` blocks whose counters are the lanes of ``counters``,
+def _chunk(counters: int, low: int, keys: list[tuple[int, int]], n: int):
+    """The first ``n`` blocks whose counters are the lanes of ``counters``,
     as 4-tuples of words; ``low`` is 2**64 - 1 in every lane and ``keys``
     the rounds' key words, each in every lane."""
     c0 = counters
@@ -56,13 +59,16 @@ def _chunk(counters: int, low: int, keys: list[tuple[int, int]], count: int):
                           ((p0 >> 64) & low) ^ c3 ^ k1, p0 & low)
     # Lane j of the first int holds block j's words 0 and 1, of the
     # second its words 2 and 3.
-    first = iter(_unpack(c0 | c1 << 64, 2 * count))
-    second = iter(_unpack(c2 | c3 << 64, 2 * count))
+    first = iter(_unpack(c0 | c1 << 64, 2 * n))
+    second = iter(_unpack(c2 | c3 << 64, 2 * n))
     return zip(first, first, second, second)
 
 
-def _chunks(key: int, steps: int):
-    """:func:`words`, one chunk of blocks at a time."""
+def words(key: int, steps: int):
+    """Iterate over the first ``steps`` blocks of
+    ``numpy.random.Philox(key=key)``, each as its four words, a 4-tuple of
+    Python ints; ``min(_CHUNK, steps)`` blocks are computed at a time, the
+    last chunk's too, of which those before ``steps`` are yielded."""
     count = min(_CHUNK, steps)
     # A 1 in the low word of each lane, so that ``w * ones`` puts the
     # word w in every lane.
@@ -76,18 +82,6 @@ def _chunks(key: int, steps: int):
     ramp = int.from_bytes(lanes, "little")
     keys = [(((key + r * _W0) & _MASK64) * ones, ((r * _W1) & _MASK64) * ones)
             for r in range(_ROUNDS)]
-    for first in range(0, steps, _CHUNK):
-        if steps - first < count:
-            # The last chunk is shorter: drop the lanes past its end.
-            count = steps - first
-            trim = (1 << 128 * count) - 1
-            ones, low, ramp = ones & trim, low & trim, ramp & trim
-            keys = [(k0 & trim, k1 & trim) for k0, k1 in keys]
-        yield _chunk(ramp + first * ones, low, keys, count)
-
-
-def words(key: int, steps: int):
-    """Iterate over the first ``steps`` blocks of
-    ``numpy.random.Philox(key=key)``, each as its four words, a 4-tuple of
-    Python ints; ``_CHUNK`` blocks are computed at a time."""
-    return chain.from_iterable(_chunks(key, steps))
+    return chain.from_iterable(
+        _chunk(ramp + first * ones, low, keys, min(count, steps - first))
+        for first in range(0, steps, _CHUNK))

@@ -41,21 +41,21 @@ class _TraceLines:
         """Add the samples in ``lines``, a list of lines the first of which
         is line ``first``, to the columns.
 
-        Once the header has been read, a block is first tried in one pass
-        of :func:`float`.  The one pass takes only ASCII lines without
-        ``_`` that hold exactly one comma each, and :func:`float` then
-        refuses any field that is not a number between spaces it strips (a
-        comment, for one), so it accepts a subset of the lines the line
+        Once the header has been read, a block is first tried in one pass of
+        :func:`float`.  The one pass takes only lines that hold exactly one
+        comma each and pass :func:`_check_ascii_number`, and :func:`float`
+        then refuses any field that is not a number between spaces it strips
+        (a comment, for one), so it accepts a subset of the lines the line
         grammar accepts, with the same values.  A block it declines is read
         line by line, which names the bad line, if there is one; the lines
         after the header's own are read through this method again.
         """
         if self.saw_header:
             text = "".join(lines)
-            if (text.isascii() and "_" not in text
-                    and text.count(",") == len(lines)
+            if (text.count(",") == len(lines)
                     and all("," in line for line in lines)):
                 try:
+                    _check_ascii_number(text)
                     fields = array("d", map(float, ",".join(lines).split(",")))
                 except ValueError:
                     pass

@@ -23,7 +23,8 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .core import DomainError, InvalidTraceError, ResdynError, write_trace_csv
+from .core import (DomainError, InvalidTraceError, NoSwitchError, ResdynError,
+                   write_trace_csv)
 
 if TYPE_CHECKING:
     import argparse
@@ -92,7 +93,10 @@ def cmd_fit(args) -> int:
 
         doc = load_json(args.config)
         fit_config = read_fit_config(doc)
-    result = fit_piecewise(trace, fit_config)
+    try:
+        result = fit_piecewise(trace, fit_config)
+    except NoSwitchError as exc:
+        raise NoSwitchError(f"{args.trace}: {exc}") from exc
     mle = None
     if args.mle:
         from .config import read_mle_grid

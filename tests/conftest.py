@@ -120,8 +120,8 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459"
 
 
 def reference_erfc(x, scaled=False):
-    """erfc(x) for a float x >= 0 in 40-digit ``decimal``, or with
-    ``scaled`` erfcx(x) = exp(x**2) * erfc(x).
+    """erfc(x) for x >= 0, a float or a Decimal, in 40-digit ``decimal``,
+    or with ``scaled`` erfcx(x) = exp(x**2) * erfc(x).
 
     Below 3 it is 1 - erf(x), from erf's Taylor series
     2/sqrt(pi) * sum (-1)**n x**(2n+1) / (n! (2n+1)), summed at 60 digits:
@@ -156,6 +156,70 @@ def reference_erfc(x, scaled=False):
                 value *= (-x * x).exp()
         ctx.prec = 40
         return +value
+
+
+def reference_linear_rates(f0, windows, f_init, times):
+    """The solution for linearly fading rates at ``times``, in 40-digit
+    ``decimal``.
+
+    ``windows`` lists ``(start, impacts)`` in time order, ``impacts`` a
+    LinearImpacts on the window's local clock tau = t - start: window j
+    runs from its start to the next window's, and the last one on to the
+    end of ``times``, which lie at or after the first start.  With bonware
+    rate alpha - beta*tau, combined intercept lam and combined slope om,
+    dF/dtau = f0*(alpha - beta*tau) - (lam - om*tau)*F has the integrating
+    factor Omega = exp(lam*tau - om*tau**2/2), and the bonware rate is
+    beta/om times the combined rate plus c = alpha - beta*lam/om, so
+
+        F = F_start/Omega + f0*beta/om*(1 - 1/Omega)
+            + f0*c*sqrt(pi/(2*om))*(erfcx(g) - erfcx(G)/Omega),
+
+    G = lam/sqrt(2*om) and g = G - tau*sqrt(om/2), the combined rate over
+    sqrt(2*om).  erfcx(x) = exp(x**2)*erfc(x) is :func:`reference_erfc`'s,
+    with erfc(-x) = 2 - erfc(x) where the rates' floats put g a little
+    below 0 at a window's end.  A window with om = 0 has constant rates
+    and is solved as :func:`reference_constant_rates` solves it.  The value
+    at the next start seeds the next window.
+    """
+    def erfcx(x):
+        if x >= 0:
+            return reference_erfc(x, scaled=True)
+        return 2 * (x * x).exp() - reference_erfc(-x, scaled=True)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        solved = []
+        for start, s in windows:
+            alpha, beta = Decimal(s.bonware_intercept), Decimal(s.bonware_slope)
+            lam = alpha + Decimal(s.malware_intercept)
+            om = beta + Decimal(s.malware_slope)
+            solved.append((Decimal(start), alpha, beta, lam, om))
+
+        def value(j, f_start, t):
+            start, alpha, beta, lam, om = solved[j]
+            tau = t - start
+            if om == 0:
+                if lam == 0:
+                    return f_start
+                level = Decimal(f0) * alpha / lam
+                return level + (f_start - level) * (-lam * tau).exp()
+            inv_omega = (om * tau * tau / 2 - lam * tau).exp()
+            big = lam / (2 * om).sqrt()
+            near = erfcx(big - tau * (om / 2).sqrt())
+            return (f_start * inv_omega
+                    + Decimal(f0) * beta / om * (1 - inv_omega)
+                    + Decimal(f0) * (alpha - beta * lam / om)
+                    * (_PI / (2 * om)).sqrt()
+                    * (near - erfcx(big) * inv_omega))
+
+        out, j, f = [], 0, Decimal(f_init)
+        for t in map(Decimal, times):
+            while j + 1 < len(windows) and t >= solved[j + 1][0]:
+                f = value(j, f, solved[j + 1][0])
+                j += 1
+            out.append(value(j, f, t))
+        ctx.prec = 40
+        return [+v for v in out]
 
 
 def units_off(values, reference, f0):

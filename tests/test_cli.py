@@ -316,8 +316,11 @@ class TestFit:
         csv = tmp_path / "up.csv"
         write_trace_csv(trace, csv)
         out = tmp_path / "fit.json"
-        assert main(["fit", str(csv), "--out", str(out)]) != 0
-        assert "no switching time" in capsys.readouterr().err
+        assert main(["fit", str(csv), "--out", str(out)]) == 2
+        # The command names the trace it read; the library's text follows.
+        assert capsys.readouterr().err == (
+            f"error: {csv}: the minimum sits on the trace boundary; "
+            "no switching time exists\n")
         assert not out.exists()
 
     def test_mle_flag(self, tmp_path):

@@ -225,6 +225,27 @@ def test_bench_pairs_command_medians():
                                 "30.00", "31.00", "15.00", "14.50"]
 
 
+def test_bench_pairs_reads_the_reference_time(tmp_path, monkeypatch):
+    bench_pairs = load_script("bench_pairs")
+    # The benchmark runner's own REFERENCE_S, read from its source.
+    run_py = (REPO_ROOT / "perfbench" / "run.py").read_text()
+    assert f"\nREFERENCE_S = {bench_pairs.REFERENCE_S!r}\n" in run_py
+    # Only the module-level assignment counts, wherever it sits.
+    runner = tmp_path / "run.py"
+    runner.write_text("def f():\n    REFERENCE_S = 9.0\n\n"
+                      "REFERENCE = 'import numpy'\nREFERENCE_S = 0.35\n")
+    assert bench_pairs.reference_seconds(runner) == 0.35
+    runner.write_text("REFERENCE = 'import numpy'\n")
+    with pytest.raises(ValueError, match="no module-level REFERENCE_S"):
+        bench_pairs.reference_seconds(runner)
+    # The per-command table scales by it: on a host where the reference
+    # took REFERENCE_S, a command reads its raw time.
+    monkeypatch.setattr(bench_pairs, "REFERENCE_S", 0.35)
+    record = bench_record([("fit", 0.040, 15.2, 0.030)], reference=0.35)
+    assert bench_pairs.command_medians(record) == {
+        "fit": (0.040, 0.030, 15.2)}
+
+
 IMPORTTIME = """\
 import time: self [us] | cumulative | imported package
 import time:       615 |        615 | resdyn

@@ -15,6 +15,7 @@ RK4 oracle in :mod:`resdyn.oracle`.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left
 
@@ -42,9 +43,7 @@ from .impacts import (
 # Excursion outside [0, f0], relative to f0, tolerated before clamping.
 BOUND_SLACK = 1e-12
 
-# Combined fade rate below which the linear model degenerates to constant
-# rates; the error-function form divides by omega**1.5 and loses meaning
-# as omega -> 0.
+# Combined slope at or below which a window with a negative slope is refused.
 OMEGA_MIN = 1e-10
 
 
@@ -209,19 +208,21 @@ def _linear_values(impacts: LinearImpacts, f_start: float, f0: float,
     multiplies exp(Lam^2) (Lam = lam/sqrt(2*om)) into an erf difference,
     which overflows for modest lam/sqrt(om); this evaluation folds the
     exponential into scaled complementary error functions, where every
-    factor stays O(1) on a window with nonnegative rates.  At om <=
-    OMEGA_MIN the intercepts are solved as constant rates.
+    factor stays O(1) on a window with nonnegative rates.  While both
+    slopes are >= 0 it is within 14 units of 2**-52 * f0; a growing rate
+    nearly cancelling a fade loses accuracy about as the share beta/om.
+    Below om = 7.9e-206 (om**1.5 subnormal) both slopes lie in
+    [0, 2**-680), and the intercepts solved as constant rates are exact to
+    rounding on any window shorter than 2**300 s.
     """
     lam = impacts.total_intercept
     om = impacts.total_slope
     alpha = impacts.bonware_intercept
     beta = impacts.bonware_slope
 
-    if om <= OMEGA_MIN:
-        fallback = ConstantImpacts(
-            malware_impact=impacts.malware_intercept,
-            bonware_impact=impacts.bonware_intercept,
-        )
+    if om ** 1.5 < sys.float_info.min:
+        fallback = ConstantImpacts(impacts.malware_intercept,
+                                   impacts.bonware_intercept)
         return _constant_values(fallback, f_start, f0, tau)
 
     # Imported only on this path, so commands that never solve a linear
@@ -272,9 +273,8 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
     Each window's rates run on its own local clock; the value reached at a
     breakpoint seeds the next window exactly as in
     :func:`solve_piecewise_constant`.  Both rates must stay nonnegative
-    over each window, and its combined slope may be neither negative nor
-    near zero while an individual slope is not (a window with a combined
-    slope below OMEGA_MIN is solved as constant rates on its intercepts).
+    over each window, and a window with a negative slope must have a
+    combined slope above OMEGA_MIN.
     """
     _require_schedule(schedule, PiecewiseLinearSchedule)
     pts = schedule._breakpoints
@@ -284,8 +284,7 @@ def solve_piecewise_linear(schedule: PiecewiseLinearSchedule, f_init: float,
         except DomainError as exc:
             raise DomainError(f"segment {j}: {exc}") from None
         om = seg.total_slope
-        if om < -OMEGA_MIN or (om <= OMEGA_MIN and max(
-                abs(seg.bonware_slope), abs(seg.malware_slope)) > OMEGA_MIN):
+        if om <= OMEGA_MIN and min(seg.bonware_slope, seg.malware_slope) < 0.0:
             raise DomainError(
                 f"segment {j}: combined impact slope {om:.6g} is negative or "
                 "cancels nonzero individual slopes; the error-function form "

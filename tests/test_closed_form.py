@@ -1,6 +1,7 @@
 """Closed-form solvers against the RK4 oracle and analytic identities."""
 
 import math
+import sys
 import tracemalloc
 from array import array
 
@@ -34,7 +35,6 @@ from resdyn import (
 )
 from conftest import (reference_constant_rates, reference_linear_rates,
                       reference_piecewise, units_off)
-from resdyn.closed_form import OMEGA_MIN
 from resdyn.core import _sample_axis
 
 
@@ -220,8 +220,8 @@ def test_recursion_within_bound_of_decimal_reference(problem):
 
 # Bound on a linear-rate solver's distance from the 40-digit decimal
 # reference, in units of 2**-52 * f0: at most four times the worst
-# distance over the 2000 derandomized examples below (3.72, the same with
-# numpy's AVX-512 kernels on and off).
+# distance over the 2000 derandomized examples below (3.51, the same
+# with numpy's AVX-512 kernels on and off).
 LINEAR_FORM_BOUND = 14.0
 
 
@@ -231,14 +231,15 @@ def linear_rate_schedules(draw):
     [1e-3, 1e12], f_init in [0, f0], and a grid inside the span that holds
     every breakpoint and up to three times between.  The intercepts lie in
     [0, 2] (0 and subnormal ones included) and each slope is a share in
-    [0, 1] of its intercept over the window's width, so both rates stay
-    >= 0.  A combined slope in (0, OMEGA_MIN] is set to 0: the solvers
-    take such a window as constant rates on its intercepts, which is not
-    its exact solution."""
+    [0, 1], log-uniform down to 1e-200 as well, of its intercept over the
+    window's width, so both rates stay >= 0 and the combined slopes reach
+    below OMEGA_MIN and on to where the solvers take constant rates."""
     t0 = draw(st.floats(-100.0, 100.0))
     widths = draw(st.lists(st.floats(0.05, 40.0), min_size=1, max_size=3))
     pts = np.cumsum([t0, *widths])
-    rate, share = st.floats(0.0, 2.0), st.just(0.0) | st.floats(0.0, 1.0)
+    rate = st.floats(0.0, 2.0)
+    share = (st.just(0.0) | st.floats(0.0, 1.0)
+             | st.floats(-200.0, 0.0).map(lambda e: 10.0 ** e))
     segments = []
     for width in np.diff(pts):
         bonware, malware = draw(rate), draw(rate)
@@ -246,8 +247,6 @@ def linear_rate_schedules(draw):
                                 malware, draw(share) * malware / width)
         assume(segment.bonware_at(width) >= 0.0
                and segment.malware_at(width) >= 0.0)
-        if segment.total_slope <= OMEGA_MIN:
-            segment = LinearImpacts(bonware, 0.0, malware, 0.0)
         segments.append(segment)
     f0 = 10.0 ** draw(st.floats(-3.0, 12.0))
     f_init = f0 * draw(st.floats(0.0, 1.0))
@@ -453,6 +452,16 @@ class TestSolveLinear:
                 r"\(reaches -0\.1\)$")):
             solve_piecewise_linear(sched, 1.0, 1.0, np.linspace(0.0, 60.0, 13))
 
+    @pytest.mark.parametrize("impacts", [
+        LinearImpacts(0.3, 5e-11, 0.5, 5e-11),  # at OMEGA_MIN
+        LinearImpacts(0.3, 8e-201, 0.5, 1.2e-200),
+    ], ids=["omega=1e-10", "omega=2e-200"])
+    def test_tiny_fades_solved_exactly(self, impacts):
+        grid = [0.0, 10.0, 40.0]
+        trace = solve_linear(impacts, 0.7, 1.0, grid)
+        want = reference_linear_rates(1.0, [(0.0, impacts)], 0.7, grid)
+        assert units_off(trace.values, want, 1.0) <= LINEAR_FORM_BOUND
+
     def test_growing_rates_rejected(self):
         li = LinearImpacts(bonware_intercept=0.02, bonware_slope=-1e-3,
                            malware_intercept=0.05, malware_slope=0.0)
@@ -517,13 +526,15 @@ def test_wrong_schedule_type_rejected(solver, schedule, expected):
 
 
 # The combined rate is constant while each rate varies, so neither the
-# error-function form nor the constant fallback applies.
+# error-function form nor the constant-rate branch applies; slopes that
+# nearly cancel are refused alike, however small.
 CANCELLING = LinearImpacts(bonware_intercept=0.02, bonware_slope=1e-3,
                            malware_intercept=0.05, malware_slope=-1e-3)
 
 
 @pytest.mark.parametrize("solve, impacts, segment", [
     (solve_linear, CANCELLING, 0),
+    (solve_linear, LinearImpacts(0.3, 5e-11, 0.5, -4e-11), 0),
     (solve_piecewise_linear, PiecewiseLinearSchedule(
         breakpoints=np.array([0.0, 50.0, 60.0]),
         segments=(LINEAR_EXAMPLE, CANCELLING)), 1),
@@ -656,7 +667,7 @@ def reference_linear(impacts, f_start, f0, tau):
     om = impacts.total_slope
     alpha = impacts.bonware_intercept
     beta = impacts.bonware_slope
-    if om <= OMEGA_MIN:
+    if om ** 1.5 < sys.float_info.min:
         fallback = ConstantImpacts(impacts.malware_intercept,
                                    impacts.bonware_intercept)
         return reference_constant(fallback, f_start, f0, tau)
